@@ -24,16 +24,21 @@ from fractions import Fraction
 
 from .cartan import CartanDatum, Weight
 from .cyclotomic import CycAlgebra, IdealSpace, degree_cap, get_ideal_space
-from .klr import BasisMonomial, basis_monomials, get_engine, seqs_of
+from .klr import (
+    BasisMonomial,
+    basis_monomials,
+    crossing_degree,
+    get_engine,
+    seqs_of,
+)
 from .laurent import LaurentPoly
 from .linalg import SubspaceBasis
-from .perms import all_perms, apply_word, inversions
+from .perms import all_perms, apply_word
 from .qpolys import QSpec
 
 __all__ = [
     "Bimodules",
     "ColumnQuotient",
-    "build_bimodules",
     "emb_first",
     "emb_last",
     "first_strand_chains",
@@ -79,15 +84,10 @@ def shifted_strand_chains(N: int):
 def min_tau_degree(datum, beta) -> int:
     """Least crossing degree over all monomials of R(beta); a lower
     bound for every column space considered here."""
-    n = sum(beta)
-    best = 0
-    for seq in seqs_of(beta):
-        for w in all_perms(n):
-            deg = 0
-            for (a, b) in inversions(w):
-                deg -= datum.form(seq[a], seq[b])
-            best = min(best, deg)
-    return best
+    perms = all_perms(sum(beta))
+    return min(
+        crossing_degree(datum, w, seq) for seq in seqs_of(beta) for w in perms
+    )
 
 
 def default_window(datum, weight, beta_hat, qspec=None):
@@ -523,7 +523,3 @@ class Bimodules:
                 if val:
                     flat[(j, m)] = val
         return flat
-
-
-def build_bimodules(datum, weight, beta, i, qspec=None, window=None) -> Bimodules:
-    return Bimodules(datum, weight, beta, i, qspec=qspec, window=window)

@@ -65,12 +65,21 @@ class Cache:
             return None
 
     def put(self, key, payload):
-        os.makedirs(self.root, exist_ok=True)
+        """Store payload under key.  Each write goes to its own temporary
+        file, so concurrent writers never collide; a failed write (an
+        unusable root, a full disk) is a cache miss, not an error."""
         path = self._path(key)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-        os.replace(tmp, path)
+        tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+        try:
+            os.makedirs(self.root, exist_ok=True)
+            with open(tmp, "x", encoding="utf-8") as fh:
+                json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
+            os.replace(tmp, path)
+        except OSError:
+            try:
+                os.remove(tmp)
+            except OSError:
+                pass
 
     def _entries(self):
         try:

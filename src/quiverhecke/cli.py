@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
 from .bimodules import min_tau_degree
 from .cache import Cache, resolve_cache_dir, summary_key
-from .checks import CHECKS, run_check
+from .checks import CHECKS
 from .config import ConfigError, load_config
 from .cyclotomic import CycAlgebra
 from .klr import basis_monomials, seqs_of
@@ -260,18 +261,14 @@ def _timed(thunk):
 
 
 def _run_checks(names, jobs):
+    thunks = [thunk for name in names for thunk in CHECKS[name]()]
+    jobs = min(jobs, os.cpu_count() or 1, len(thunks))
     if jobs > 1:
         import multiprocessing
 
-        thunks = []
-        for name in names:
-            thunks.extend(CHECKS[name]())
         with multiprocessing.Pool(jobs) as pool:
             return pool.map(_timed, thunks)
-    reports = []
-    for name in names:
-        reports.extend(run_check(name))
-    return reports
+    return [_timed(thunk) for thunk in thunks]
 
 
 def _inputs_str(inputs) -> str:
@@ -288,6 +285,9 @@ def cmd_check(args):
         sys.stderr.write(
             f"unknown check {args.name!r}; choose from: {known}, all\n"
         )
+        return 2
+    if args.jobs < 1:
+        sys.stderr.write(f"--jobs must be at least 1, got {args.jobs}\n")
         return 2
     reports = _run_checks(names, args.jobs)
     failed = sum(1 for r in reports if r.status == "fail")

@@ -19,7 +19,10 @@ exact and small:
   per-strand nilpotency degrees, intersected with a tower bound that is
   certified at runtime by checking that the monic last-strand relation
   really lies in the ideal.  Degrees above the window are spot-checked
-  to vanish rather than assumed silently.
+  to vanish rather than assumed silently.  Graded scans inside the
+  window stop early at a run of zero degrees above every crossing
+  degree that is as long as the largest dot degree: past such a run the
+  quotient is certified to vanish (see `scan_until_vanishing`).
 """
 
 from __future__ import annotations
@@ -27,7 +30,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cartan import CartanDatum, Weight
-from .klr import BasisMonomial, KLR, get_engine, seqs_of, weighted_comps
+from .klr import (
+    BasisMonomial,
+    KLR,
+    crossing_degree,
+    get_engine,
+    seqs_of,
+    weighted_comps,
+)
 from .laurent import LaurentPoly
 from .linalg import SubspaceBasis
 from .perms import act_on_seq, all_perms, apply_word, canonical_word, word_to_perm
@@ -41,6 +51,7 @@ __all__ = [
     "degree_cap",
     "certified_cap",
     "full_ideal_chains",
+    "scan_until_vanishing",
     "IdealSpace",
     "get_ideal_space",
     "CycAlgebra",
@@ -138,16 +149,6 @@ def alive_seqs(beta, table):
     return tuple(out)
 
 
-def _tau_degree(datum, w, seq):
-    deg = 0
-    n = len(seq)
-    for a in range(n):
-        for b in range(a + 1, n):
-            if w[a] > w[b]:
-                deg -= datum.form(seq[a], seq[b])
-    return deg
-
-
 def degree_cap(datum, weight, beta, qspec=None):
     """Degree window (dmin, dmax) from the nilpotency table alone.
 
@@ -166,7 +167,7 @@ def degree_cap(datum, weight, beta, qspec=None):
     dmax = 0
     perms = all_perms(n)
     for seq in alive:
-        taus = [_tau_degree(datum, w, seq) for w in perms]
+        taus = [crossing_degree(datum, w, seq) for w in perms]
         poly = sum(
             (table[pos][i] - 1) * datum.form(i, i) for pos, i in enumerate(seq)
         )
@@ -243,36 +244,52 @@ class IdealSpace:
         cols = []
         for w in self.transporter(mu, lam):
             word = canonical_word(w)
-            tdeg = _tau_degree(datum, w, mu)
+            tdeg = crossing_degree(datum, w, mu)
             for exps in weighted_comps(weights, d - tdeg):
                 cols.append(BasisMonomial(word, exps, mu))
         cols.sort(key=BasisMonomial.sort_key)
         return cols
 
     def block(self, lam, mu, d):
-        """(columns, echelon basis of the ideal piece) for one block."""
+        """(columns, echelon basis of the ideal piece) for one block.
+
+        Rows stop as soon as the ideal fills the block (rank equals the
+        number of columns), leaving both the chain and the column loop.
+        This changes no answer: the reduced echelon form of a full-rank
+        block is the identity whatever rows produced it, so the rank,
+        the pivot columns and every normal form (zero) are those the
+        remaining rows would have left.  Every row that is built is
+        still checked to stay inside its block.
+        """
         key = (lam, mu, d)
         hit = self._blocks.get(key)
         if hit is not None:
             return hit
-        eng = self.engine
         cols = self.block_columns(lam, mu, d)
         sb = SubspaceBasis(keyfunc=BasisMonomial.sort_key)
         if cols:
             colset = set(cols)
-            for idx in range(len(self.chains)):
-                gen, gdeg = self.generator(idx, mu)
-                if not gen:
-                    continue
-                left_of_gen = apply_word(self.chains[idx][1], mu)
-                for b in self.block_columns(lam, left_of_gen, d - gdeg):
-                    row = eng.multiply({b: Fraction(1)}, gen)
-                    if not row:
-                        continue
-                    assert set(row) <= colset, "ideal row escaped its block"
-                    sb.add(row)
+            full = len(cols)
+            for row in self._ideal_rows(lam, mu, d):
+                assert set(row) <= colset, "ideal row escaped its block"
+                sb.add(row)
+                if sb.rank == full:
+                    break
         self._blocks[key] = (cols, sb)
         return cols, sb
+
+    def _ideal_rows(self, lam, mu, d):
+        """Nonzero spanning rows b * generator of block (lam, mu, d)."""
+        eng = self.engine
+        for idx in range(len(self.chains)):
+            gen, gdeg = self.generator(idx, mu)
+            if not gen:
+                continue
+            left_of_gen = apply_word(self.chains[idx][1], mu)
+            for b in self.block_columns(lam, left_of_gen, d - gdeg):
+                row = eng.multiply({b: Fraction(1)}, gen)
+                if row:
+                    yield row
 
     def block_dim(self, lam, mu, d) -> int:
         cols, sb = self.block(lam, mu, d)
@@ -295,12 +312,6 @@ class IdealSpace:
 
     def contains(self, E: dict) -> bool:
         return not self.reduce(E)
-
-
-def act_on_seq_chain(mu, a):
-    """w_a . mu for the chain permutation w_a = s_0 s_1 ... s_{a-1}:
-    moves the front entry of the result from position a of mu."""
-    return (mu[a],) + mu[:a] + mu[a + 1 :]
 
 
 def act_on_seq_from_word(m: BasisMonomial):
@@ -425,6 +436,42 @@ def certified_cap(datum, weight, beta, qspec=None):
     return best
 
 
+def scan_until_vanishing(dim_of, dmin, dmax, top, step):
+    """Nonzero values of dim_of over degrees dmin..dmax, as {d: dim}.
+
+    The scan goes upward from dmin and stops at dmax, or earlier at the
+    first run of `step` consecutive zero degrees [D, D + step) that
+    starts at some D > top (the zeros may continue a run that began at
+    or below top).  Here dim_of(d) is the degree-d dimension of a sum of
+    blocks e(lam) R^Lambda(beta) e(nu), so a zero sum means every block
+    vanishes; `top` is at least every crossing degree of those blocks
+    and `step` at least the degree (alpha_i | alpha_i) of every dot on
+    their right sequences.
+
+    Why nothing is lost past such a run, by induction on d >= D + step:
+    take a basis monomial tau_w x^a e(nu) of degree d > top.  Its
+    crossing part has degree at most top, so some a_k > 0, and it equals
+    (tau_w x^(a - e_k) e(nu)) * x_k.  The left factor lies in the same
+    block, in a degree in [d - step, d) and hence in [D, d), where the
+    block vanishes: the left factor lies in the ideal, and since the
+    ideal is two-sided so does the product.  Dead blocks vanish outright,
+    because e(nu) lies in the ideal when nu is dead.
+    """
+    out = {}
+    zero_from = None
+    for d in range(dmin, dmax + 1):
+        dim = dim_of(d)
+        if dim:
+            out[d] = dim
+            zero_from = None
+        elif d > top:
+            if zero_from is None:
+                zero_from = d
+            if d - zero_from + 1 >= step:
+                break
+    return out
+
+
 class CycAlgebra:
     """The graded algebra R^Lambda(beta) over its degree window."""
 
@@ -481,11 +528,17 @@ class CycAlgebra:
         return total
 
     def graded_dims(self) -> dict:
-        return {
-            d: self.dim_at(d)
-            for d in range(self.dmin, self.dmax + 1)
-            if self.dim_at(d)
-        }
+        if self._zero:
+            return {}
+        perms = all_perms(self.n)
+        top = max(
+            crossing_degree(self.datum, w, nu) for nu in self.alive for w in perms
+        )
+        # With no strands there is nothing above degree top; any step works.
+        step = max(
+            (self.datum.form(i, i) for nu in self.alive for i in nu), default=1
+        )
+        return scan_until_vanishing(self.dim_at, self.dmin, self.dmax, top, step)
 
     def graded_dim_poly(self) -> LaurentPoly:
         return LaurentPoly(self.graded_dims())
@@ -496,12 +549,15 @@ class CycAlgebra:
         nu = tuple(nu)
         if self._zero or mu not in self.alive or nu not in self.alive:
             return LaurentPoly.zero()
-        out = {}
-        for d in range(self.dmin, self.dmax + 1):
-            dim = self.space.block_dim(mu, nu, d)
-            if dim:
-                out[d] = dim
-        return LaurentPoly(out)
+        space = self.space
+        top = max(
+            crossing_degree(self.datum, w, nu)
+            for w in space.transporter(nu, mu)
+        )
+        step = max((self.datum.form(i, i) for i in nu), default=1)
+        return LaurentPoly(scan_until_vanishing(
+            lambda d: space.block_dim(mu, nu, d), self.dmin, self.dmax, top, step
+        ))
 
     def quotient_basis(self, d: int):
         """Monomials spanning degree d of the quotient: non-pivot columns
@@ -596,40 +652,3 @@ class CycAlgebra:
             "total_dim": sum(dims.values()),
             "truncations": truncs,
         }
-
-
-def _min_block_degree(space: IdealSpace, lam, mu):
-    """Least possible degree of a basis monomial in block (lam, mu)."""
-    datum = space.engine.datum
-    degs = [
-        _tau_degree(datum, w, mu) for w in space.transporter(mu, lam)
-    ]
-    return min(degs) if degs else None
-
-
-def ideal_rows_two_sided(space: IdealSpace, lam, mu, d):
-    """Spanning rows of the block from the bilinear description
-    b1 * (x_0^level e(nu)) * b2; quadratically many, kept for cross-checks
-    against the one-sided spanning set used everywhere else."""
-    eng = space.engine
-    out = []
-    for nu in space.seqs:
-        lvl = space.weight.level(nu[0])
-        exps = [0] * space.n
-        exps[0] = lvl
-        gen = BasisMonomial((), tuple(exps), nu)
-        gdeg = eng.monomial_degree(gen)
-        lo = _min_block_degree(space, lam, nu)
-        hi = _min_block_degree(space, nu, mu)
-        if lo is None or hi is None:
-            continue
-        for d1 in range(lo, d - gdeg - hi + 1):
-            lefts = space.block_columns(lam, nu, d1)
-            rights = space.block_columns(nu, mu, d - gdeg - d1)
-            for b1 in lefts:
-                half = eng.multiply({b1: Fraction(1)}, {gen: Fraction(1)})
-                for b2 in rights:
-                    row = eng.multiply(half, {b2: Fraction(1)})
-                    if row:
-                        out.append(row)
-    return out

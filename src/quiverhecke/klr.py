@@ -23,7 +23,6 @@ from .perms import (
     all_perms,
     apply_word,
     canonical_word,
-    inversions,
     move_path,
     word_to_perm,
 )
@@ -32,8 +31,8 @@ from .qpolys import QSpec
 __all__ = [
     "BasisMonomial",
     "KLR",
-    "KLRElement",
     "basis_monomials",
+    "crossing_degree",
     "get_engine",
     "seqs_of",
     "weighted_comps",
@@ -99,6 +98,21 @@ def weighted_comps(weights, total):
     return out
 
 
+def crossing_degree(datum, w, seq) -> int:
+    """Degree of tau_w e(seq): minus (alpha_{seq_a} | alpha_{seq_b}) summed
+    over the inversions a < b, w(a) > w(b), of the one-line permutation w."""
+    form = datum.form
+    n = len(w)
+    deg = 0
+    for a in range(n - 1):
+        wa = w[a]
+        ca = seq[a]
+        for b in range(a + 1, n):
+            if wa > w[b]:
+                deg -= form(ca, seq[b])
+    return deg
+
+
 def basis_monomials(datum, beta, d):
     """All basis monomials of R(beta) of degree d, canonically ordered.
 
@@ -110,9 +124,7 @@ def basis_monomials(datum, beta, d):
     for seq in seqs_of(beta):
         weights = [datum.form(i, i) for i in seq]
         for w in all_perms(n):
-            tdeg = 0
-            for (a, b) in inversions(w):
-                tdeg -= datum.form(seq[a], seq[b])
+            tdeg = crossing_degree(datum, w, seq)
             word = canonical_word(w)
             for exps in weighted_comps(weights, d - tdeg):
                 out.append(BasisMonomial(word, exps, seq))
@@ -293,10 +305,6 @@ class KLR:
             _add(out, BasisMonomial(m.word, tuple(b), m.seq), c)
         return out
 
-    def right_mult_e(self, E: dict, seq) -> dict:
-        seq = tuple(seq)
-        return {m: c for m, c in E.items() if m.seq == seq}
-
     def right_mult_word(self, E: dict, word) -> dict:
         for k in word:
             E = self.right_mult_tau(E, k)
@@ -336,9 +344,7 @@ class KLR:
             if a:
                 deg += a * d.form(m.seq[pos], m.seq[pos])
         if m.word:
-            w = word_to_perm(self.n, m.word)
-            for (a, b) in inversions(w):
-                deg -= d.form(m.seq[a], m.seq[b])
+            deg += crossing_degree(d, word_to_perm(self.n, m.word), m.seq)
         return deg
 
     def element_degree(self, E: dict):
@@ -383,16 +389,6 @@ class KLR:
                 _add(out, m, c)
         return out
 
-    def cyc_poly(self, weight, seqs, k: int = 0) -> dict:
-        """sum over nu of x_k^{<h_{nu_k}, Lambda>} e(nu)."""
-        out = {}
-        for seq in seqs:
-            seq = tuple(seq)
-            e = [0] * self.n
-            e[k] = weight.level(seq[k])
-            out[BasisMonomial((), tuple(e), seq)] = Fraction(1)
-        return out
-
 
 _engines = {}
 
@@ -407,67 +403,3 @@ def get_engine(datum: CartanDatum, n: int, qspec: QSpec = None) -> KLR:
         eng = KLR(datum, n, qspec)
         _engines[key] = eng
     return eng
-
-
-class KLRElement:
-    """Convenience wrapper pairing an engine with a coefficient dict."""
-
-    __slots__ = ("engine", "coeffs")
-
-    def __init__(self, engine: KLR, coeffs=None):
-        self.engine = engine
-        self.coeffs = {}
-        if coeffs:
-            for m, c in coeffs.items():
-                c = Fraction(c)
-                if c:
-                    self.coeffs[m] = c
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            _add(out, m, c)
-        return KLRElement(self.engine, out)
-
-    def __sub__(self, other):
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            _add(out, m, -c)
-        return KLRElement(self.engine, out)
-
-    def __neg__(self):
-        return KLRElement(self.engine, {m: -c for m, c in self.coeffs.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return KLRElement(
-                self.engine, {m: c * other for m, c in self.coeffs.items()}
-            )
-        return KLRElement(self.engine, self.engine.multiply(self.coeffs, other.coeffs))
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
-
-    def __eq__(self, other):
-        if isinstance(other, KLRElement):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def psi(self):
-        return KLRElement(self.engine, self.engine.psi(self.coeffs))
-
-    def degree(self):
-        return self.engine.element_degree(self.coeffs)
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for m in sorted(self.coeffs, key=BasisMonomial.sort_key):
-            parts.append(f"{self.coeffs[m]}*[w={m.word} x={m.exps} e{m.seq}]")
-        return " + ".join(parts)

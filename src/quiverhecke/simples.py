@@ -44,7 +44,7 @@ def _mult_table(alg: CycAlgebra):
     """Ungraded basis and structure constants c[i][j] = coords of
     b_i b_j."""
     basis = []
-    for d in range(alg.dmin, alg.dmax + 1):
+    for d in sorted(alg.graded_dims()):
         basis.extend(alg.quotient_basis(d))
     index = {m: k for k, m in enumerate(basis)}
     eng = alg.engine

@@ -80,19 +80,70 @@ def test_check_text_and_exit(capsys):
     assert all(ln.startswith("PASS") for ln in lines[:-1])
 
 
-def test_check_json_deterministic(capsys):
-    def strip(obj):
-        if isinstance(obj, dict):
-            return {k: strip(v) for k, v in obj.items()
-                    if k != "elapsed_ms"}
-        if isinstance(obj, list):
-            return [strip(x) for x in obj]
-        return obj
+def strip(obj):
+    """A report with its timing fields removed."""
+    if isinstance(obj, dict):
+        return {k: strip(v) for k, v in obj.items() if k != "elapsed_ms"}
+    if isinstance(obj, list):
+        return [strip(x) for x in obj]
+    return obj
 
+
+def test_check_json_deterministic(capsys):
     rc, first, _ = run(capsys, "check", "phi", "--json")
     assert rc == 0
     rc, second, _ = run(capsys, "check", "phi", "--json")
     assert strip(json.loads(first)) == strip(json.loads(second))
+
+
+def test_check_jobs_matches_serial(capsys):
+    rc, serial, _ = run(capsys, "check", "taug", "--json")
+    assert rc == 0
+    rc, pooled, _ = run(capsys, "check", "taug", "--jobs", "2", "--json")
+    assert rc == 0
+    assert strip(json.loads(pooled)) == strip(json.loads(serial))
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_check_jobs_below_one_exit_two(capsys, jobs):
+    rc, out, err = run(capsys, "check", "taug", "--jobs", jobs)
+    assert rc == 2
+    assert out == ""
+    assert "--jobs" in err
+
+
+def test_check_jobs_clamped(capsys, monkeypatch):
+    import multiprocessing
+
+    sizes = []
+
+    class FakePool:
+        """Records the worker count and runs the work in this process."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(x) for x in items]
+
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    rc, out, _ = run(capsys, "check", "taug", "--jobs", "1000000")
+    assert rc == 0
+    assert out.splitlines()[-1] == "18 instances, 0 failed"
+    assert sizes == [3]
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    run(capsys, "check", "categorification", "--jobs", "1000000")
+    assert sizes == [3, 4]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    run(capsys, "check", "categorification", "--jobs", "8")
+    assert sizes == [3, 4]
 
 
 def test_check_unknown_name(capsys):
@@ -158,3 +209,44 @@ def test_cache_ignores_corrupt_entries(tmp_path):
     with open(os.path.join(str(tmp_path), key + ".json"), "w") as fh:
         fh.write("{not json")
     assert cache.get(key) is None
+
+
+def test_cache_interleaved_writers(tmp_path, monkeypatch):
+    # a second writer of the same key runs to completion in the middle of
+    # the first one's write
+    import quiverhecke.cache as cache_mod
+
+    cache = Cache(str(tmp_path))
+    key = "ef" * 32
+    dump = json.dump
+    nested = []
+
+    def dump_with_rival(obj, fh, **kw):
+        if not nested:
+            nested.append(True)
+            cache.put(key, {"writer": 2})
+        dump(obj, fh, **kw)
+
+    monkeypatch.setattr(cache_mod.json, "dump", dump_with_rival)
+    cache.put(key, {"writer": 1})
+    assert nested
+    assert cache.get(key) == {"writer": 1}
+    assert os.listdir(str(tmp_path)) == [key + ".json"]
+
+
+def test_cache_write_failure_is_a_miss(tmp_path, cfg_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a regular file, not a directory")
+    root = str(blocker / "cache")
+    cache = Cache(root)
+    key = "01" * 32
+    cache.put(key, {"x": 1})
+    assert cache.get(key) is None
+    assert cache.stat()["entries"] == 0
+    rc, cached, _ = run(capsys, "cyclotomic", "--config", cfg_path,
+                        "--cache-dir", root)
+    assert rc == 0
+    rc, fresh, _ = run(capsys, "cyclotomic", "--config", cfg_path,
+                       "--no-cache")
+    assert cached == fresh
+    assert sorted(os.listdir(str(tmp_path))) == ["blocker", "cfg.json"]

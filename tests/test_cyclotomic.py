@@ -3,6 +3,7 @@ dimensions against the highest weight module, ideal span identities."""
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -13,14 +14,25 @@ from quiverhecke.cyclotomic import (
     alive_seqs,
     degree_cap,
     get_ideal_space,
-    ideal_rows_two_sided,
     min_power_in_ideal,
     nilpotency_table,
+    scan_until_vanishing,
 )
-from quiverhecke.klr import BasisMonomial, get_engine, seqs_of, weighted_comps
+from quiverhecke.klr import (
+    BasisMonomial,
+    crossing_degree,
+    get_engine,
+    seqs_of,
+    weighted_comps,
+)
 from quiverhecke.laurent import LaurentPoly
 from quiverhecke.linalg import SubspaceBasis
-from quiverhecke.perms import act_on_seq, all_perms, canonical_word
+from quiverhecke.perms import (
+    act_on_seq,
+    all_perms,
+    apply_word,
+    canonical_word,
+)
 from quiverhecke.qpolys import QSpec
 from quiverhecke.uqmod import UqModule
 
@@ -106,6 +118,41 @@ def test_ideal_piece_degree_bookkeeping():
     assert sb2.rank == 0
     _, sb4 = space.block(seq, seq, 4)
     assert sb4.rank == 1
+
+
+def _min_block_degree(space: IdealSpace, lam, mu):
+    """Least possible degree of a basis monomial in block (lam, mu)."""
+    datum = space.engine.datum
+    degs = [crossing_degree(datum, w, mu) for w in space.transporter(mu, lam)]
+    return min(degs) if degs else None
+
+
+def ideal_rows_two_sided(space: IdealSpace, lam, mu, d):
+    """Spanning rows of the block from the bilinear description
+    b1 * (x_0^level e(nu)) * b2; quadratically many, kept for cross-checks
+    against the one-sided spanning set used everywhere else."""
+    eng = space.engine
+    out = []
+    for nu in space.seqs:
+        lvl = space.weight.level(nu[0])
+        exps = [0] * space.n
+        exps[0] = lvl
+        gen = BasisMonomial((), tuple(exps), nu)
+        gdeg = eng.monomial_degree(gen)
+        lo = _min_block_degree(space, lam, nu)
+        hi = _min_block_degree(space, nu, mu)
+        if lo is None or hi is None:
+            continue
+        for d1 in range(lo, d - gdeg - hi + 1):
+            lefts = space.block_columns(lam, nu, d1)
+            rights = space.block_columns(nu, mu, d - gdeg - d1)
+            for b1 in lefts:
+                half = eng.multiply({b1: Fraction(1)}, {gen: Fraction(1)})
+                for b2 in rights:
+                    row = eng.multiply(half, {b2: Fraction(1)})
+                    if row:
+                        out.append(row)
+    return out
 
 
 def test_one_sided_equals_two_sided_span():
@@ -321,3 +368,113 @@ def test_restricted_chain_family():
     assert sb.rank == direct.rank
     for vec in direct.rows:
         assert sb.contains(vec)
+
+
+# ---- early exits against the full computation -----------------------
+
+
+def reference_block(space: IdealSpace, lam, mu, d):
+    """IdealSpace.block without the early exit: every spanning row is
+    built and inserted, even after the ideal fills the block."""
+    eng = space.engine
+    cols = space.block_columns(lam, mu, d)
+    sb = SubspaceBasis(keyfunc=BasisMonomial.sort_key)
+    if cols:
+        for idx, (_, word) in enumerate(space.chains):
+            gen, gdeg = space.generator(idx, mu)
+            if not gen:
+                continue
+            for b in space.block_columns(lam, apply_word(word, mu), d - gdeg):
+                row = eng.multiply({b: Fraction(1)}, gen)
+                if row:
+                    sb.add(row)
+    return cols, sb
+
+
+def reference_dims(A: CycAlgebra, pairs):
+    """Nonzero dimensions of the given (lam, mu) blocks summed, scanning
+    every degree of the window with reference blocks."""
+    space = IdealSpace(A.engine, A.weight, A.beta)
+    out = {}
+    for d in range(A.dmin, A.dmax + 1):
+        dim = 0
+        for lam, mu in pairs:
+            cols, sb = reference_block(space, lam, mu, d)
+            dim += len(cols) - sb.rank
+        if dim:
+            out[d] = dim
+    return out
+
+
+DESK_ALGEBRAS = [
+    (A1, Weight((2,)), (2,)),
+    (A1, Weight((3,)), (2,)),
+    (A2, Weight((1, 1)), (1, 1)),
+    (A2, Weight((1, 1)), (2, 1)),
+    (B2, Weight((1, 1)), (2, 1)),
+    (A1AFF, Weight((1, 0)), (1, 1)),
+    (A1AFF, Weight((1, 0)), (2, 1)),
+    (A1AFF, Weight((1, 0)), (1, 2)),
+    (A1AFF, Weight((2, 0)), (2, 1)),
+]
+
+
+@pytest.mark.parametrize("datum,wt,beta", DESK_ALGEBRAS)
+def test_early_exits_match_full_computation(datum, wt, beta):
+    A = CycAlgebra(datum, wt, beta)
+    old_space = IdealSpace(A.engine, wt, beta)
+    seqs = seqs_of(beta)
+    for lam in seqs:
+        for mu in seqs:
+            for d in range(A.dmin - 2, A.dmax + 3):
+                cols, sb = A.space.block(lam, mu, d)
+                ref_cols, ref = reference_block(old_space, lam, mu, d)
+                assert cols == ref_cols
+                assert sb.rank == ref.rank
+                assert sb.pivot_columns() == ref.pivot_columns()
+                for c in cols:
+                    unit = {c: Fraction(1)}
+                    assert sb.normal_form(unit) == ref.normal_form(unit)
+    alive_pairs = [(lam, mu) for lam in A.alive for mu in A.alive]
+    assert A.graded_dims() == reference_dims(A, alive_pairs)
+    # the ungraded basis count_simples takes from the nonzero degrees
+    full_basis = [
+        m for d in range(A.dmin, A.dmax + 1) for m in A.quotient_basis(d)
+    ]
+    assert full_basis == [
+        m for d in sorted(A.graded_dims()) for m in A.quotient_basis(d)
+    ]
+    for mu in A.alive:
+        for nu in A.alive:
+            assert A.truncation(mu, nu).coeffs == reference_dims(A, [(mu, nu)])
+
+
+def test_vanishing_run_stops_before_the_window_top():
+    # window [-2, 10], but nothing survives above degree 2
+    A = CycAlgebra(A1AFF, Weight((1, 0)), (2, 1))
+    assert (A.dmin, A.dmax) == (-2, 10)
+    scanned = []
+    dim_at = A.dim_at
+    A.dim_at = lambda d: scanned.append(d) or dim_at(d)
+    dims = A.graded_dims()
+    assert max(dims) == 2
+    assert max(scanned) < A.dmax
+    assert A.summary()["window"] == [-2, 10]
+
+
+def test_scan_until_vanishing_needs_a_run_above_top():
+    dims = {0: 1, 4: 1}
+
+    def scan(top, step):
+        seen = []
+        out = scan_until_vanishing(
+            lambda d: seen.append(d) or dims.get(d, 0), 0, 10, top, step
+        )
+        return out, max(seen)
+
+    # zeros at or below top do not count towards the run
+    assert scan(top=1, step=2) == ({0: 1}, 3)
+    assert scan(top=3, step=2) == ({0: 1, 4: 1}, 6)
+    assert scan(top=3, step=4) == ({0: 1, 4: 1}, 8)
+    # the window top still bounds the scan
+    assert scan(top=8, step=2) == ({0: 1, 4: 1}, 10)

@@ -13,7 +13,8 @@ from fractions import Fraction
 import pytest
 
 from quiverhecke.cartan import build_cartan
-from quiverhecke.klr import BasisMonomial, get_engine
+from quiverhecke.klr import BasisMonomial, crossing_degree, get_engine
+from quiverhecke.perms import all_perms, canonical_word
 from quiverhecke.qpolys import QSpec
 
 A2 = build_cartan(("1", "2"), [[2, -1], [-1, 2]])
@@ -299,3 +300,17 @@ def test_intertwiner_equal_color_expansion():
         BasisMonomial((0,), (0, 2), nu): Fraction(-1),
     }
     assert eng.intertwiner_g(0, (0, 1)) == eng.gen_tau(0, (0, 1))
+
+
+@pytest.mark.parametrize("datum", [A2, B2, A1AFF])
+def test_crossing_degree_sums_simple_crossings(datum):
+    # along a reduced word each crossing tau_k contributes
+    # -(alpha_i | alpha_j) for the two colors it crosses
+    for seq in seqs(datum):
+        for w in all_perms(3):
+            cur = seq
+            total = 0
+            for k in reversed(canonical_word(w)):
+                total -= datum.form(cur[k], cur[k + 1])
+                cur = cur[:k] + (cur[k + 1], cur[k]) + cur[k + 2:]
+            assert crossing_degree(datum, w, seq) == total
