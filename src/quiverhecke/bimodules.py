@@ -27,13 +27,13 @@ from .cyclotomic import CycAlgebra, IdealSpace, degree_cap, get_ideal_space
 from .klr import (
     BasisMonomial,
     basis_monomials,
-    crossing_degree,
     get_engine,
+    left_seq,
+    min_tau_degree,
     seqs_of,
 )
 from .laurent import LaurentPoly
 from .linalg import SubspaceBasis
-from .perms import all_perms, apply_word
 from .qpolys import QSpec
 
 __all__ = [
@@ -81,15 +81,6 @@ def shifted_strand_chains(N: int):
     return tuple((1, tuple(range(1, a + 1))) for a in range(N - 1))
 
 
-def min_tau_degree(datum, beta) -> int:
-    """Least crossing degree over all monomials of R(beta); a lower
-    bound for every column space considered here."""
-    perms = all_perms(sum(beta))
-    return min(
-        crossing_degree(datum, w, seq) for seq in seqs_of(beta) for w in perms
-    )
-
-
 def default_window(datum, weight, beta_hat, qspec=None):
     """Degree window for bimodule comparisons: from the least crossing
     degree up to the quotient bound on beta_hat plus one extra
@@ -119,17 +110,12 @@ class ColumnQuotient:
 
     def basis(self, d):
         hit = self._basis.get(d)
-        if hit is not None:
-            return hit
-        out = []
-        for mu in self.right_seqs:
-            for lam in self.left_seqs:
-                cols, sb = self.denom.block(lam, mu, d)
-                pivots = set(sb.pivot_columns())
-                out.extend(m for m in cols if m not in pivots)
-        out.sort(key=BasisMonomial.sort_key)
-        self._basis[d] = out
-        return out
+        if hit is None:
+            hit = self.denom.quotient_basis(
+                ((lam, mu) for mu in self.right_seqs for lam in self.left_seqs),
+                d)
+            self._basis[d] = hit
+        return hit
 
     def dim_at(self, d) -> int:
         return len(self.basis(d))
@@ -233,14 +219,6 @@ class Bimodules:
     def apply_t_K1(self, E: dict) -> dict:
         return self.engine.right_mult_x(E, 0)
 
-    def act_K0(self, E: dict, sub_elt: dict) -> dict:
-        """Right action of R(beta) through the first-strands embedding."""
-        return self.engine.multiply(E, emb_elt_last(sub_elt, self.i))
-
-    def act_K1(self, E: dict, sub_elt: dict) -> dict:
-        """Right action of R(beta) through the shifted embedding."""
-        return self.engine.multiply(E, emb_elt_first(sub_elt, self.i))
-
     # ---- composite multipliers --------------------------------------
 
     def qp_poly(self, nu) -> dict:
@@ -323,14 +301,10 @@ class Bimodules:
         return {m: c for m, c in total.items() if c}
 
     def _sub_quotient_basis(self):
-        """Quotient basis monomials of R^Lambda(beta) with their degrees."""
-        out = []
-        if self.sub.is_zero():
-            return out
-        for d in range(self.sub.dmin, self.sub.dmax + 1):
-            for m in self.sub.quotient_basis(d):
-                out.append((m, d))
-        return out
+        """Quotient basis monomials of R^Lambda(beta) with their degrees,
+        over the nonzero degrees only."""
+        return [(m, d) for d in sorted(self.sub.graded_dims())
+                for m in self.sub.quotient_basis(d)]
 
     def phi_by_chase(self, k: int):
         """Decompose u_k against the direct sum image(tensor part) +
@@ -373,7 +347,7 @@ class Bimodules:
             tags.append(("t", j, q))
         # tensor family: emb(a) tau_{n-1} emb(b), crossing on two i strands
         for (b, db) in qbasis:
-            left = apply_word(b.word, b.seq) if b.word else b.seq
+            left = left_seq(b)
             if not left or left[-1] != i:
                 continue
             da = D - db + d_ii

@@ -13,16 +13,16 @@ import time
 from fractions import Fraction
 from functools import partial
 
-from .bimodules import Bimodules, emb_elt_first, emb_elt_last, min_tau_degree
+from .bimodules import Bimodules, emb_elt_first, emb_elt_last
 from .cartan import Weight, build_cartan
 from .cyclotomic import CycAlgebra
-from .klr import BasisMonomial, basis_monomials, seqs_of
+from .klr import (BasisMonomial, basis_monomials, left_seq, min_tau_degree,
+                  seqs_of)
 from .laurent import LaurentPoly
 from .linalg import SubspaceBasis, laurent_rank
-from .perms import all_perms, apply_word, inversions
+from .perms import all_perms, inversions
 from .simples import count_simples
-from .tensors import (CycColumnModule, CycRowModule, FreeColumnModule,
-                      FreeRowModule, algebra_gens, tensor_dim)
+from .tensors import TruncationModule, algebra_gens, tensor_dim
 from .uqmod import UqModule
 
 __all__ = [
@@ -95,17 +95,13 @@ def _content(datum, seq):
     return tuple(beta)
 
 
-def _left_seq(m):
-    return apply_word(m.word, m.seq) if m.word else m.seq
-
-
 def _free_block_poly(datum, beta, rows, cols, window, qspec=None):
     """Graded dims of e(rows) R(beta) e(cols) for the free algebra."""
     coeffs = {}
     for d in range(window[0], window[1] + 1):
         k = 0
         for m in basis_monomials(datum, beta, d):
-            if m.seq in cols and _left_seq(m) in rows:
+            if m.seq in cols and left_seq(m) in rows:
                 k += 1
         if k:
             coeffs[d] = k
@@ -322,8 +318,8 @@ def _fe_tensor(datum, weight, beta, i, j, qspec=None):
         return None, None
     cols = {s + (j,) for s in seqs_of(sub)}
     rows = {s + (i,) for s in seqs_of(sub)}
-    M = CycColumnModule(big, cols, lambda e: emb_elt_last(e, j))
-    N = CycRowModule(here, rows, lambda e: emb_elt_last(e, i))
+    M = TruncationModule("right", cols, lambda e: emb_elt_last(e, j), big)
+    N = TruncationModule("left", rows, lambda e: emb_elt_last(e, i), here)
     gens = algebra_gens(datum, sub)
     span = (big.dmin + here.dmin, big.dmax + here.dmax)
     return partial(tensor_dim, M, N, gens, dmax_m=big.dmax), span
@@ -501,11 +497,12 @@ def check_convolution(datum, beta, i, j, degcap=6, qspec=None):
     if sub is None:
         fe = LaurentPoly({})
     else:
-        M = FreeColumnModule(datum, _add_beta(sub, j),
-                             {s + (j,) for s in seqs_of(sub)},
-                             lambda e: emb_elt_last(e, j), qspec)
-        N = FreeRowModule(datum, beta, {s + (i,) for s in seqs_of(sub)},
-                          lambda e: emb_elt_last(e, i), qspec)
+        M = TruncationModule("right", {s + (j,) for s in seqs_of(sub)},
+                             lambda e: emb_elt_last(e, j), datum=datum,
+                             beta=_add_beta(sub, j), qspec=qspec)
+        N = TruncationModule("left", {s + (i,) for s in seqs_of(sub)},
+                             lambda e: emb_elt_last(e, i), datum=datum,
+                             beta=beta, qspec=qspec)
         gens = algebra_gens(datum, sub, qspec)
         coeffs = {}
         for d in range(window[0] - pad, degcap + pad + 1):
@@ -544,10 +541,12 @@ def check_convolution(datum, beta, i, j, degcap=6, qspec=None):
     if sub is None:
         fe2 = LaurentPoly({})
     else:
-        M2 = FreeColumnModule(datum, beta, {(i,) + s for s in seqs_of(sub)},
-                              lambda e: emb_elt_first(e, i), qspec)
-        N2 = FreeRowModule(datum, beta, {s + (i,) for s in seqs_of(sub)},
-                           lambda e: emb_elt_last(e, i), qspec)
+        M2 = TruncationModule("right", {(i,) + s for s in seqs_of(sub)},
+                              lambda e: emb_elt_first(e, i), datum=datum,
+                              beta=beta, qspec=qspec)
+        N2 = TruncationModule("left", {s + (i,) for s in seqs_of(sub)},
+                              lambda e: emb_elt_last(e, i), datum=datum,
+                              beta=beta, qspec=qspec)
         gens = algebra_gens(datum, sub, qspec)
         coeffs = {}
         for d in range(window[0], window[1] + 1):

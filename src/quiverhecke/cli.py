@@ -22,12 +22,11 @@ import os
 import sys
 import time
 
-from .bimodules import min_tau_degree
 from .cache import Cache, resolve_cache_dir, summary_key
 from .checks import CHECKS
 from .config import ConfigError, load_config
 from .cyclotomic import CycAlgebra
-from .klr import basis_monomials, seqs_of
+from .klr import basis_monomials, min_tau_degree, seqs_of
 from .laurent import LaurentPoly
 from .uqmod import UqModule
 
@@ -115,11 +114,14 @@ def cmd_basis(args):
 
 
 def _summary_for(cfg, beta, cache):
-    """Fetch or compute the summary payload for one root space."""
+    """Fetch or compute the summary payload for one root space.  A cache
+    entry counts as a hit only when it is a dict with exactly the fields
+    of CycAlgebra.summary(); any other entry is recomputed and
+    overwritten."""
     key = summary_key(cfg.datum, cfg.qspec, cfg.weight, beta)
     if cache is not None:
         hit = cache.get(key)
-        if hit is not None:
+        if isinstance(hit, dict) and set(hit) == set(CycAlgebra.SUMMARY_KEYS):
             return hit
     alg = CycAlgebra(cfg.datum, cfg.weight, beta, cfg.qspec)
     payload = alg.summary()

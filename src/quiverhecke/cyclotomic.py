@@ -35,12 +35,13 @@ from .klr import (
     KLR,
     crossing_degree,
     get_engine,
+    left_seq,
     seqs_of,
     weighted_comps,
 )
 from .laurent import LaurentPoly
 from .linalg import SubspaceBasis
-from .perms import act_on_seq, all_perms, apply_word, canonical_word, word_to_perm
+from .perms import act_on_seq, all_perms, apply_word, canonical_word
 from .qpolys import QSpec
 
 __all__ = [
@@ -300,7 +301,7 @@ class IdealSpace:
         eng = self.engine
         groups = {}
         for m, c in E.items():
-            lam = act_on_seq_from_word(m)
+            lam = left_seq(m)
             d = eng.monomial_degree(m)
             groups.setdefault((lam, m.seq, d), {})[m] = c
         out = {}
@@ -313,10 +314,17 @@ class IdealSpace:
     def contains(self, E: dict) -> bool:
         return not self.reduce(E)
 
-
-def act_on_seq_from_word(m: BasisMonomial):
-    """Left color sequence of a basis monomial."""
-    return act_on_seq(word_to_perm(len(m.seq), m.word), m.seq)
+    def quotient_basis(self, pairs, d):
+        """Non-pivot columns of the blocks (lam, mu, d) over the given
+        (lam, mu) pairs, in canonical order: a basis of degree d of the
+        sum of those blocks modulo the span."""
+        out = []
+        for lam, mu in pairs:
+            cols, sb = self.block(lam, mu, d)
+            pivots = sb.pivot_columns()
+            out.extend(m for m in cols if m not in pivots)
+        out.sort(key=BasisMonomial.sort_key)
+        return out
 
 
 _ideal_spaces = {}
@@ -475,6 +483,13 @@ def scan_until_vanishing(dim_of, dmin, dmax, top, step):
 class CycAlgebra:
     """The graded algebra R^Lambda(beta) over its degree window."""
 
+    # the fields of summary(), in the order it writes them
+    SUMMARY_KEYS = (
+        "labels", "levels", "beta", "window", "window_bound",
+        "window_certified", "nilpotency", "alive", "zero", "graded_dim",
+        "total_dim", "truncations",
+    )
+
     def __init__(self, datum, weight, beta, qspec=None, certify=True,
                  cap_override=None):
         if qspec is None:
@@ -518,12 +533,8 @@ class CycAlgebra:
         hit = self._dims.get(d)
         if hit is not None:
             return hit
-        total = 0
-        for lam in self.alive:
-            for mu in self.alive:
-                if sorted(lam) != sorted(mu):
-                    continue
-                total += self.space.block_dim(lam, mu, d)
+        total = sum(self.space.block_dim(lam, mu, d)
+                    for lam in self.alive for mu in self.alive)
         self._dims[d] = total
         return total
 
@@ -564,16 +575,8 @@ class CycAlgebra:
         of every alive block, in canonical order."""
         if self._zero:
             return []
-        out = []
-        for lam in self.alive:
-            for mu in self.alive:
-                if sorted(lam) != sorted(mu):
-                    continue
-                cols, sb = self.space.block(lam, mu, d)
-                pivots = sb.pivot_columns()
-                out.extend(m for m in cols if m not in pivots)
-        out.sort(key=BasisMonomial.sort_key)
-        return out
+        return self.space.quotient_basis(
+            ((lam, mu) for lam in self.alive for mu in self.alive), d)
 
     def nf(self, E: dict) -> dict:
         """Normal form modulo the ideal; dead-sequence monomials drop."""
@@ -586,8 +589,7 @@ class CycAlgebra:
                         "dead sequence monomial not in ideal; bounds are wrong"
                     )
                 continue
-            lam = act_on_seq_from_word(m)
-            if lam not in aliveset:
+            if left_seq(m) not in aliveset:
                 if not self.space.contains({m: c}):
                     raise AssertionError(
                         "dead sequence monomial not in ideal; bounds are wrong"
@@ -605,12 +607,7 @@ class CycAlgebra:
         if self._zero:
             return True
         for d in (self.dmax + 1, self.dmax + 2, self.dmin - 1, self.dmin - 2):
-            dim = 0
-            for lam in self.alive:
-                for mu in self.alive:
-                    if sorted(lam) != sorted(mu):
-                        continue
-                    dim += self.space.block_dim(lam, mu, d)
+            dim = self.dim_at(d)
             if dim:
                 raise AssertionError(
                     f"window boundary violated at degree {d}: dim {dim}"

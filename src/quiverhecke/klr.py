@@ -34,6 +34,8 @@ __all__ = [
     "basis_monomials",
     "crossing_degree",
     "get_engine",
+    "left_seq",
+    "min_tau_degree",
     "seqs_of",
     "weighted_comps",
 ]
@@ -111,6 +113,20 @@ def crossing_degree(datum, w, seq) -> int:
             if wa > w[b]:
                 deg -= form(ca, seq[b])
     return deg
+
+
+def min_tau_degree(datum, beta) -> int:
+    """Least crossing degree over all monomials of R(beta); a lower
+    bound for every column space of R(beta)."""
+    perms = all_perms(sum(beta))
+    return min(
+        crossing_degree(datum, w, seq) for seq in seqs_of(beta) for w in perms
+    )
+
+
+def left_seq(m) -> tuple:
+    """Left color sequence w . seq of the basis monomial tau_w x^a e(seq)."""
+    return apply_word(m.word, m.seq) if m.word else m.seq
 
 
 def basis_monomials(datum, beta, d):
@@ -313,8 +329,8 @@ class KLR:
     def multiply(self, A: dict, B: dict) -> dict:
         out = {}
         for m2, c2 in B.items():
-            left_seq = apply_word(m2.word, m2.seq)
-            E = {m1: c1 for m1, c1 in A.items() if m1.seq == left_seq}
+            lam = left_seq(m2)
+            E = {m1: c1 for m1, c1 in A.items() if m1.seq == lam}
             if not E:
                 continue
             for k in m2.word:

@@ -6,38 +6,40 @@ radical of the trace form of the regular representation equals the
 Jacobson radical, so the semisimple quotient is computable from the
 structure constants alone.  The number of simple modules is the number
 of blocks, found by splitting the center of the semisimple quotient
-into fields with factored characteristic polynomials.  When every field
-factor is the rationals themselves the splitting is certified and the
-count is valid over any coefficient field containing the rationals.
+into fields.  When every field factor is the rationals themselves the
+splitting is certified and the count is valid over any coefficient
+field containing the rationals.
+
+The linear algebra is Fraction arithmetic on `SubspaceBasis`, with
+nullspaces read off reduced echelon forms.  A center component splits
+along the rational roots of the characteristic polynomial of a center
+element; only a factor of degree two or more with no rational root (a
+non-split center) goes to sympy's `factor_list`, imported there.  None
+of this changes an answer: the counts and dimensions do not depend on
+the nullspace basis, the radical's pivot columns are canonical as the
+echelon form is, and the kernels of the distinct irreducible factors of
+a semisimple multiplication map do not depend on how they are found.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
-
-import sympy
+from math import isqrt, lcm
 
 from .cyclotomic import CycAlgebra
-from .klr import BasisMonomial
 from .linalg import SubspaceBasis
 
-__all__ = ["SimpleCount", "count_simples"]
+__all__ = ["SimpleCount", "count_simples", "split_center"]
 
 
+@dataclass
 class SimpleCount:
-    def __init__(self, count, split, total_dim, radical_dim, center_dim):
-        self.count = count
-        self.split = split
-        self.total_dim = total_dim
-        self.radical_dim = radical_dim
-        self.center_dim = center_dim
-
-    def __repr__(self):
-        return (
-            f"SimpleCount(count={self.count}, split={self.split}, "
-            f"total_dim={self.total_dim}, radical_dim={self.radical_dim}, "
-            f"center_dim={self.center_dim})"
-        )
+    count: int
+    split: bool
+    total_dim: int
+    radical_dim: int
+    center_dim: int
 
 
 def _mult_table(alg: CycAlgebra):
@@ -59,42 +61,164 @@ def _mult_table(alg: CycAlgebra):
     return basis, table
 
 
-def _left_matrices(dim, table):
-    mats = []
-    for a in range(dim):
-        mat = [[Fraction(0)] * dim for _ in range(dim)]
-        for b in range(dim):
-            for k, c in table[(a, b)].items():
-                mat[k][b] = c
-        mats.append(mat)
-    return mats
-
-
-def _trace_form(dim, mats):
-    T = [[Fraction(0)] * dim for _ in range(dim)]
+def _trace_form(dim, table):
+    """Rows of T[a][b] = tr(L_a L_b) = sum over k, l of
+    table[a, l][k] * table[b, k][l], as sparse dicts."""
+    # L[a][(k, l)] is the (k, l) entry of left multiplication by b_a
+    L = [{(k, l): c for l in range(dim) for k, c in table[(a, l)].items()}
+         for a in range(dim)]
+    T = [{} for _ in range(dim)]
     for a in range(dim):
         for b in range(a, dim):
-            s = Fraction(0)
-            Ma, Mb = mats[a], mats[b]
-            for k in range(dim):
-                row = Ma[k]
-                for l in range(dim):
-                    if row[l]:
-                        s += row[l] * Mb[l][k]
-            T[a][b] = s
-            T[b][a] = s
+            Lb = L[b]
+            s = sum(c * Lb[(l, k)] for (k, l), c in L[a].items() if (l, k) in Lb)
+            if s:
+                T[a][b] = T[b][a] = s
     return T
 
 
-def _nullspace(rows):
-    """Exact nullspace of a list-of-lists Fraction matrix, as Fraction
-    vectors."""
-    M = sympy.Matrix([[sympy.Rational(c.numerator, c.denominator) for c in row]
-                      for row in rows])
+def _nullspace(rows, ncols):
+    """Basis of the vectors v over columns 0..ncols-1 with row . v = 0
+    for every sparse row: one vector per free column f of the reduced
+    echelon form, v_f = e_f - sum over rows r of r[f] e_{pivot of r}."""
+    sb = SubspaceBasis()
+    for row in rows:
+        sb.add(row)
     out = []
-    for v in M.nullspace():
-        out.append([Fraction(int(x.p), int(x.q)) for x in v])
+    for f in range(ncols):
+        if f in sb.pivots:
+            continue
+        v = {f: Fraction(1)}
+        for row, p in zip(sb.rows, sb.row_pivots):
+            c = row.get(f)
+            if c:
+                v[p] = -c
+        out.append(v)
     return out
+
+
+def _times_plus(A, M, c):
+    """A M + c I for square Fraction matrices."""
+    n = len(M)
+    return [[sum(A[i][t] * M[t][j] for t in range(n)) + (c if i == j else 0)
+             for j in range(n)] for i in range(n)]
+
+
+def _charpoly(M):
+    """det(x - M) by Faddeev-LeVerrier, coefficients lowest degree
+    first: M_k = M_{k-1} M + c_{n-k+1} I, c_{n-k} = -tr(M_k M) / k."""
+    n = len(M)
+    coeffs = [Fraction(0)] * n + [Fraction(1)]
+    Mk = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        Mk = _times_plus(Mk, M, coeffs[n - k + 1])
+        tr = sum(Mk[i][t] * M[t][i] for i in range(n) for t in range(n))
+        coeffs[n - k] = -tr / k
+    return coeffs
+
+
+def _divide_root(poly, r):
+    """(q, poly(r)) with poly = (x - r) q + poly(r), by synthetic
+    division; coefficients lowest degree first."""
+    q = []
+    acc = Fraction(0)
+    for c in reversed(poly):
+        acc = acc * r + c
+        q.append(acc)
+    rem = q.pop()
+    return q[::-1], rem
+
+
+def _divisors(n):
+    small = [p for p in range(1, isqrt(abs(n)) + 1) if n % p == 0]
+    return small + [abs(n) // p for p in small]
+
+
+def _factors(poly):
+    """Distinct irreducible factors over Q of a monic polynomial, each as
+    a coefficient list lowest degree first.  Rational roots come from the
+    rational root test; a cofactor of degree two or more goes to sympy."""
+    den = lcm(*(c.denominator for c in poly))
+    ints = [int(c * den) for c in poly]
+    low = next(a for a in ints if a)
+    cands = {Fraction(s * p, q) for p in _divisors(low)
+             for q in _divisors(ints[-1]) for s in (1, -1)}
+    if not ints[0]:
+        cands.add(Fraction(0))
+    factors = []
+    for r in sorted(cands):
+        quo, rem = _divide_root(poly, r)
+        if not rem:
+            factors.append([-r, Fraction(1)])
+        while not rem:
+            poly = quo
+            quo, rem = _divide_root(poly, r)
+    if len(poly) > 2:
+        import sympy
+
+        rest = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                           for c in reversed(poly)], sympy.Symbol("x"))
+        for fac, _mult in sympy.factor_list(rest)[1]:
+            cs = [Fraction(int(c.p), int(c.q)) for c in fac.all_coeffs()]
+            factors.append([c / cs[0] for c in reversed(cs)])
+    return factors
+
+
+def _split_by(z, comp, qmul):
+    """Parts of the center component comp (a list of independent sparse
+    vectors) along the factors of the characteristic polynomial of
+    multiplication by z on it; [comp] when there is a single factor."""
+    n = len(comp)
+    cb = SubspaceBasis(track=True)
+    for v in comp:
+        cb.add(v)
+    images = []
+    for v in comp:
+        coords = cb.coords_in_gens(qmul(z, v))
+        if coords is None:
+            raise AssertionError("center component not closed")
+        images.append(coords)
+    Mz = [[images[s].get(t, Fraction(0)) for s in range(n)] for t in range(n)]
+    factors = _factors(_charpoly(Mz))
+    if len(factors) == 1:
+        return [comp]
+    parts = []
+    for fac in factors:
+        val = [[Fraction(0)] * n for _ in range(n)]
+        for c in reversed(fac):
+            val = _times_plus(val, Mz, c)
+        kern = _nullspace(
+            [{s: c for s, c in enumerate(row) if c} for row in val], n)
+        part = []
+        for kv in kern:
+            vec = {}
+            for t, c in kv.items():
+                for k, cc in comp[t].items():
+                    vec[k] = vec.get(k, 0) + c * cc
+            part.append({k: c for k, c in vec.items() if c})
+        parts.append(part)
+    if sum(len(p) for p in parts) != n:
+        raise AssertionError("kernel split lost dimension")
+    return parts
+
+
+def split_center(center_vecs, qmul):
+    """Components of a commutative semisimple algebra spanned by
+    center_vecs (sparse vectors, multiplied by qmul): each basis element
+    in turn splits every component along its characteristic polynomial,
+    until no element refines anything further."""
+    components = [list(center_vecs)]
+    changed = True
+    while changed:
+        changed = False
+        for z in center_vecs:
+            refined = []
+            for comp in components:
+                parts = _split_by(z, comp, qmul) if len(comp) > 1 else [comp]
+                changed = changed or len(parts) > 1
+                refined.extend(parts)
+            components = refined
+    return components
 
 
 def count_simples(alg: CycAlgebra) -> SimpleCount:
@@ -102,14 +226,11 @@ def count_simples(alg: CycAlgebra) -> SimpleCount:
         return SimpleCount(0, True, 0, 0, 0)
     basis, table = _mult_table(alg)
     dim = len(basis)
-    mats = _left_matrices(dim, table)
-    T = _trace_form(dim, mats)
-    rad_vecs = _nullspace(T)
     rad = SubspaceBasis()
+    rad_vecs = _nullspace(_trace_form(dim, table), dim)
     for v in rad_vecs:
-        rad.add({k: c for k, c in enumerate(v) if c})
-    rad_dim = len(rad_vecs)
-    piv = set(rad.pivot_columns())
+        rad.add(v)
+    piv = rad.pivot_columns()
     keep = [k for k in range(dim) if k not in piv]
     pos = {k: t for t, k in enumerate(keep)}
 
@@ -129,81 +250,23 @@ def count_simples(alg: CycAlgebra) -> SimpleCount:
                     out[k] = out.get(k, 0) + ca * cb * c
         return project({k: c for k, c in out.items() if c})
 
-    # center: solve z b = b z for all quotient basis elements
+    # center: solve z b = b z for all quotient basis elements; the rows
+    # are indexed by (j, k), their entries by a
     rows = []
     for j in range(sdim):
         bj = {j: Fraction(1)}
-        cols = []
+        byk = {}
         for a in range(sdim):
             za = {a: Fraction(1)}
             diff = qmul(za, bj)
             for k, c in qmul(bj, za).items():
                 diff[k] = diff.get(k, 0) - c
-            cols.append({k: c for k, c in diff.items() if c})
-        for k in range(sdim):
-            rows.append([cols[a].get(k, Fraction(0)) for a in range(sdim)])
-    center_vecs = _nullspace(rows)
-    cdim = len(center_vecs)
-
-    # split the center into field components; repeat the sweep until no
-    # basis element refines anything further
-    components = [center_vecs]
-    changed = True
-    while changed:
-        changed = False
-        for z in center_vecs:
-            zc = {k: c for k, c in enumerate(z) if c}
-            new_components = []
-            for comp in components:
-                if len(comp) == 1:
-                    new_components.append(comp)
-                    continue
-                cb = SubspaceBasis(track=True)
-                for v in comp:
-                    cb.add({k: c for k, c in enumerate(v) if c})
-                # matrix of multiplication by z on the component
-                rowsm = []
-                for v in comp:
-                    prod = qmul(zc, {k: c for k, c in enumerate(v) if c})
-                    coords = cb.coords_in_gens(prod)
-                    if coords is None:
-                        raise AssertionError("center component not closed")
-                    rowsm.append(
-                        [coords.get(t, Fraction(0)) for t in range(len(comp))]
-                    )
-                Mz = sympy.Matrix(
-                    [[sympy.Rational(c.numerator, c.denominator) for c in r]
-                     for r in rowsm]
-                ).T
-                lam = sympy.symbols("lam")
-                charpoly = Mz.charpoly(lam)
-                factors = sympy.factor_list(charpoly.as_expr())[1]
-                if len(factors) == 1:
-                    new_components.append(comp)
-                    continue
-                split_total = 0
-                for fac, _mult in factors:
-                    poly = sympy.Poly(fac, lam)
-                    acc = sympy.zeros(len(comp), len(comp))
-                    for mono, coeff in zip(poly.monoms(), poly.coeffs()):
-                        acc += coeff * Mz ** mono[0]
-                    kern = acc.nullspace()
-                    sub = []
-                    for kv in kern:
-                        vec = [Fraction(0)] * sdim
-                        for t in range(len(comp)):
-                            c = Fraction(int(kv[t].p), int(kv[t].q))
-                            if c:
-                                for k, cc in enumerate(comp[t]):
-                                    vec[k] += c * cc
-                        sub.append(vec)
-                    split_total += len(sub)
-                    if sub:
-                        new_components.append(sub)
-                        changed = True
-                if split_total != len(comp):
-                    raise AssertionError("kernel split lost dimension")
-            components = new_components
-    count = len(components)
+            for k, c in diff.items():
+                if c:
+                    byk.setdefault(k, {})[a] = c
+        rows.extend(byk.values())
+    center_vecs = _nullspace(rows, sdim)
+    components = split_center(center_vecs, qmul)
     split = all(len(c) == 1 for c in components)
-    return SimpleCount(count, split, dim, rad_dim, cdim)
+    return SimpleCount(len(components), split, dim, len(rad_vecs),
+                       len(center_vecs))

@@ -7,9 +7,10 @@ product factors as rel(ab; m, n) = rel(b; m.a, n) + rel(a; m, b.n), so
 the span over generators already contains the relation for every
 element of the subalgebra they generate.
 
-Module adapters wrap either a free strand algebra or a cyclotomic
-quotient, with the subalgebra acting through an embedding that adds one
-untouched strand (at the end or, shifted, at the front).
+One module adapter wraps either a free strand algebra or a cyclotomic
+quotient, truncated by idempotents on one side, with the subalgebra
+acting on the other side through an embedding that adds one untouched
+strand (at the end or, shifted, at the front).
 """
 
 from __future__ import annotations
@@ -17,24 +18,23 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cyclotomic import CycAlgebra
-from .klr import BasisMonomial, basis_monomials, get_engine, seqs_of
+from .klr import (
+    BasisMonomial,
+    basis_monomials,
+    get_engine,
+    left_seq,
+    min_tau_degree,
+    seqs_of,
+)
 from .laurent import LaurentPoly
 from .linalg import SubspaceBasis
-from .perms import apply_word
 
 __all__ = [
-    "FreeColumnModule",
-    "FreeRowModule",
-    "CycColumnModule",
-    "CycRowModule",
+    "TruncationModule",
     "algebra_gens",
     "tensor_dim",
     "tensor_dim_poly",
 ]
-
-
-def left_seq(m: BasisMonomial):
-    return apply_word(m.word, m.seq) if m.word else m.seq
 
 
 def algebra_gens(datum, beta, qspec=None):
@@ -60,119 +60,62 @@ def algebra_gens(datum, beta, qspec=None):
     return gens
 
 
-class FreeColumnModule:
-    """M = R(beta) e(S) as a right module over an embedded subalgebra;
-    emb maps subalgebra elements into the ambient strand count."""
+class TruncationModule:
+    """A e(S) as a right module (side "right", action m * g) or e(S) A as
+    a left module (side "left", action g * m) over a subalgebra whose
+    elements emb maps into A.
 
-    def __init__(self, datum, beta, cols, emb, qspec=None):
-        self.datum = datum
-        self.beta = tuple(beta)
-        self.cols = set(cols)
+    A is the free strand algebra R(beta), given by datum and beta (and
+    qspec), with the basis monomials as basis; or the cyclotomic quotient
+    alg, with its quotient basis inside its window and products reduced
+    by alg.nf.
+    """
+
+    def __init__(self, side, seqs, emb, alg: CycAlgebra = None,
+                 datum=None, beta=None, qspec=None):
+        if side not in ("left", "right"):
+            raise ValueError(f"side must be 'left' or 'right', not {side!r}")
+        self.side = side
+        self.seqs = set(seqs)
         self.emb = emb
-        self.engine = get_engine(datum, sum(beta), qspec)
-        self._basis = {}
-
-    def min_degree(self):
-        from .bimodules import min_tau_degree
-
-        return min_tau_degree(self.datum, self.beta)
-
-    def basis(self, d):
-        hit = self._basis.get(d)
-        if hit is None:
-            hit = [m for m in basis_monomials(self.datum, self.beta, d)
-                   if m.seq in self.cols]
-            self._basis[d] = hit
-        return hit
-
-    def act(self, m, gen_elt):
-        return self.engine.multiply({m: Fraction(1)}, self.emb(gen_elt))
-
-
-class FreeRowModule:
-    """N = e(S) R(beta) as a left module over an embedded subalgebra."""
-
-    def __init__(self, datum, beta, rows, emb, qspec=None):
-        self.datum = datum
-        self.beta = tuple(beta)
-        self.rows = set(rows)
-        self.emb = emb
-        self.engine = get_engine(datum, sum(beta), qspec)
-        self._basis = {}
-
-    def min_degree(self):
-        from .bimodules import min_tau_degree
-
-        return min_tau_degree(self.datum, self.beta)
-
-    def basis(self, d):
-        hit = self._basis.get(d)
-        if hit is None:
-            hit = [m for m in basis_monomials(self.datum, self.beta, d)
-                   if left_seq(m) in self.rows]
-            self._basis[d] = hit
-        return hit
-
-    def act(self, m, gen_elt):
-        return self.engine.multiply(self.emb(gen_elt), {m: Fraction(1)})
-
-
-class CycColumnModule:
-    """M = R^Lambda(beta) e(S) as a right module over an embedded
-    cyclotomic subalgebra."""
-
-    def __init__(self, alg: CycAlgebra, cols, emb):
         self.alg = alg
-        self.cols = set(cols)
-        self.emb = emb
+        if alg is None:
+            self.datum = datum
+            self.beta = tuple(beta)
+            self.engine = get_engine(datum, sum(beta), qspec)
+            self._min_degree = min_tau_degree(datum, self.beta)
+        else:
+            self.engine = alg.engine
+            self._min_degree = alg.dmin
         self._basis = {}
 
     def min_degree(self):
-        return self.alg.dmin if not self.alg.is_zero() else 0
+        return self._min_degree
 
     def basis(self, d):
         hit = self._basis.get(d)
         if hit is None:
-            if self.alg.is_zero() or not (self.alg.dmin <= d <= self.alg.dmax):
-                hit = []
+            if self.alg is None:
+                mons = basis_monomials(self.datum, self.beta, d)
+            elif self.alg.dmin <= d <= self.alg.dmax:
+                mons = self.alg.quotient_basis(d)
             else:
-                hit = [m for m in self.alg.quotient_basis(d)
-                       if m.seq in self.cols]
+                mons = []
+            if self.side == "right":
+                hit = [m for m in mons if m.seq in self.seqs]
+            else:
+                hit = [m for m in mons if left_seq(m) in self.seqs]
             self._basis[d] = hit
         return hit
 
     def act(self, m, gen_elt):
-        prod = self.alg.engine.multiply({m: Fraction(1)}, self.emb(gen_elt))
-        return self.alg.nf(prod)
-
-
-class CycRowModule:
-    """N = e(S) R^Lambda(beta) as a left module over an embedded
-    cyclotomic subalgebra."""
-
-    def __init__(self, alg: CycAlgebra, rows, emb):
-        self.alg = alg
-        self.rows = set(rows)
-        self.emb = emb
-        self._basis = {}
-
-    def min_degree(self):
-        return self.alg.dmin if not self.alg.is_zero() else 0
-
-    def basis(self, d):
-        hit = self._basis.get(d)
-        if hit is None:
-            if self.alg.is_zero() or not (self.alg.dmin <= d <= self.alg.dmax):
-                hit = []
-            else:
-                hit = [m for m in self.alg.quotient_basis(d)
-                       if left_seq(m) in self.rows]
-            self._basis[d] = hit
-        return hit
-
-    def act(self, m, gen_elt):
-        prod = self.alg.engine.multiply(self.emb(gen_elt), {m: Fraction(1)})
-        return self.alg.nf(prod)
+        one = {m: Fraction(1)}
+        g = self.emb(gen_elt)
+        if self.side == "right":
+            prod = self.engine.multiply(one, g)
+        else:
+            prod = self.engine.multiply(g, one)
+        return prod if self.alg is None else self.alg.nf(prod)
 
 
 def _pair_key(key):
@@ -189,19 +132,14 @@ def tensor_dim(M, N, gens, d, dmax_m=None) -> int:
     nmin = N.min_degree()
     mmin = M.min_degree()
     top = d - nmin if dmax_m is None else min(d - nmin, dmax_m)
-    pairs = []
+    npairs = 0
     for d1 in range(mmin, top + 1):
         mb = M.basis(d1)
-        if not mb:
-            continue
-        nb = N.basis(d - d1)
-        for m in mb:
-            for nk in nb:
-                pairs.append((d1, m, nk))
-    if not pairs:
+        if mb:
+            npairs += len(mb) * len(N.basis(d - d1))
+    if not npairs:
         return 0
     sb = SubspaceBasis(keyfunc=_pair_key)
-    rank = 0
     for (gelt, gdeg) in gens:
         # relations can involve m above the pair window when the
         # generator has negative degree; the image still lands inside
@@ -215,10 +153,10 @@ def tensor_dim(M, N, gens, d, dmax_m=None) -> int:
             nb = N.basis(d - d1 - gdeg)
             if not nb:
                 continue
+            gns = [N.act(nk, gelt) for nk in nb]
             for m in mb:
                 mg = M.act(m, gelt)
-                for nk in nb:
-                    gn = N.act(nk, gelt)
+                for nk, gn in zip(nb, gns):
                     row = {}
                     for mm, c in mg.items():
                         key = (d1 + gdeg, mm, nk)
@@ -227,9 +165,9 @@ def tensor_dim(M, N, gens, d, dmax_m=None) -> int:
                         key = (d1, m, nn)
                         row[key] = row.get(key, 0) - c
                     row = {k: c for k, c in row.items() if c}
-                    if row and sb.add(row):
-                        rank += 1
-    return len(pairs) - rank
+                    if row:
+                        sb.add(row)
+    return npairs - sb.rank
 
 
 def tensor_dim_poly(M, N, gens, window, dmax_m=None) -> LaurentPoly:

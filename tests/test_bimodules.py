@@ -9,11 +9,10 @@ from quiverhecke.bimodules import (
     emb_first,
     emb_last,
     first_strand_chains,
-    min_tau_degree,
     shifted_strand_chains,
 )
 from quiverhecke.cartan import Weight, build_cartan
-from quiverhecke.klr import BasisMonomial
+from quiverhecke.klr import BasisMonomial, min_tau_degree
 from quiverhecke.laurent import LaurentPoly
 from quiverhecke.linalg import SubspaceBasis
 from quiverhecke.qpolys import QSpec

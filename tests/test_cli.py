@@ -8,6 +8,8 @@ import pytest
 from quiverhecke.cache import Cache, resolve_cache_dir, summary_key
 from quiverhecke.cartan import Weight, build_cartan
 from quiverhecke.cli import main
+from quiverhecke.config import load_config
+from quiverhecke.cyclotomic import CycAlgebra
 from quiverhecke.qpolys import QSpec
 
 A2_CONFIG = {
@@ -209,6 +211,34 @@ def test_cache_ignores_corrupt_entries(tmp_path):
     with open(os.path.join(str(tmp_path), key + ".json"), "w") as fh:
         fh.write("{not json")
     assert cache.get(key) is None
+
+
+def test_summary_keys_are_the_summary_fields():
+    alg = CycAlgebra(build_cartan(("1", "2"), [[2, -1], [-1, 2]]),
+                     Weight((1, 1)), (1, 1))
+    assert tuple(alg.summary()) == CycAlgebra.SUMMARY_KEYS
+
+
+@pytest.mark.parametrize("entry", [{}, [], {"graded_dim": {}}],
+                         ids=["empty-dict", "list", "partial"])
+@pytest.mark.parametrize("command", ["cyclotomic", "compare"])
+def test_wrong_shaped_cache_entry_is_a_miss(cfg_path, tmp_path, capsys,
+                                            command, entry):
+    cfg = load_config(cfg_path)
+    cache_dir = str(tmp_path / "cache")
+    cache = Cache(cache_dir)
+    keys = [summary_key(cfg.datum, cfg.qspec, cfg.weight, beta)
+            for beta in cfg.require_betas()]
+    for fmt in ((), ("--json",)):
+        for key in keys:
+            cache.put(key, entry)
+        fresh = run(capsys, command, "--config", cfg_path, "--no-cache", *fmt)
+        cached = run(capsys, command, "--config", cfg_path,
+                     "--cache-dir", cache_dir, *fmt)
+        assert cached[:2] == fresh[:2]
+        # the wrong-shaped entries were overwritten with real summaries
+        for key in keys:
+            assert set(cache.get(key)) == set(CycAlgebra.SUMMARY_KEYS)
 
 
 def test_cache_interleaved_writers(tmp_path, monkeypatch):

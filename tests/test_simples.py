@@ -1,11 +1,25 @@
 """Counting simple modules of cyclotomic quotients through the trace
 form radical and center splitting, against weight space dimensions."""
 
+import os
+import subprocess
+import sys
+from fractions import Fraction
+
 import pytest
 
 from quiverhecke.cartan import Weight, build_cartan
 from quiverhecke.cyclotomic import CycAlgebra
-from quiverhecke.simples import count_simples
+from quiverhecke.linalg import SubspaceBasis
+from quiverhecke.simples import (
+    _charpoly,
+    _factors,
+    _mult_table,
+    _nullspace,
+    _trace_form,
+    count_simples,
+    split_center,
+)
 from quiverhecke.uqmod import UqModule
 
 A1 = build_cartan(("0",), [[2]])
@@ -67,3 +81,150 @@ def test_zero_algebra_has_no_simples():
     assert sc.count == 0
     assert sc.total_dim == 0
     assert sc.split
+
+
+# -- the exact linear algebra behind the count ---------------------------
+
+NONZERO = [(datum, levels, beta) for datum, levels, beta, *_ in FROZEN]
+
+
+def dense_left_matrices(dim, table):
+    """Reference: the dense matrix of left multiplication by each basis
+    element, (L_a)[k][b] = table[a, b][k]."""
+    mats = []
+    for a in range(dim):
+        mat = [[Fraction(0)] * dim for _ in range(dim)]
+        for b in range(dim):
+            for k, c in table[(a, b)].items():
+                mat[k][b] = c
+        mats.append(mat)
+    return mats
+
+
+def dense_trace_form(dim, mats):
+    """Reference: T[a][b] = tr(L_a L_b) from the dense matrices."""
+    T = [[Fraction(0)] * dim for _ in range(dim)]
+    for a in range(dim):
+        for b in range(a, dim):
+            s = Fraction(0)
+            Ma, Mb = mats[a], mats[b]
+            for k in range(dim):
+                for l in range(dim):
+                    if Ma[k][l]:
+                        s += Ma[k][l] * Mb[l][k]
+            T[a][b] = T[b][a] = s
+    return T
+
+
+def span(vectors):
+    sb = SubspaceBasis()
+    for v in vectors:
+        sb.add(v)
+    return sb
+
+
+@pytest.mark.parametrize("datum,levels,beta", NONZERO)
+def test_sparse_trace_form_matches_dense_reference(datum, levels, beta):
+    basis, table = _mult_table(CycAlgebra(datum, Weight(levels), beta))
+    dim = len(basis)
+    dense = dense_trace_form(dim, dense_left_matrices(dim, table))
+    sparse = _trace_form(dim, table)
+    assert [[row.get(b, 0) for b in range(dim)] for row in sparse] == dense
+
+
+@pytest.mark.parametrize("datum,levels,beta", NONZERO)
+def test_nullspace_matches_sympy(datum, levels, beta):
+    sympy = pytest.importorskip("sympy")
+    basis, table = _mult_table(CycAlgebra(datum, Weight(levels), beta))
+    dim = len(basis)
+    T = _trace_form(dim, table)
+    ours = _nullspace(T, dim)
+    M = sympy.Matrix([[sympy.Rational(row.get(b, 0)) for b in range(dim)]
+                      for row in T])
+    theirs = [{k: Fraction(int(x.p), int(x.q)) for k, x in enumerate(v) if x}
+              for v in M.nullspace()]
+    for v in ours:
+        assert all(sum(c * row.get(k, 0) for k, c in v.items()) == 0
+                   for row in T)
+    assert len(ours) == len(theirs)
+    ours_sb, theirs_sb = span(ours), span(theirs)
+    assert ours_sb.rank == len(ours)
+    assert ours_sb.rows == theirs_sb.rows
+
+
+def test_charpoly_and_factors():
+    F = Fraction
+    # [[0, 2], [1, 0]] has characteristic polynomial x^2 - 2
+    assert _charpoly([[F(0), F(2)], [F(1), F(0)]]) == [-2, 0, 1]
+    M = [[F(1), F(2), F(0)], [F(0), F(1, 2), F(3)], [F(-1), F(0), F(2)]]
+    sympy = pytest.importorskip("sympy")
+    want = sympy.Matrix(M).charpoly(sympy.Symbol("x")).all_coeffs()
+    assert _charpoly(M) == [F(int(c.p), int(c.q)) for c in reversed(want)]
+    # (x - 1/2)^2 (x + 3) x: three rational roots, no sympy needed
+    poly = [F(0), F(3, 4), F(-11, 4), F(2), F(1)]
+    assert sorted(f[0] for f in _factors(poly)) == [F(-1, 2), 0, 3]
+    # x (x^2 - 2): one rational root and one quadratic factor
+    assert _factors([F(0), F(-2), F(0), F(1)]) == [[0, 1], [-2, 0, 1]]
+
+
+def _synthetic(table):
+    """qmul for a commutative algebra given by {(a, b): {k: c}}."""
+    def qmul(u, v):
+        out = {}
+        for a, ca in u.items():
+            for b, cb in v.items():
+                for k, c in table.get((a, b), table.get((b, a), {})).items():
+                    out[k] = out.get(k, 0) + ca * cb * c
+        return {k: c for k, c in out.items() if c}
+    return qmul
+
+
+@pytest.fixture
+def factor_calls(monkeypatch):
+    """Arguments of every sympy.factor_list call made during the test."""
+    sympy = pytest.importorskip("sympy")
+    calls = []
+    factor_list = sympy.factor_list
+    monkeypatch.setattr(sympy, "factor_list",
+                        lambda *a: calls.append(a) or factor_list(*a))
+    return calls
+
+
+def test_split_center_rationals(factor_calls):
+    # Q x Q x Q on idempotents e0, e1, e2, seen through the basis
+    # 1 = e0 + e1 + e2, e0 + e1, e0
+    qmul = _synthetic({(0, 0): {0: 1}, (1, 1): {1: 1}, (2, 2): {2: 1}})
+    vecs = [{0: Fraction(1), 1: Fraction(1), 2: Fraction(1)},
+            {0: Fraction(1), 1: Fraction(1)}, {0: Fraction(1)}]
+    assert [len(c) for c in split_center(vecs, qmul)] == [1, 1, 1]
+    assert not factor_calls
+
+
+def test_split_center_non_split_goes_through_sympy(factor_calls):
+    # Q(sqrt 2) x Q on the basis e1, s = sqrt 2 e1, e2: two components,
+    # one of them two-dimensional, so count 2 and split False
+    qmul = _synthetic({(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 1): {0: 2},
+                       (2, 2): {2: 1}})
+    vecs = [{0: Fraction(1)}, {1: Fraction(1)}, {2: Fraction(1)}]
+    assert sorted(len(c) for c in split_center(vecs, qmul)) == [1, 2]
+    assert factor_calls
+
+
+def test_cli_import_leaves_sympy_out(tmp_path):
+    import quiverhecke
+
+    src = os.path.dirname(os.path.dirname(quiverhecke.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = (
+        "import sys\n"
+        "import quiverhecke.cli\n"
+        "assert 'sympy' not in sys.modules, 'import'\n"
+        "rc = quiverhecke.cli.main(['cache', 'stat', '--cache-dir', sys.argv[1]])\n"
+        "assert rc == 0\n"
+        "assert 'sympy' not in sys.modules, 'cache stat'\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr

@@ -3,15 +3,11 @@ coequalizers, against cases with independently known answers."""
 
 from quiverhecke.cartan import Weight, build_cartan
 from quiverhecke.cyclotomic import CycAlgebra
-from quiverhecke.klr import basis_monomials, seqs_of
+from quiverhecke.klr import basis_monomials, left_seq, seqs_of
 from quiverhecke.laurent import LaurentPoly
 from quiverhecke.tensors import (
-    CycColumnModule,
-    CycRowModule,
-    FreeColumnModule,
-    FreeRowModule,
+    TruncationModule,
     algebra_gens,
-    left_seq,
     tensor_dim,
     tensor_dim_poly,
 )
@@ -45,8 +41,8 @@ def test_free_self_tensor_is_identity():
     # negative degree, which the relation scan must still reach
     for datum, beta in ((A2, (1, 1)), (A1, (2,))):
         cols = set(seqs_of(beta))
-        M = FreeColumnModule(datum, beta, cols, ident)
-        N = FreeRowModule(datum, beta, cols, ident)
+        M = TruncationModule("right", cols, ident, datum=datum, beta=beta)
+        N = TruncationModule("left", cols, ident, datum=datum, beta=beta)
         gens = algebra_gens(datum, beta)
         for d in range(-2, 5):
             want = len(basis_monomials(datum, beta, d))
@@ -56,8 +52,8 @@ def test_free_self_tensor_is_identity():
 def test_cyclotomic_self_tensor_is_identity():
     alg = CycAlgebra(A1, Weight((2,)), (2,))
     cols = set(seqs_of((2,)))
-    M = CycColumnModule(alg, cols, ident)
-    N = CycRowModule(alg, cols, ident)
+    M = TruncationModule("right", cols, ident, alg)
+    N = TruncationModule("left", cols, ident, alg)
     gens = algebra_gens(A1, (2,))
     window = (alg.dmin, alg.dmax)
     got = tensor_dim_poly(M, N, gens, window, dmax_m=alg.dmax)
@@ -69,8 +65,8 @@ def test_tensor_over_trivial_subalgebra_multiplies_dimensions():
     # product of graded vector spaces
     alg = CycAlgebra(A1, Weight((2,)), (1,))
     cols = set(seqs_of((1,)))
-    M = CycColumnModule(alg, cols, ident)
-    N = CycRowModule(alg, cols, ident)
+    M = TruncationModule("right", cols, ident, alg)
+    N = TruncationModule("left", cols, ident, alg)
     idems = [g for g in algebra_gens(A1, (1,)) if g[1] == 0]
     got = tensor_dim_poly(M, N, idems, (0, 4), dmax_m=alg.dmax)
     assert got == LaurentPoly({0: 1, 2: 2, 4: 1})
@@ -84,8 +80,8 @@ def test_relations_cut_the_plain_product():
     # back down to the algebra itself
     alg = CycAlgebra(A1, Weight((2,)), (1,))
     cols = set(seqs_of((1,)))
-    M = CycColumnModule(alg, cols, ident)
-    N = CycRowModule(alg, cols, ident)
+    M = TruncationModule("right", cols, ident, alg)
+    N = TruncationModule("left", cols, ident, alg)
     gens = algebra_gens(A1, (1,))
     got = tensor_dim_poly(M, N, gens, (0, 4), dmax_m=alg.dmax)
     assert got == alg.graded_dim_poly()
