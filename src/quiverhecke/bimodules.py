@@ -12,10 +12,10 @@ families; that the restricted family spans the intended one-sided ideal
 follows from the coset decomposition of the embedded subalgebra, which
 the test suite checks bilinearly on small cases.
 
-On top of the modules sit the comparison maps P, pi, Q, the
-t-multiplications, and the phi endomorphism coefficients computed two
-independent ways (a linear solve against the direct-sum decomposition
-of e(beta, i)K0, and a monic polynomial division).
+On top of the modules sit the comparison maps P, pi, Q and the phi
+endomorphism coefficients computed two independent ways (a linear solve
+against the direct-sum decomposition of e(beta, i)K0, and a monic
+polynomial division).
 """
 
 from __future__ import annotations
@@ -212,12 +212,6 @@ class Bimodules:
                 self._g_cache[a] = g
             E = eng.multiply(E, g)
         return E
-
-    def apply_t_K0(self, E: dict) -> dict:
-        return self.engine.right_mult_x(E, self.N - 1)
-
-    def apply_t_K1(self, E: dict) -> dict:
-        return self.engine.right_mult_x(E, 0)
 
     # ---- composite multipliers --------------------------------------
 

@@ -2,7 +2,9 @@
 
 Entries are keyed by a hash of every mathematical input: Cartan matrix,
 symmetrizer, coefficient polynomial table, weight levels, and the root
-beta, plus a schema version so stale payload layouts are never reused.
+beta, plus a schema version so stale payload layouts are never reused,
+and an engine revision so payloads computed by an older engine are never
+served after the engine changes.
 The cache only ever stores finished summary payloads, so a hit and a
 recomputation produce identical output.
 
@@ -17,9 +19,14 @@ import hashlib
 import json
 import os
 
-__all__ = ["SCHEMA_VERSION", "resolve_cache_dir", "summary_key", "Cache"]
+__all__ = ["ENGINE_REVISION", "SCHEMA_VERSION", "resolve_cache_dir",
+           "summary_key", "Cache"]
 
 SCHEMA_VERSION = 1
+
+# Bump on every change to how summaries are computed.  Revision 2 builds
+# ideal rows over the integers and certifies full blocks modulo a prime.
+ENGINE_REVISION = 2
 
 _ENV_VAR = "QUIVERHECKE_CACHE_DIR"
 
@@ -37,6 +44,7 @@ def summary_key(datum, qspec, weight, beta) -> str:
     """Stable hex digest identifying one cyclotomic computation."""
     payload = {
         "schema": SCHEMA_VERSION,
+        "engine": ENGINE_REVISION,
         "labels": [str(s) for s in datum.labels],
         "matrix": [list(row) for row in datum.matrix],
         "sym": list(datum.sym),

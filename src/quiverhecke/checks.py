@@ -26,7 +26,7 @@ from .tensors import TruncationModule, algebra_gens, tensor_dim
 from .uqmod import UqModule
 
 __all__ = [
-    "Report", "CHECKS", "run_check", "run_all",
+    "Report", "CHECKS", "run_check", "run_all", "run_timed",
     "check_pbw", "check_taug", "check_exact", "check_sl2", "check_mixed",
     "check_phi", "check_convolution", "check_categorification",
 ]
@@ -786,17 +786,20 @@ CHECKS = {
 }
 
 
+def run_timed(thunk) -> Report:
+    """Run one check instance and record its wall time in elapsed_ms.
+    Module level, so a process pool can pickle it."""
+    t0 = time.perf_counter()
+    rep = thunk()
+    rep.elapsed_ms = (time.perf_counter() - t0) * 1000.0
+    return rep
+
+
 def run_check(name) -> list:
     maker = CHECKS.get(name)
     if maker is None:
         raise KeyError(f"unknown check: {name}")
-    reports = []
-    for thunk in maker():
-        t0 = time.perf_counter()
-        rep = thunk()
-        rep.elapsed_ms = (time.perf_counter() - t0) * 1000.0
-        reports.append(rep)
-    return reports
+    return [run_timed(thunk) for thunk in maker()]
 
 
 def run_all(names=None) -> list:

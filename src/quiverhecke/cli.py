@@ -20,10 +20,9 @@ import argparse
 import json
 import os
 import sys
-import time
 
 from .cache import Cache, resolve_cache_dir, summary_key
-from .checks import CHECKS
+from .checks import CHECKS, run_timed
 from .config import ConfigError, load_config
 from .cyclotomic import CycAlgebra
 from .klr import basis_monomials, min_tau_degree, seqs_of
@@ -255,13 +254,6 @@ def cmd_compare(args):
 # -- check -------------------------------------------------------------
 
 
-def _timed(thunk):
-    t0 = time.perf_counter()
-    rep = thunk()
-    rep.elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    return rep
-
-
 def _run_checks(names, jobs):
     thunks = [thunk for name in names for thunk in CHECKS[name]()]
     jobs = min(jobs, os.cpu_count() or 1, len(thunks))
@@ -269,8 +261,8 @@ def _run_checks(names, jobs):
         import multiprocessing
 
         with multiprocessing.Pool(jobs) as pool:
-            return pool.map(_timed, thunks)
-    return [_timed(thunk) for thunk in thunks]
+            return pool.map(run_timed, thunks)
+    return [run_timed(thunk) for thunk in thunks]
 
 
 def _inputs_str(inputs) -> str:

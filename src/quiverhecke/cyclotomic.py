@@ -40,7 +40,7 @@ from .klr import (
     weighted_comps,
 )
 from .laurent import LaurentPoly
-from .linalg import SubspaceBasis
+from .linalg import SubspaceBasis, span_basis
 from .perms import act_on_seq, all_perms, apply_word, canonical_word
 from .qpolys import QSpec
 
@@ -220,7 +220,7 @@ class IdealSpace:
         left = apply_word(word, mu)
         exps = [0] * self.n
         exps[xpos] = self.weight.level(left[xpos])
-        E = {BasisMonomial((), tuple(exps), left): Fraction(1)}
+        E = {BasisMonomial((), tuple(exps), left): 1}
         E = eng.right_mult_word(E, word)
         deg = eng.element_degree(E) if E else None
         self._gens[key] = (E, deg)
@@ -254,33 +254,35 @@ class IdealSpace:
     def block(self, lam, mu, d):
         """(columns, echelon basis of the ideal piece) for one block.
 
-        Rows stop as soon as the ideal fills the block (rank equals the
-        number of columns), leaving both the chain and the column loop.
-        This changes no answer: the reduced echelon form of a full-rank
-        block is the identity whatever rows produced it, so the rank,
-        the pivot columns and every normal form (zero) are those the
-        remaining rows would have left.  Every row that is built is
-        still checked to stay inside its block.
+        The rows are built lazily and go to `linalg.span_basis`.  With an
+        integral QSpec every row is an integer vector, and rows stop as
+        soon as their rank modulo the prime P = 2^61 - 1 reaches the
+        number of columns, leaving both the chain and the column loop;
+        the basis is then the identity.  This is exact: a minor of the
+        integer rows that is nonzero mod P is nonzero over Z, so the rank
+        over Q is at least the rank mod P, and a block of full rank over
+        Q has the identity as its reduced echelon form whatever rows
+        produced it.  So the rank, the pivot columns and every normal
+        form (zero) are those all the rows would have left.  A block that
+        stays short of full rank mod P, or meets a row with a non-integer
+        entry, is eliminated exactly over Q from the rows already built
+        (and, for a non-integer row, the ones after it), so its rank and
+        normal forms never depend on P.  Every row that is built is still
+        checked to stay inside its block.
         """
         key = (lam, mu, d)
         hit = self._blocks.get(key)
         if hit is not None:
             return hit
         cols = self.block_columns(lam, mu, d)
-        sb = SubspaceBasis(keyfunc=BasisMonomial.sort_key)
-        if cols:
-            colset = set(cols)
-            full = len(cols)
-            for row in self._ideal_rows(lam, mu, d):
-                assert set(row) <= colset, "ideal row escaped its block"
-                sb.add(row)
-                if sb.rank == full:
-                    break
+        sb = span_basis(self._ideal_rows(lam, mu, d, set(cols)), cols,
+                        BasisMonomial.sort_key)
         self._blocks[key] = (cols, sb)
         return cols, sb
 
-    def _ideal_rows(self, lam, mu, d):
-        """Nonzero spanning rows b * generator of block (lam, mu, d)."""
+    def _ideal_rows(self, lam, mu, d, colset):
+        """Nonzero spanning rows b * generator of block (lam, mu, d),
+        each checked to lie on the block's columns `colset`."""
         eng = self.engine
         for idx in range(len(self.chains)):
             gen, gdeg = self.generator(idx, mu)
@@ -288,8 +290,9 @@ class IdealSpace:
                 continue
             left_of_gen = apply_word(self.chains[idx][1], mu)
             for b in self.block_columns(lam, left_of_gen, d - gdeg):
-                row = eng.multiply({b: Fraction(1)}, gen)
+                row = eng.multiply({b: 1}, gen)
                 if row:
+                    assert row.keys() <= colset, "ideal row escaped its block"
                     yield row
 
     def block_dim(self, lam, mu, d) -> int:

@@ -237,7 +237,7 @@ class KLR:
             # into canonical form, collecting braid-move corrections.
             u = wword + (k,)
             target = canonical_word(w[:k] + (w[k + 1], w[k]) + w[k + 2 :])
-            result = {BasisMonomial(target, self._zero_exps, mu): Fraction(1)}
+            result = {BasisMonomial(target, self._zero_exps, mu): 1}
             if u != target:
                 for step in move_path(n, u, target):
                     corr = self._braid_correction(step, mu, tail=())
@@ -297,7 +297,7 @@ class KLR:
 
     def eval_word(self, word, mu) -> dict:
         """tau_word e(mu) in basis form, for an arbitrary reduced word."""
-        E = self.idempotent(apply_word(word, mu))
+        E = {BasisMonomial((), self._zero_exps, apply_word(word, mu)): 1}
         for k in word:
             E = self.right_mult_tau(E, k)
         return E

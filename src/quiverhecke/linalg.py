@@ -6,6 +6,12 @@ hashable column labels; a key function fixes the column order, and with
 it the echelon form (hence normal forms of vectors modulo the span) is
 canonical, independent of insertion order.
 
+`RankModP` keeps a row echelon form modulo the prime P = 2^61 - 1 of
+sparse integer vectors over a fixed, ordered list of columns.  It only
+ever certifies: `span_basis` uses it to prove that integer rows span
+their whole space (rank mod P equal to the column count bounds the rank
+over Q from below), and hands every other span to `SubspaceBasis`.
+
 `laurent_rank` computes the rank of a matrix of integer Laurent
 polynomials over the fraction field, by fraction-free elimination with
 exact polynomial division.
@@ -14,8 +20,11 @@ exact polynomial division.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 
-__all__ = ["SubspaceBasis", "laurent_rank"]
+__all__ = ["P", "RankModP", "SubspaceBasis", "laurent_rank", "span_basis"]
+
+P = 2**61 - 1
 
 
 class SubspaceBasis:
@@ -30,6 +39,16 @@ class SubspaceBasis:
         self.pivots = {}
         self.exprs = []
         self.ngens = 0
+
+    @classmethod
+    def identity(cls, cols, keyfunc=None) -> "SubspaceBasis":
+        """The basis of the whole space on `cols`: one unit row per
+        column, which is the reduced echelon form of any full-rank span."""
+        sb = cls(keyfunc)
+        sb.rows = [{c: Fraction(1)} for c in cols]
+        sb.row_pivots = list(cols)
+        sb.pivots = {c: r for r, c in enumerate(cols)}
+        return sb
 
     @property
     def rank(self) -> int:
@@ -136,6 +155,82 @@ class SubspaceBasis:
 
     def pivot_columns(self):
         return set(self.pivots)
+
+
+class RankModP:
+    """Row echelon form modulo P of sparse integer vectors over `cols`.
+
+    Columns are ranked by their position in `cols`, and each stored row
+    has its least column as its pivot, with pivot entry 1 left implicit.
+    Rows are not back-substituted: the rank is all this form is for."""
+
+    def __init__(self, cols):
+        self.index = {c: k for k, c in enumerate(cols)}
+        self.rows = {}
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def add(self, vec) -> bool:
+        """Insert an integer vector; returns True when the rank grew."""
+        index = self.index
+        rows = self.rows
+        res = {}
+        for c, v in vec.items():
+            v %= P
+            if v:
+                res[index[c]] = v
+        while res:
+            k = min(res)
+            v = res.pop(k)
+            row = rows.get(k)
+            if row is None:
+                inv = pow(v, -1, P)
+                rows[k] = {c: x * inv % P for c, x in res.items()}
+                return True
+            # Each stored row has only columns above its pivot k, so the
+            # least column of res keeps growing.
+            for c, x in row.items():
+                y = (res.get(c, 0) - v * x) % P
+                if y:
+                    res[c] = y
+                else:
+                    res.pop(c, None)
+        return False
+
+
+def span_basis(rows, cols, keyfunc=None) -> SubspaceBasis:
+    """Reduced echelon basis of the span of `rows` inside the space on
+    `cols`, pulling rows from the iterable only while they can matter.
+
+    Integer rows go to a `RankModP` first.  Once their rank mod P reaches
+    len(cols), no further row is pulled and the identity basis is
+    returned: a nonzero minor mod P is a nonzero integer, so the rank
+    over Q is full too.  Otherwise (the rows run out short of full rank
+    mod P, or a row has a non-int entry) the rows already pulled, then
+    the rest, go through `SubspaceBasis`, which stops once the exact
+    rank is full; nothing but full rank is ever read off P.
+    """
+    full = len(cols)
+    if not full:
+        return SubspaceBasis(keyfunc)
+    rows = iter(rows)
+    built = []
+    screen = RankModP(cols)
+    for row in rows:
+        built.append(row)
+        if any(type(v) is not int for v in row.values()):
+            break
+        screen.add(row)
+        if screen.rank == full:
+            return SubspaceBasis.identity(cols, keyfunc)
+    sb = SubspaceBasis(keyfunc)
+    for row in chain(built, rows):
+        sb.add(row)
+        if sb.rank == full:
+            break
+    return sb
 
 
 def laurent_rank(rows) -> int:

@@ -18,6 +18,12 @@ from .cartan import CartanDatum
 __all__ = ["QSpec"]
 
 
+def _exact(c):
+    """c as an int when it is integral, else as a Fraction."""
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class QSpec:
     """Immutable table of Q_ij coefficients over a fixed Cartan datum."""
 
@@ -25,7 +31,10 @@ class QSpec:
 
     def __init__(self, datum: CartanDatum, table):
         """`table` maps ordered pairs (i, j) with i < j to a dict
-        {(p, q): Fraction} of coefficients of u^p v^q in Q_ij."""
+        {(p, q): Fraction} of coefficients of u^p v^q in Q_ij.  An
+        integral coefficient is stored as an int, so that with an
+        integral table every coefficient the rewriting engine makes is
+        an int; the others stay Fractions."""
         self.datum = datum
         clean = {}
         n = datum.rank
@@ -33,7 +42,7 @@ class QSpec:
             for j in range(i + 1, n):
                 raw = table.get((i, j), {})
                 terms = {
-                    (int(p), int(q)): Fraction(c)
+                    (int(p), int(q)): _exact(c)
                     for (p, q), c in raw.items()
                     if c
                 }
@@ -74,9 +83,9 @@ class QSpec:
         for i in range(datum.rank):
             for j in range(i + 1, datum.rank):
                 terms = {}
-                terms[(-datum.a(i, j), 0)] = Fraction(1)
+                terms[(-datum.a(i, j), 0)] = 1
                 q = (0, -datum.a(j, i))
-                terms[q] = terms.get(q, 0) + Fraction(1)
+                terms[q] = terms.get(q, 0) + 1
                 table[(i, j)] = terms
         return cls(datum, table)
 
@@ -92,7 +101,7 @@ class QSpec:
             (q, p, c) for (p, q), c in sorted(self._table[(j, i)].items())
         )
 
-    def unit_coeff(self, i: int, j: int) -> Fraction:
+    def unit_coeff(self, i: int, j: int):
         """The coefficient of u^{-a_ij} in Q_ij (a unit by construction)."""
         if i == j:
             raise ValueError("Q_ii is zero")

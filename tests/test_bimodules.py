@@ -131,9 +131,12 @@ def test_phi_twisted_units():
     # a non-unit extreme coefficient separates gamma^-1 from gamma, so
     # this case pins the direction of the unit in both routes
     qs = QSpec(A2, {(0, 1): {(1, 0): Fraction(2), (0, 1): Fraction(3)}})
+    assert all(type(c) is int for _, _, c in qs.terms(0, 1))
     bm = Bimodules(A2, Weight((1, 1)), (1, 0), 1, qspec=qs)
     assert bm.level_pairing == 2
     assert bm.gamma_inverse() == 3
+    # integral units, but gamma^-1 stays a Fraction for the division
+    assert type(bm.gamma_inverse()) is Fraction
     expect = {(2, E1): Fraction(3)}
     assert bm.phi_by_chase(0)[0] == expect
     assert bm.phi_by_division(0) == expect

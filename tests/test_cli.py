@@ -194,6 +194,34 @@ def test_cache_key_sensitivity():
     assert k != summary_key(d, twisted, w1, (1, 1))
 
 
+def test_cache_key_carries_the_engine_revision(cfg_path, tmp_path, capsys,
+                                              monkeypatch):
+    import quiverhecke.cache as cache_mod
+
+    cfg = load_config(cfg_path)
+    beta = (1, 1)
+    alg_key = (cfg.datum, cfg.qspec, cfg.weight, beta)
+    key = summary_key(*alg_key)
+    monkeypatch.setattr(cache_mod, "ENGINE_REVISION",
+                        cache_mod.ENGINE_REVISION - 1)
+    old_key = summary_key(*alg_key)
+    monkeypatch.undo()
+    assert old_key != key
+    assert summary_key(*alg_key) == key
+    # a well-shaped but wrong entry from the older engine is never served
+    stale = CycAlgebra(cfg.datum, cfg.weight, beta, cfg.qspec).summary()
+    stale["total_dim"] += 1
+    cache_dir = str(tmp_path / "cache")
+    Cache(cache_dir).put(old_key, stale)
+    fresh = run(capsys, "cyclotomic", "--config", cfg_path, "--no-cache",
+                "--json")
+    cached = run(capsys, "cyclotomic", "--config", cfg_path,
+                 "--cache-dir", cache_dir, "--json")
+    assert cached == fresh
+    assert Cache(cache_dir).get(old_key) == stale
+    assert Cache(cache_dir).get(key)["total_dim"] == stale["total_dim"] - 1
+
+
 def test_cache_dir_resolution(tmp_path, monkeypatch):
     monkeypatch.delenv("QUIVERHECKE_CACHE_DIR", raising=False)
     default = resolve_cache_dir()

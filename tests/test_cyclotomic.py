@@ -416,14 +416,27 @@ DESK_ALGEBRAS = [
     (A1AFF, Weight((1, 0)), (2, 1)),
     (A1AFF, Weight((1, 0)), (1, 2)),
     (A1AFF, Weight((2, 0)), (2, 1)),
+    (A1, Weight((2,)), (3,)),  # zero: unit membership decides it
 ]
+
+# Q_12(u, v) = u + v/2: a non-integral table, so ideal rows keep Fractions
+A2_HALF = QSpec(A2, {(0, 1): {(1, 0): 1, (0, 1): Fraction(1, 2)}})
 
 
 @pytest.mark.parametrize("datum,wt,beta", DESK_ALGEBRAS)
 def test_early_exits_match_full_computation(datum, wt, beta):
-    A = CycAlgebra(datum, wt, beta)
-    old_space = IdealSpace(A.engine, wt, beta)
-    seqs = seqs_of(beta)
+    assert_early_exits_match(CycAlgebra(datum, wt, beta))
+
+
+def test_early_exits_match_full_computation_non_integral_qspec():
+    assert_early_exits_match(CycAlgebra(A2, Weight((1, 1)), (2, 1), A2_HALF))
+
+
+def assert_early_exits_match(A: CycAlgebra):
+    """Every block, window scan and basis of A against the reference
+    blocks, which build every row and eliminate over Q."""
+    old_space = IdealSpace(A.engine, A.weight, A.beta)
+    seqs = seqs_of(A.beta)
     for lam in seqs:
         for mu in seqs:
             for d in range(A.dmin - 2, A.dmax + 3):
@@ -447,6 +460,49 @@ def test_early_exits_match_full_computation(datum, wt, beta):
     for mu in A.alive:
         for nu in A.alive:
             assert A.truncation(mu, nu).coeffs == reference_dims(A, [(mu, nu)])
+
+
+def test_zero_desk_algebra_is_zero():
+    A = CycAlgebra(A1, Weight((2,)), (3,))
+    assert A.alive
+    assert A.is_zero()
+    assert A.graded_dims() == {}
+
+
+def block_rows(space, d):
+    """Every ideal row of every block of degree d."""
+    out = []
+    for lam in space.seqs:
+        for mu in space.seqs:
+            colset = set(space.block_columns(lam, mu, d))
+            out.extend(space._ideal_rows(lam, mu, d, colset))
+    return out
+
+
+@pytest.mark.parametrize("qspec,integral",
+                         [(std(A2), True), (A2_HALF, False)],
+                         ids=["standard", "half"])
+def test_ideal_rows_are_integral_exactly_for_an_integral_qspec(qspec,
+                                                                integral):
+    space = IdealSpace(get_engine(A2, 3, qspec), Weight((1, 1)), (2, 1))
+    types = {type(c) for d in range(-2, 5) for row in block_rows(space, d)
+             for c in row.values()}
+    assert int in types
+    assert (Fraction not in types) == integral
+
+
+def test_normal_forms_stay_fractions_with_an_integral_qspec():
+    A = CycAlgebra(A2, Weight((1, 1)), (2, 1))
+    assert all(type(c) is int for _, _, c in A.qspec.terms(0, 1))
+    eng = A.engine
+    basis = [m for d in sorted(A.graded_dims()) for m in A.quotient_basis(d)]
+    nonzero = 0
+    for a in basis:
+        for b in basis:
+            nf = A.nf(eng.multiply({a: 1}, {b: 1}))
+            assert all(type(c) is Fraction for c in nf.values())
+            nonzero += bool(nf)
+    assert nonzero
 
 
 def test_vanishing_run_stops_before_the_window_top():

@@ -1,10 +1,17 @@
-"""Sparse echelon bases over the rationals and Laurent-entry ranks."""
+"""Sparse echelon bases over the rationals, rank certificates modulo a
+prime, and Laurent-entry ranks."""
 
 import random
 from fractions import Fraction
 
 from quiverhecke.laurent import LaurentPoly
-from quiverhecke.linalg import SubspaceBasis, laurent_rank
+from quiverhecke.linalg import (
+    P,
+    RankModP,
+    SubspaceBasis,
+    laurent_rank,
+    span_basis,
+)
 
 
 def test_add_and_rank():
@@ -71,6 +78,92 @@ def test_keyfunc_controls_pivots():
     sb = SubspaceBasis(keyfunc=lambda k: -k)
     sb.add({1: Fraction(1), 5: Fraction(1)})
     assert set(sb.pivot_columns()) == {5}
+
+
+def test_identity_basis_is_the_full_echelon_form():
+    cols = ["a", "b", "c"]
+    ident = SubspaceBasis.identity(cols)
+    ref = SubspaceBasis()
+    for v in ({"a": 1, "b": 2}, {"b": 1, "c": 5}, {"a": 3, "c": 1}):
+        ref.add(v)
+    assert ident.rank == ref.rank == 3
+    assert ident.pivot_columns() == ref.pivot_columns() == set(cols)
+    assert ident.rows == ref.rows
+    assert ident.normal_form({"a": 4, "c": Fraction(1, 3)}) == {}
+    assert ident.add({"b": 7}) is False
+
+
+def test_rank_mod_p_pivots_follow_column_order():
+    screen = RankModP(["c", "b", "a"])
+    assert screen.add({"a": 1, "b": 2})
+    assert not screen.add({"a": 3, "b": 6})
+    assert screen.add({"c": -1, "a": P + 1})
+    assert screen.rank == 2
+    # each row's pivot is its least column in the given order
+    assert set(screen.rows) == {0, 1}
+    assert not screen.add({"a": P})
+
+
+def counting(rows):
+    """The rows, and a list that records how many were pulled."""
+    pulled = []
+
+    def gen():
+        for row in rows:
+            pulled.append(row)
+            yield row
+
+    return gen(), pulled
+
+
+def test_span_basis_stops_pulling_rows_at_full_rank_mod_p():
+    rows, pulled = counting([{"a": 2, "b": 1}, {"b": 3}, {"a": 1}, {"b": 1}])
+    sb = span_basis(rows, ["a", "b"])
+    assert len(pulled) == 2
+    assert sb.rank == 2
+    assert sb.normal_form({"a": 5, "b": 1}) == {}
+
+
+def test_span_basis_falls_back_to_exact_rank():
+    # dependent mod P, independent over Q: rank 2 through the fallback
+    rows, pulled = counting([{"a": P, "b": 1}, {"b": 1}])
+    assert RankModP(["a", "b"]).add({"a": P}) is False
+    sb = span_basis(rows, ["a", "b"])
+    assert len(pulled) == 2
+    assert sb.rank == 2
+    assert sb.pivot_columns() == {"a", "b"}
+
+
+def test_span_basis_one_short_of_full_stays_partial():
+    cols = ["a", "b", "c"]
+    rows = [{"a": 1, "b": -1}, {"b": 1, "c": -1}, {"a": 2, "c": -2}]
+    sb = span_basis(rows, cols)
+    ref = SubspaceBasis()
+    for row in rows:
+        ref.add(row)
+    assert sb.rank == ref.rank == 2
+    for c in cols:
+        unit = {c: Fraction(1)}
+        assert sb.normal_form(unit) == ref.normal_form(unit) != {}
+
+
+def test_span_basis_non_integral_row_goes_exact():
+    rows, pulled = counting(
+        [{"a": 1}, {"a": Fraction(1, 2)}, {"b": 1}, {"a": 9}])
+    sb = span_basis(rows, ["a", "b"])
+    # the exact path still stops once the rank is full
+    assert len(pulled) == 3
+    assert sb.rank == 2
+    rows, pulled = counting([{"a": Fraction(3, 2), "b": 1}])
+    sb = span_basis(rows, ["a", "b"])
+    assert sb.rank == 1
+    assert sb.rows == [{"a": Fraction(1), "b": Fraction(2, 3)}]
+
+
+def test_span_basis_of_empty_block_pulls_nothing():
+    rows, pulled = counting([{"a": 1}])
+    assert span_basis(rows, []).rank == 0
+    assert pulled == []
 
 
 def test_laurent_rank():

@@ -160,6 +160,10 @@ def test_charpoly_and_factors():
     sympy = pytest.importorskip("sympy")
     want = sympy.Matrix(M).charpoly(sympy.Symbol("x")).all_coeffs()
     assert _charpoly(M) == [F(int(c.p), int(c.q)) for c in reversed(want)]
+    # int entries still divide exactly
+    coeffs = _charpoly([[1, 2], [3, 4]])
+    assert coeffs == [-2, -5, 1]
+    assert all(type(c) is F for c in coeffs)
     # (x - 1/2)^2 (x + 3) x: three rational roots, no sympy needed
     poly = [F(0), F(3, 4), F(-11, 4), F(2), F(1)]
     assert sorted(f[0] for f in _factors(poly)) == [F(-1, 2), 0, 3]
