@@ -188,9 +188,7 @@ class Bimodules:
     @property
     def level_pairing(self) -> int:
         """<h_i, Lambda - beta>."""
-        return self.weight.level(self.i) - sum(
-            self.datum.a(self.i, j) * k for j, k in enumerate(self.beta)
-        )
+        return self.weight.level_minus(self.datum, self.i, self.beta)
 
     # ---- raw maps ---------------------------------------------------
 
@@ -219,54 +217,21 @@ class Bimodules:
         """The polynomial x_0^level * prod over positions a with
         nu_a != i of Q_{i, nu_a}(x_0, x_{a+1}), cut to e(i, nu); right
         multiplication by it equals Q after P on that column."""
-        i = self.i
-        base = [0] * self.N
-        base[0] = self.weight.level(i)
-        terms = [(tuple(base), Fraction(1))]
-        for a, c in enumerate(nu):
-            if c == i:
-                continue
-            new = []
-            for (p, q, t) in self.qspec.terms(i, c):
-                for exps, coeff in terms:
-                    e = list(exps)
-                    e[0] += p
-                    e[a + 1] += q
-                    new.append((tuple(e), coeff * t))
-            terms = new
-        out = {}
-        seq = (i,) + tuple(nu)
-        for exps, coeff in terms:
-            m = BasisMonomial((), exps, seq)
-            out[m] = out.get(m, 0) + coeff
-        return {m: c for m, c in out.items() if c}
+        seq = (self.i,) + tuple(nu)
+        poly = self.qspec.strand_poly(self.weight.level(self.i), seq, 0)
+        return {BasisMonomial((), e, seq): c for e, c in poly.items()}
 
     def pq_poly(self) -> dict:
         """Sum over nu of x_n^level * prod over a with nu_a != i of
         Q_{nu_a, i}(x_a, x_n), cut to e(nu, i); right multiplication by
         it equals P after Q on K0."""
-        i = self.i
         out = {}
         for nu in seqs_of(self.beta):
-            base = [0] * self.N
-            base[self.N - 1] = self.weight.level(i)
-            terms = [(tuple(base), Fraction(1))]
-            for a, c in enumerate(nu):
-                if c == i:
-                    continue
-                new = []
-                for (p, q, t) in self.qspec.terms(c, i):
-                    for exps, coeff in terms:
-                        e = list(exps)
-                        e[a] += p
-                        e[self.N - 1] += q
-                        new.append((tuple(e), coeff * t))
-                terms = new
-            seq = tuple(nu) + (i,)
-            for exps, coeff in terms:
-                m = BasisMonomial((), exps, seq)
-                out[m] = out.get(m, 0) + coeff
-        return {m: c for m, c in out.items() if c}
+            seq = tuple(nu) + (self.i,)
+            poly = self.qspec.strand_poly(self.weight.level(self.i), seq,
+                                          self.n)
+            out.update((BasisMonomial((), e, seq), c) for e, c in poly.items())
+        return out
 
     # ---- phi machinery ----------------------------------------------
 
@@ -380,30 +345,15 @@ class Bimodules:
         nu, as {t power: element of R^Lambda(beta)}; monic of degree
         <h_i, lambda> + 2p."""
         i = self.i
-        p = self.beta[i]
-        pref = Fraction(-1) ** p / self.gamma_inverse()
+        pref = Fraction(-1) ** self.beta[i] / self.gamma_inverse()
         out = {}
         for nu in seqs_of(self.beta):
-            terms = [({}, 0, Fraction(1))]  # (x exponents, t power, coeff)
-            for a, c in enumerate(nu):
-                if c == i:
-                    continue
-                new = []
-                for (tp, xq, t) in self.qspec.terms(i, c):
-                    for exps, jt, coeff in terms:
-                        e = dict(exps)
-                        if xq:
-                            e[a] = e.get(a, 0) + xq
-                        new.append((e, jt + tp, coeff * t))
-                terms = new
-            for exps, jt, coeff in terms:
-                j = jt + self.weight.level(i)
-                ev = [0] * self.n
-                for pos, val in exps.items():
-                    ev[pos] = val
-                m = BasisMonomial((), tuple(ev), nu)
-                slot = out.setdefault(j, {})
-                slot[m] = slot.get(m, 0) + coeff * pref
+            # t is the added first strand: its exponent is the t power
+            poly = self.qspec.strand_poly(self.weight.level(i), (i,) + nu, 0)
+            for e, c in poly.items():
+                m = BasisMonomial((), e[1:], nu)
+                slot = out.setdefault(e[0], {})
+                slot[m] = slot.get(m, 0) + c * pref
         cleaned = {}
         for j, slot in out.items():
             red = self.sub.nf({m: c for m, c in slot.items() if c})

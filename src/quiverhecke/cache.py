@@ -22,7 +22,7 @@ import os
 __all__ = ["ENGINE_REVISION", "SCHEMA_VERSION", "resolve_cache_dir",
            "summary_key", "Cache"]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # Bump on every change to how summaries are computed.  Revision 2 builds
 # ideal rows over the integers and certifies full blocks modulo a prime.

@@ -62,6 +62,12 @@ class Weight:
     def level(self, i: int) -> int:
         return self.levels[i]
 
+    def level_minus(self, datum: CartanDatum, i: int, beta) -> int:
+        """<h_i, Lambda - beta> = <h_i, Lambda> - sum_j k_j * a_ij."""
+        return self.levels[i] - sum(
+            k * datum.a(i, j) for j, k in enumerate(beta) if k
+        )
+
     def pair_beta(self, datum: CartanDatum, beta) -> int:
         """(Lambda | beta) = sum_i k_i * d_i * <h_i, Lambda>."""
         return sum(

@@ -15,14 +15,15 @@ from functools import partial
 
 from .bimodules import Bimodules, emb_elt_first, emb_elt_last
 from .cartan import Weight, build_cartan
-from .cyclotomic import CycAlgebra
+from .cyclotomic import CertificationError, CycAlgebra, certified_cap
 from .klr import (BasisMonomial, basis_monomials, left_seq, min_tau_degree,
                   seqs_of)
 from .laurent import LaurentPoly
 from .linalg import SubspaceBasis, laurent_rank
 from .perms import all_perms, inversions
 from .simples import count_simples
-from .tensors import TruncationModule, algebra_gens, tensor_dim
+from .tensors import (TruncationModule, algebra_gens, tensor_dim,
+                      tensor_dim_poly)
 from .uqmod import UqModule
 
 __all__ = [
@@ -113,6 +114,14 @@ def _free_dim_series(datum, beta, window):
     return _free_block_poly(datum, beta, rows, rows, window)
 
 
+def _inversion_degree(datum, w, seq):
+    """Degree of the crossing tau_w on e(seq): minus the form of the two
+    colors at each inversion of w.  Counted from `perms.inversions`, and
+    not by `klr.crossing_degree`, so that the pbw counts stay independent
+    of the engine they check."""
+    return -sum(datum.form(seq[a], seq[b]) for (a, b) in inversions(w))
+
+
 def _gen_fn_series(datum, beta, window):
     """Free graded dims from the closed generating function: crossings
     by permutation, dots by geometric factors per strand."""
@@ -122,10 +131,7 @@ def _gen_fn_series(datum, beta, window):
     for seq in seqs_of(tuple(beta)):
         weights = [datum.form(c, c) for c in seq]
         for w in all_perms(n):
-            tdeg = 0
-            for (a, b) in inversions(w):
-                tdeg -= datum.form(seq[a], seq[b])
-            stack = [tdeg]
+            stack = [_inversion_degree(datum, w, seq)]
             for wgt in weights:
                 nxt = []
                 for d in stack:
@@ -195,10 +201,7 @@ def check_pbw(datum, beta, degcap=10, qspec=None):
             for lam in seqs_of(beta):
                 lam1, lam2 = lam[:npr], lam[npr:]
                 for w in shuffles:
-                    tdeg = 0
-                    for (a, b) in inversions(w):
-                        tdeg -= datum.form(lam[a], lam[b])
-                    rem = d - tdeg
+                    rem = d - _inversion_degree(datum, w, lam)
                     s1 = rows_of(lam1)
                     s2 = rows_of(lam2)
                     for d1, c1 in s1.coeffs.items():
@@ -350,6 +353,18 @@ def _compare_tensor(rep, fe_fn, span, predicted):
     return LaurentPoly(fe_coeffs)
 
 
+def _solved_fe(ef, base, a, d_i):
+    """The tensor side F_i E_i solved from the sl2 commutation, shifted
+    by d_i: the corner ef of the enlarged quotient less sum_{k<a}
+    q^{k d_i} base when a = <h_i, Lambda - beta> >= 0, plus
+    sum_{k<-a} q^{-(k+1) d_i} base when a < 0; base is the quotient."""
+    if a >= 0:
+        corr = LaurentPoly({k * d_i: 1 for k in range(a)})
+        return (ef - corr * base).shift(d_i)
+    corr = LaurentPoly({-(k + 1) * d_i: 1 for k in range(-a)})
+    return (ef + corr * base).shift(d_i)
+
+
 def check_sl2(datum, weight, beta, i, qspec=None):
     """The commutation identity between adding and removing a strand of
     color i on the cyclotomic quotient at beta."""
@@ -358,20 +373,14 @@ def check_sl2(datum, weight, beta, i, qspec=None):
         "beta": list(beta), "i": int(i),
     })
     beta = tuple(beta)
-    d_i = datum.form(i, i)
-    a = weight.level(i) - sum(datum.a(i, t) * k for t, k in enumerate(beta))
+    a = weight.level_minus(datum, i, beta)
     rep.inputs["pairing"] = a
     here = CycAlgebra(datum, weight, beta, qspec)
     big = CycAlgebra(datum, weight, _add_beta(beta, i), qspec)
     cols = {s + (i,) for s in seqs_of(beta)}
     ef = _corner_sum_poly(big, cols, cols) if not big.is_zero() else LaurentPoly({})
     base = here.graded_dim_poly() if not here.is_zero() else LaurentPoly({})
-    if a >= 0:
-        corr = LaurentPoly({k * d_i: 1 for k in range(a)})
-        predicted = (ef - corr * base).shift(d_i)
-    else:
-        corr = LaurentPoly({-(k + 1) * d_i: 1 for k in range(-a)})
-        predicted = (ef + corr * base).shift(d_i)
+    predicted = _solved_fe(ef, base, a, datum.form(i, i))
     if predicted.coeffs and min(predicted.coeffs.values()) < 0:
         rep.fail(identity="solved tensor side has negative coefficients",
                  predicted=_poly_str(predicted))
@@ -503,13 +512,8 @@ def check_convolution(datum, beta, i, j, degcap=6, qspec=None):
         N = TruncationModule("left", {s + (i,) for s in seqs_of(sub)},
                              lambda e: emb_elt_last(e, i), datum=datum,
                              beta=beta, qspec=qspec)
-        gens = algebra_gens(datum, sub, qspec)
-        coeffs = {}
-        for d in range(window[0] - pad, degcap + pad + 1):
-            k = tensor_dim(M, N, gens, d)
-            if k:
-                coeffs[d] = k
-        fe = LaurentPoly(coeffs)
+        fe = tensor_dim_poly(M, N, algebra_gens(datum, sub, qspec),
+                             (window[0] - pad, degcap + pad))
     if i != j:
         predicted = fe.shift(-datum.form(i, j))
         for d in range(window[0], window[1] + 1):
@@ -547,13 +551,7 @@ def check_convolution(datum, beta, i, j, degcap=6, qspec=None):
         N2 = TruncationModule("left", {s + (i,) for s in seqs_of(sub)},
                               lambda e: emb_elt_last(e, i), datum=datum,
                               beta=beta, qspec=qspec)
-        gens = algebra_gens(datum, sub, qspec)
-        coeffs = {}
-        for d in range(window[0], window[1] + 1):
-            k = tensor_dim(M2, N2, gens, d)
-            if k:
-                coeffs[d] = k
-        fe2 = LaurentPoly(coeffs)
+        fe2 = tensor_dim_poly(M2, N2, algebra_gens(datum, sub, qspec), window)
     unit_i = tuple(1 if t == i else 0 for t in range(datum.rank))
     twist = -datum.form_beta(unit_i, beta)
     # the twisted tower drags the base series above the cap
@@ -607,20 +605,24 @@ def check_categorification(datum, weight, nmax, qspec=None, simple_cap=3):
                 rep.note(beta=list(beta), simples=sc.count, split=False,
                          unconfirmed=True)
         base = alg.graded_dim_poly() if not zero else LaurentPoly({})
+        if not zero:
+            # the paper's tower bound; a pass adds no witness row
+            try:
+                cap = certified_cap(datum, weight, beta, qspec)
+            except CertificationError as exc:
+                rep.fail(beta=list(beta), error=str(exc),
+                         identity="last-strand relation")
+            else:
+                if cap is None or base.degree() > cap:
+                    rep.fail(beta=list(beta), lhs=base.degree(), rhs=cap,
+                             identity="tower bound")
         for i in range(datum.rank):
-            a = weight.level(i) - sum(datum.a(i, t) * k
-                                      for t, k in enumerate(beta))
+            a = weight.level_minus(datum, i, beta)
             big = CycAlgebra(datum, weight, _add_beta(beta, i), qspec)
             cols = {s + (i,) for s in seqs_of(beta)}
             ef = (_corner_sum_poly(big, cols, cols)
                   if not big.is_zero() else LaurentPoly({}))
-            d_i = datum.form(i, i)
-            if a >= 0:
-                corr = LaurentPoly({k * d_i: 1 for k in range(a)})
-                predicted = (ef - corr * base).shift(d_i)
-            else:
-                corr = LaurentPoly({-(k + 1) * d_i: 1 for k in range(-a)})
-                predicted = (ef + corr * base).shift(d_i)
+            predicted = _solved_fe(ef, base, a, datum.form(i, i))
             fe_fn, span = _fe_tensor(datum, weight, beta, i, i, qspec)
             fe_at_one = 0
             if fe_fn is not None and span is not None:

@@ -15,14 +15,17 @@ exact and small:
   blocks indexed by (left seq, right seq), and the echelon bases of the
   blocks are computed separately.
 
-* A degree window is fixed before anything big is computed: a bound from
-  per-strand nilpotency degrees, intersected with a tower bound that is
-  certified at runtime by checking that the monic last-strand relation
-  really lies in the ideal.  Degrees above the window are spot-checked
-  to vanish rather than assumed silently.  Graded scans inside the
-  window stop early at a run of zero degrees above every crossing
-  degree that is as long as the largest dot degree: past such a run the
-  quotient is certified to vanish (see `scan_until_vanishing`).
+* A degree window is fixed before anything big is computed: its top is
+  a bound from per-strand nilpotency degrees.  Degrees above the window
+  are spot-checked to vanish rather than assumed silently.  Graded scans
+  inside the window stop early at a run of zero degrees above every
+  crossing degree that is as long as the largest dot degree: past such
+  a run the quotient is certified to vanish (see `scan_until_vanishing`).
+
+The paper's tower bound (`certified_cap`) is not part of the window.  It
+checks that the monic last-strand relation lies in the ideal and bounds
+the top degree by recursion down the tower; the `categorification`
+suite checks it against every nonzero quotient it builds.
 """
 
 from __future__ import annotations
@@ -344,45 +347,6 @@ def get_ideal_space(datum, weight, beta, qspec=None) -> IdealSpace:
     return sp
 
 
-def tower_degree(datum, weight, beta, i) -> int:
-    """Monic degree in the last variable of the last-strand relation when
-    strand color i is appended to content beta - alpha_i."""
-    sub = list(beta)
-    sub[i] -= 1
-    lam_part = weight.level(i) - sum(k * datum.a(i, j) for j, k in enumerate(sub))
-    return lam_part + 2 * sub[i]
-
-
-def _last_strand_relation(engine, weight, sub_seq, i):
-    """a_i(x_last) * prod over other-colored strands of Q * e(sub_seq, i)."""
-    n = engine.n
-    last = n - 1
-    seq = tuple(sub_seq) + (i,)
-    poly = {tuple([0] * n): Fraction(1)}
-    lvl = weight.level(i)
-    if lvl:
-        poly = {_bump(e, last, lvl): c for e, c in poly.items()}
-    for a, col in enumerate(sub_seq):
-        if col == i:
-            continue
-        nxt = {}
-        for e, c in poly.items():
-            for (p, q, t) in engine.qspec.terms(col, i):
-                e2 = list(e)
-                e2[a] += p
-                e2[last] += q
-                e2 = tuple(e2)
-                nxt[e2] = nxt.get(e2, 0) + c * t
-        poly = {e: c for e, c in nxt.items() if c}
-    return {BasisMonomial((), e, seq): c for e, c in poly.items()}
-
-
-def _bump(e, pos, amount):
-    e2 = list(e)
-    e2[pos] += amount
-    return tuple(e2)
-
-
 _cert_memo = {}
 
 
@@ -393,7 +357,9 @@ def certified_cap(datum, weight, beta, qspec=None):
     color i ending a sequence, the monic relation on the last strand is
     checked to lie in the ideal; granting that, last-strand exponents
     stay below the monic degree and the bound recurses down the tower.
-    Raises CertificationError if any membership check fails.
+    Raises CertificationError if any membership check fails.  This is a
+    statement of the paper that the `categorification` suite checks; the
+    degree window of `CycAlgebra` does not depend on it.
     """
     if qspec is None:
         qspec = QSpec.standard(datum)
@@ -414,10 +380,13 @@ def certified_cap(datum, weight, beta, qspec=None):
         sub = list(beta)
         sub[i] -= 1
         sub = tuple(sub)
-        d_i = tower_degree(datum, weight, beta, i)
+        # the monic degree of the last-strand relation in its last variable
+        d_i = weight.level_minus(datum, i, sub) + 2 * sub[i]
         # Certify the monic relation for every sequence in this tower.
         for nu in seqs_of(sub):
-            rel = _last_strand_relation(eng, weight, nu, i)
+            seq = nu + (i,)
+            rel = {BasisMonomial((), e, seq): c for e, c in
+                   qspec.strand_poly(weight.level(i), seq, n - 1).items()}
             if not space.contains(rel):
                 raise CertificationError(
                     f"last-strand relation not in ideal: beta={beta}, "
@@ -488,13 +457,11 @@ class CycAlgebra:
 
     # the fields of summary(), in the order it writes them
     SUMMARY_KEYS = (
-        "labels", "levels", "beta", "window", "window_bound",
-        "window_certified", "nilpotency", "alive", "zero", "graded_dim",
-        "total_dim", "truncations",
+        "labels", "levels", "beta", "window", "window_bound", "nilpotency",
+        "alive", "zero", "graded_dim", "total_dim", "truncations",
     )
 
-    def __init__(self, datum, weight, beta, qspec=None, certify=True,
-                 cap_override=None):
+    def __init__(self, datum, weight, beta, qspec=None):
         if qspec is None:
             qspec = QSpec.standard(datum)
         self.datum = datum
@@ -506,26 +473,17 @@ class CycAlgebra:
         self.engine = self.space.engine
         self.table = nilpotency_table(datum, weight, self.beta, qspec)
         self.alive = alive_seqs(self.beta, self.table)
-        self.dmin, self.dmax_bound = degree_cap(datum, weight, self.beta, qspec)
+        self.dmin, self.dmax = degree_cap(datum, weight, self.beta, qspec)
+        self.dmax_bound = self.dmax
         # The quotient vanishes exactly when the unit lies in the ideal,
         # which is a degree zero computation; a vanishing quotient skips
-        # window certification and all higher degrees.
+        # all higher degrees.
         self._zero = not self.alive or all(
             not self.space.reduce(self.engine.idempotent(nu))
             for nu in self.alive
         )
-        self.dmax_cert = None
         if self._zero:
             self.dmin, self.dmax = 0, -1
-        else:
-            if certify:
-                self.dmax_cert = certified_cap(datum, weight, self.beta, qspec)
-            caps = [self.dmax_bound]
-            if certify:
-                caps.append(-1 if self.dmax_cert is None else self.dmax_cert)
-            if cap_override is not None:
-                caps.append(cap_override)
-            self.dmax = min(caps)
         self._dims = {}
 
     # -- dimensions ----------------------------------------------------
@@ -638,7 +596,6 @@ class CycAlgebra:
             "beta": list(self.beta),
             "window": [self.dmin, self.dmax],
             "window_bound": self.dmax_bound,
-            "window_certified": self.dmax_cert,
             "nilpotency": [
                 {str(self.datum.labels[i]): v for i, v in row.items()}
                 for row in self.table

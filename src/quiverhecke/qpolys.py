@@ -101,6 +101,29 @@ class QSpec:
             (q, p, c) for (p, q), c in sorted(self._table[(j, i)].items())
         )
 
+    def strand_poly(self, level: int, seq, pos: int) -> dict:
+        """x_pos^level * prod over b with seq_b != seq_pos of
+        Q_{seq_pos, seq_b}(x_pos, x_b), as {exponent tuple: coeff}: the
+        last-strand relation of the quotient, and what the bimodule maps
+        P and Q compose to on an added strand."""
+        i = seq[pos]
+        base = [0] * len(seq)
+        base[pos] = level
+        poly = {tuple(base): 1}
+        for b, j in enumerate(seq):
+            if j == i:
+                continue
+            nxt = {}
+            for e, c in poly.items():
+                for (p, q, t) in self.terms(i, j):
+                    e2 = list(e)
+                    e2[pos] += p
+                    e2[b] += q
+                    e2 = tuple(e2)
+                    nxt[e2] = nxt.get(e2, 0) + c * t
+            poly = {e: c for e, c in nxt.items() if c}
+        return poly
+
     def unit_coeff(self, i: int, j: int):
         """The coefficient of u^{-a_ij} in Q_ij (a unit by construction)."""
         if i == j:

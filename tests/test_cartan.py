@@ -81,3 +81,13 @@ def test_weight_shift_constant():
     assert rho.coeff_c(d, (1, 0)) == 1 - 1
     assert rho.coeff_c(d, (1, 1)) == 2 - 1
     assert rho.coeff_c(d, (2, 1)) == 3 - 3
+
+
+def test_weight_level_minus_beta():
+    # <h_i, Lambda - beta> reads row i of the Cartan matrix
+    b2 = build_cartan(("s", "l"), [[2, -2], [-1, 2]])
+    rho = Weight((1, 1))
+    assert rho.level_minus(b2, 0, (0, 0)) == 1
+    assert rho.level_minus(b2, 0, (1, 1)) == 1 - 2 + 2
+    assert rho.level_minus(b2, 1, (1, 1)) == 1 + 1 - 2
+    assert rho.level_minus(b2, 1, (2, 0)) == 1 + 2

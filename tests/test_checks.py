@@ -3,6 +3,9 @@ report structure, and determinism of repeated runs."""
 
 import json
 
+import pytest
+
+import quiverhecke.checks as checks_mod
 from quiverhecke.cartan import Weight, build_cartan
 from quiverhecke.checks import (
     CHECKS,
@@ -16,6 +19,7 @@ from quiverhecke.checks import (
     check_taug,
     run_check,
 )
+from quiverhecke.cyclotomic import CertificationError, CycAlgebra
 
 A1 = build_cartan(("0",), [[2]])
 A2 = build_cartan(("1", "2"), [[2, -1], [-1, 2]])
@@ -85,6 +89,30 @@ def test_convolution_passes():
 def test_categorification_passes():
     rep = check_categorification(A1, Weight((2,)), 2)
     assert rep.status == "pass"
+
+
+def _raise_certification_error(datum, weight, beta, qspec=None):
+    raise CertificationError(f"last-strand relation not in ideal: {beta}")
+
+
+def _cap_below_top(datum, weight, beta, qspec=None):
+    return max(CycAlgebra(datum, weight, beta, qspec).graded_dims()) - 1
+
+
+@pytest.mark.parametrize("fake,identity", [
+    (_raise_certification_error, "last-strand relation"),
+    (_cap_below_top, "tower bound"),
+], ids=["not-in-ideal", "cap-below-top"])
+def test_categorification_reports_a_broken_tower_bound(monkeypatch, fake,
+                                                       identity):
+    monkeypatch.setattr(checks_mod, "certified_cap", fake)
+    rep = check_categorification(A1, Weight((2,)), 2)
+    assert rep.status == "fail"
+    rows = [row for row in rep.witness if row.get("kind") == "counterexample"]
+    # one row per beta: (), (1,) and (2,) are all nonzero quotients
+    assert [row["beta"] for row in rows] == [[0], [1], [2]]
+    assert {row["identity"] for row in rows} == {identity}
+    json.dumps(rep.to_json())
 
 
 def test_report_shape_and_determinism():

@@ -208,6 +208,11 @@ def test_cache_key_carries_the_engine_revision(cfg_path, tmp_path, capsys,
     monkeypatch.undo()
     assert old_key != key
     assert summary_key(*alg_key) == key
+    # and the payload schema
+    monkeypatch.setattr(cache_mod, "SCHEMA_VERSION",
+                        cache_mod.SCHEMA_VERSION - 1)
+    assert summary_key(*alg_key) not in (key, old_key)
+    monkeypatch.undo()
     # a well-shaped but wrong entry from the older engine is never served
     stale = CycAlgebra(cfg.datum, cfg.weight, beta, cfg.qspec).summary()
     stale["total_dim"] += 1
@@ -247,8 +252,19 @@ def test_summary_keys_are_the_summary_fields():
     assert tuple(alg.summary()) == CycAlgebra.SUMMARY_KEYS
 
 
-@pytest.mark.parametrize("entry", [{}, [], {"graded_dim": {}}],
-                         ids=["empty-dict", "list", "partial"])
+# a full summary as schema 1 wrote it, with its window_certified field
+SCHEMA_1_SUMMARY = {
+    "labels": ["1", "2"], "levels": [1, 0], "beta": [1, 1], "window": [0, 1],
+    "window_bound": 1, "window_certified": 1,
+    "nilpotency": [{"1": 1, "2": 0}, {"1": 0, "2": 1}], "alive": ["1,2"],
+    "zero": False, "graded_dim": {"0": 1}, "total_dim": 1,
+    "truncations": {"1,2|1,2": {"0": 1}},
+}
+
+
+@pytest.mark.parametrize("entry", [{}, [], {"graded_dim": {}},
+                                   SCHEMA_1_SUMMARY],
+                         ids=["empty-dict", "list", "partial", "schema-1"])
 @pytest.mark.parametrize("command", ["cyclotomic", "compare"])
 def test_wrong_shaped_cache_entry_is_a_miss(cfg_path, tmp_path, capsys,
                                             command, entry):

@@ -12,6 +12,7 @@ from quiverhecke.cyclotomic import (
     CycAlgebra,
     IdealSpace,
     alive_seqs,
+    certified_cap,
     degree_cap,
     get_ideal_space,
     min_power_in_ideal,
@@ -87,12 +88,6 @@ def test_degree_cap_rank_one():
     assert degree_cap(A1, Weight((1,)), (2,)) == (-2, 0)
     # all-dead weight gives the empty window
     assert degree_cap(A1, Weight((0,)), (2,)) == (0, -1)
-
-
-def test_window_certified_not_larger_than_bound():
-    A = CycAlgebra(A2, Weight((1, 1)), (2, 1))
-    assert A.dmax <= A.dmax_bound
-    assert A.summary()["window_certified"] <= A.summary()["window_bound"]
 
 
 def test_boundary_vanishing():
@@ -406,7 +401,7 @@ def reference_dims(A: CycAlgebra, pairs):
     return out
 
 
-DESK_ALGEBRAS = [
+NONZERO_DESK_ALGEBRAS = [
     (A1, Weight((2,)), (2,)),
     (A1, Weight((3,)), (2,)),
     (A2, Weight((1, 1)), (1, 1)),
@@ -416,8 +411,9 @@ DESK_ALGEBRAS = [
     (A1AFF, Weight((1, 0)), (2, 1)),
     (A1AFF, Weight((1, 0)), (1, 2)),
     (A1AFF, Weight((2, 0)), (2, 1)),
-    (A1, Weight((2,)), (3,)),  # zero: unit membership decides it
 ]
+ZERO_DESK_ALGEBRA = (A1, Weight((2,)), (3,))  # unit membership decides it
+DESK_ALGEBRAS = NONZERO_DESK_ALGEBRAS + [ZERO_DESK_ALGEBRA]
 
 # Q_12(u, v) = u + v/2: a non-integral table, so ideal rows keep Fractions
 A2_HALF = QSpec(A2, {(0, 1): {(1, 0): 1, (0, 1): Fraction(1, 2)}})
@@ -462,8 +458,18 @@ def assert_early_exits_match(A: CycAlgebra):
             assert A.truncation(mu, nu).coeffs == reference_dims(A, [(mu, nu)])
 
 
+@pytest.mark.parametrize("datum,wt,beta", NONZERO_DESK_ALGEBRAS)
+def test_tower_cap_between_top_degree_and_nilpotency_bound(datum, wt, beta):
+    # the window top is the nilpotency bound; the tower certificate is a
+    # statement about the quotient, not part of the window
+    A = CycAlgebra(datum, wt, beta)
+    assert A.dmax == A.dmax_bound
+    cap = certified_cap(datum, wt, beta)
+    assert max(A.graded_dims()) <= cap <= A.dmax_bound
+
+
 def test_zero_desk_algebra_is_zero():
-    A = CycAlgebra(A1, Weight((2,)), (3,))
+    A = CycAlgebra(*ZERO_DESK_ALGEBRA)
     assert A.alive
     assert A.is_zero()
     assert A.graded_dims() == {}
