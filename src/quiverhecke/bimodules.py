@@ -278,15 +278,11 @@ class Bimodules:
         i = self.i
         u = self.K0.nf(self.u_element(k))
         if not u:
-            degs = set()
-        else:
-            degs = {eng.monomial_degree(m) for m in u}
-            if len(degs) > 1:
-                raise AssertionError("inhomogeneous decomposition target")
-        if not u:
-            # still need the degree to search for a zero decomposition:
             # an empty element decomposes with all coefficients zero
             return {}, [], {}
+        degs = {eng.monomial_degree(m) for m in u}
+        if len(degs) > 1:
+            raise AssertionError("inhomogeneous decomposition target")
         D = degs.pop()
         d_ii = self.datum.form(i, i)
         qbasis = self._sub_quotient_basis()

@@ -12,6 +12,7 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 from functools import partial
+from itertools import product
 
 from .bimodules import Bimodules, emb_elt_first, emb_elt_last
 from .cartan import Weight, build_cartan
@@ -19,7 +20,7 @@ from .cyclotomic import CertificationError, CycAlgebra, certified_cap
 from .klr import (BasisMonomial, basis_monomials, left_seq, min_tau_degree,
                   seqs_of)
 from .laurent import LaurentPoly
-from .linalg import SubspaceBasis, laurent_rank
+from .linalg import SubspaceBasis
 from .perms import all_perms, inversions
 from .simples import count_simples
 from .tensors import (TruncationModule, algebra_gens, tensor_dim,
@@ -213,31 +214,38 @@ def check_pbw(datum, beta, degcap=10, qspec=None):
     return rep
 
 
+def _residual_terms(lhs, rhs) -> int:
+    """Number of monomials at which two elements differ."""
+    return sum(lhs.get(m, 0) != rhs.get(m, 0) for m in lhs.keys() | rhs.keys())
+
+
 def check_taug(datum, weight, beta, i, qspec=None):
-    """The crossing chain composed with the intertwiner chain acts on
-    each column e(i, nu) as the explicit polynomial, modulo the shifted
-    denominator."""
+    """Both composites of the crossing chain P and the intertwiner chain
+    Q act as explicit polynomials: Q after P on each column e(i, nu) of
+    K1 as qp_poly(nu), and P after Q on each column e(nu, i) of K0 as
+    pq_poly.  Only the first adds a row on a pass."""
     rep = Report("taug", {
         "labels": list(datum.labels), "levels": list(weight.levels),
         "beta": list(beta), "i": int(i),
     })
     bim = Bimodules(datum, weight, beta, i, qspec=qspec)
+    pq = bim.pq_poly()
+    zero = (0,) * bim.N
     for nu in seqs_of(tuple(beta)):
-        seq = (i,) + nu
-        E = {BasisMonomial((), (0,) * bim.N, seq): Fraction(1)}
+        E = {BasisMonomial((), zero, (i,) + nu): Fraction(1)}
         lhs = bim.K1.nf(bim.apply_Q(bim.apply_P(E)))
         rhs = bim.K1.nf(bim.engine.multiply(E, bim.qp_poly(nu)))
-        diff = dict(lhs)
-        for m, c in rhs.items():
-            v = diff.get(m, 0) - c
-            if v:
-                diff[m] = v
-            else:
-                diff.pop(m, None)
+        diff = _residual_terms(lhs, rhs)
         if diff:
-            rep.fail(nu=list(nu), residual_terms=len(diff))
+            rep.fail(nu=list(nu), residual_terms=diff)
         else:
             rep.note(nu=list(nu), ok=True)
+        E = {BasisMonomial((), zero, nu + (i,)): Fraction(1)}
+        lhs = bim.K0.nf(bim.apply_P(bim.apply_Q(E)))
+        rhs = bim.K0.nf(bim.engine.multiply(E, pq))
+        diff = _residual_terms(lhs, rhs)
+        if diff:
+            rep.fail(nu=list(nu), residual_terms=diff, identity="P after Q")
     return rep
 
 
@@ -658,134 +666,77 @@ def _betas_upto(rank, nmax):
 
 
 # ---------------------------------------------------------------------
-# prepared instance lists: the small-rank desk each named check runs on
+# the desk: the small-rank instances each named check runs on
 
-def build_a1():
-    return build_cartan(["0"], [[2]])
+A1 = build_cartan(["0"], [[2]])
+A2 = build_cartan(["1", "2"], [[2, -1], [-1, 2]])
+A1AFF = build_cartan(["0", "1"], [[2, -2], [-2, 2]])
 
+# each weight Lambda is named by its levels
+_L1, _L2, _L3 = Weight((1,)), Weight((2,)), Weight((3,))
+_L10, _L11 = Weight((1, 0)), Weight((1, 1))
+_I = ((0,), (1,))
+_IJ = ((0, 1), (1, 0))
 
-def build_a2():
-    return build_cartan(["1", "2"], [[2, -1], [-1, 2]])
-
-
-def build_a1aff():
-    return build_cartan(["0", "1"], [[2, -2], [-2, 2]])
-
-
-def _desk():
-    return build_a1(), build_a2(), build_a1aff()
-
-
-def _pbw_thunks(degcap=10):
-    A1, A2, AFF = _desk()
-    out = []
-    for datum, nmax in ((A1, 3), (A2, 3), (AFF, 3)):
-        for b in _betas_upto(datum.rank, nmax):
-            if sum(b):
-                out.append(partial(check_pbw, datum, b, degcap=degcap))
-    return out
-
-
-def _taug_thunks():
-    A1, A2, _ = _desk()
-    out = []
-    for lvl in (1, 2):
-        for b in _betas_upto(1, 2):
-            out.append(partial(check_taug, A1, Weight((lvl,)), b, 0))
-    for b in _betas_upto(2, 2):
-        for i in range(2):
-            out.append(partial(check_taug, A2, Weight((1, 0)), b, i))
-    return out
-
-
-def _exact_thunks():
-    A1, A2, _ = _desk()
-    out = []
-    for lvl in (1, 2):
-        for b in _betas_upto(1, 2):
-            out.append(partial(check_exact, A1, Weight((lvl,)), b, 0))
-    for b in _betas_upto(2, 2):
-        for i in range(2):
-            out.append(partial(check_exact, A2, Weight((1, 0)), b, i))
-    return out
-
-
-def _sl2_thunks():
-    A1, A2, AFF = _desk()
-    out = []
-    for lvl in (1, 2, 3):
-        for b in _betas_upto(1, 3):
-            out.append(partial(check_sl2, A1, Weight((lvl,)), b, 0))
-    for wt in (Weight((1, 0)), Weight((1, 1))):
-        for b in _betas_upto(2, 3):
-            for i in range(2):
-                out.append(partial(check_sl2, A2, wt, b, i))
-    for b in _betas_upto(2, 2):
-        for i in range(2):
-            out.append(partial(check_sl2, AFF, Weight((1, 0)), b, i))
-    return out
-
-
-def _mixed_thunks():
-    _, A2, AFF = _desk()
-    out = []
-    for wt in (Weight((1, 0)), Weight((1, 1))):
-        for b in _betas_upto(2, 2):
-            for (i, j) in ((0, 1), (1, 0)):
-                out.append(partial(check_mixed, A2, wt, b, i, j))
-    for b in _betas_upto(2, 2):
-        for (i, j) in ((0, 1), (1, 0)):
-            out.append(partial(check_mixed, AFF, Weight((1, 0)), b, i, j))
-    return out
-
-
-def _phi_thunks(kmax=4):
-    A1, A2, AFF = _desk()
-    out = []
-    for lvl in (1, 2, 3):
-        for b in _betas_upto(1, 2):
-            out.append(partial(check_phi, A1, Weight((lvl,)), b, 0, kmax=kmax))
-    for wt in (Weight((1, 0)), Weight((1, 1))):
-        for b in _betas_upto(2, 2):
-            for i in range(2):
-                out.append(partial(check_phi, A2, wt, b, i, kmax=kmax))
-    for b in _betas_upto(2, 1):
-        for i in range(2):
-            out.append(partial(check_phi, AFF, Weight((1, 0)), b, i, kmax=kmax))
-    return out
-
-
-def _convolution_thunks(degcap=6):
-    A1, A2, _ = _desk()
-    out = []
-    for b in _betas_upto(1, 2):
-        out.append(partial(check_convolution, A1, b, 0, 0, degcap=degcap))
-    for b in _betas_upto(2, 2):
-        for (i, j) in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            out.append(partial(check_convolution, A2, b, i, j, degcap=degcap))
-    return out
-
-
-def _categorification_thunks():
-    A1, A2, AFF = _desk()
-    return [
-        partial(check_categorification, A1, Weight((1,)), 3),
-        partial(check_categorification, A1, Weight((2,)), 3),
-        partial(check_categorification, A2, Weight((1, 0)), 3),
-        partial(check_categorification, AFF, Weight((1, 0)), 2),
-    ]
-
-
-CHECKS = {
-    "categorification": _categorification_thunks,
-    "convolution": _convolution_thunks,
-    "exact": _exact_thunks,
-    "mixed": _mixed_thunks,
-    "pbw": _pbw_thunks,
-    "phi": _phi_thunks,
-    "sl2": _sl2_thunks,
-    "taug": _taug_thunks,
+# suite: (check, fixed keywords, least strand count of a beta, rows).
+# A row is (datum, weights, nmax, tails): one instance per weight, per
+# beta of at most nmax strands, per tail of trailing arguments, in that
+# order.  weights None passes no weight and nmax None no beta, so the
+# categorification rows carry their own nmax as the tail.
+DESK = {
+    "categorification": (check_categorification, {}, 0, [
+        (A1, (_L1, _L2), None, ((3,),)),
+        (A2, (_L10,), None, ((3,),)),
+        (A1AFF, (_L10,), None, ((2,),)),
+    ]),
+    "convolution": (check_convolution, {"degcap": 6}, 0, [
+        (A1, None, 2, ((0, 0),)),
+        (A2, None, 2, ((0, 0), (0, 1), (1, 0), (1, 1))),
+    ]),
+    "exact": (check_exact, {}, 0, [
+        (A1, (_L1, _L2), 2, ((0,),)),
+        (A2, (_L10,), 2, _I),
+    ]),
+    "mixed": (check_mixed, {}, 0, [
+        (A2, (_L10, _L11), 2, _IJ),
+        (A1AFF, (_L10,), 2, _IJ),
+    ]),
+    "pbw": (check_pbw, {"degcap": 10}, 1, [
+        (A1, None, 3, ((),)),
+        (A2, None, 3, ((),)),
+        (A1AFF, None, 3, ((),)),
+    ]),
+    "phi": (check_phi, {"kmax": 4}, 0, [
+        (A1, (_L1, _L2, _L3), 2, ((0,),)),
+        (A2, (_L10, _L11), 2, _I),
+        (A1AFF, (_L10,), 1, _I),
+    ]),
+    "sl2": (check_sl2, {}, 0, [
+        (A1, (_L1, _L2, _L3), 3, ((0,),)),
+        (A2, (_L10, _L11), 3, _I),
+        (A1AFF, (_L10,), 2, _I),
+    ]),
+    "taug": (check_taug, {}, 0, [
+        (A1, (_L1, _L2), 2, ((0,),)),
+        (A2, (_L10,), 2, _I),
+    ]),
 }
+
+
+def _instances(suite) -> list:
+    """The instances of one suite as picklable thunks, in desk order."""
+    check, fixed, nmin, rows = DESK[suite]
+    out = []
+    for datum, weights, nmax, tails in rows:
+        wts = [()] if weights is None else [(w,) for w in weights]
+        betas = [()] if nmax is None else [
+            (b,) for b in _betas_upto(datum.rank, nmax) if sum(b) >= nmin]
+        out.extend(partial(check, datum, *w, *b, *tail, **fixed)
+                   for w, b, tail in product(wts, betas, tails))
+    return out
+
+
+CHECKS = {suite: partial(_instances, suite) for suite in DESK}
 
 
 def run_timed(thunk) -> Report:

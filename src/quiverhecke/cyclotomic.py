@@ -15,12 +15,13 @@ exact and small:
   blocks indexed by (left seq, right seq), and the echelon bases of the
   blocks are computed separately.
 
-* A degree window is fixed before anything big is computed: its top is
-  a bound from per-strand nilpotency degrees.  Degrees above the window
-  are spot-checked to vanish rather than assumed silently.  Graded scans
-  inside the window stop early at a run of zero degrees above every
-  crossing degree that is as long as the largest dot degree: past such
-  a run the quotient is certified to vanish (see `scan_until_vanishing`).
+* A degree window is fixed before anything big is computed: its bottom
+  is the least crossing degree and its top a bound from per-strand
+  nilpotency degrees, so the quotient vanishes outside it (see
+  `degree_cap`).  Graded scans inside the window stop early at a run of
+  zero degrees above every crossing degree that is as long as the
+  largest dot degree: past such a run the quotient is certified to
+  vanish (see `scan_until_vanishing`).
 
 The paper's tower bound (`certified_cap`) is not part of the window.  It
 checks that the monic last-strand relation lies in the ideal and bounds
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cartan import CartanDatum, Weight
+from .cartan import Weight
 from .klr import (
     BasisMonomial,
     KLR,
@@ -561,19 +562,6 @@ class CycAlgebra:
 
     def is_zero(self) -> bool:
         return self._zero
-
-    def check_boundary(self):
-        """Degrees just outside the window must vanish.  A vanishing
-        quotient was already certified by unit membership in degree 0."""
-        if self._zero:
-            return True
-        for d in (self.dmax + 1, self.dmax + 2, self.dmin - 1, self.dmin - 2):
-            dim = self.dim_at(d)
-            if dim:
-                raise AssertionError(
-                    f"window boundary violated at degree {d}: dim {dim}"
-                )
-        return True
 
     def summary(self) -> dict:
         """JSON-ready description of the computed algebra."""

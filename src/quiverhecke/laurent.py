@@ -2,8 +2,8 @@
 
 A Laurent polynomial is stored as a dict {exponent: coefficient} with all
 coefficients nonzero (canonical form).  Coefficients are plain ints: every
-quantity we track with these (graded dimensions, Shapovalov entries,
-quantum binomials) is integral.
+quantity we track with these (graded dimensions, Shapovalov entries) is
+integral.
 """
 
 from __future__ import annotations
@@ -11,8 +11,6 @@ from __future__ import annotations
 __all__ = [
     "LaurentPoly",
     "qint",
-    "qfact",
-    "qbinom",
 ]
 
 
@@ -40,10 +38,6 @@ class LaurentPoly:
     @classmethod
     def const(cls, c: int) -> "LaurentPoly":
         return cls({0: c})
-
-    @classmethod
-    def q_power(cls, e: int, c: int = 1) -> "LaurentPoly":
-        return cls({e: c})
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -129,16 +123,9 @@ class LaurentPoly:
             raise ValueError("valuation of zero Laurent polynomial")
         return min(self.coeffs)
 
-    def leading_coeff(self) -> int:
-        return self.coeffs[self.degree()]
-
     def at_one(self) -> int:
         """Evaluate at q = 1."""
         return sum(self.coeffs.values())
-
-    def bar(self) -> "LaurentPoly":
-        """Bar involution q -> q^-1."""
-        return LaurentPoly({-e: c for e, c in self.coeffs.items()})
 
     def divexact(self, other: "LaurentPoly") -> "LaurentPoly":
         """Exact division; raises ValueError when the division has a remainder."""
@@ -171,10 +158,6 @@ class LaurentPoly:
                 else:
                     rem.pop(k, None)
         return LaurentPoly(quot)
-
-    def truncate_above(self, dmax: int) -> "LaurentPoly":
-        """Drop terms with exponent > dmax."""
-        return LaurentPoly({e: c for e, c in self.coeffs.items() if e <= dmax})
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -211,20 +194,3 @@ def qint(n: int, d: int = 1) -> LaurentPoly:
     if n < 0:
         return -qint(-n, d)
     return LaurentPoly({d * (n - 1 - 2 * t): 1 for t in range(n)})
-
-
-def qfact(n: int, d: int = 1) -> LaurentPoly:
-    """Quantum factorial [n]! = [1][2]...[n]."""
-    if n < 0:
-        raise ValueError("quantum factorial of negative integer")
-    out = LaurentPoly.one()
-    for k in range(1, n + 1):
-        out = out * qint(k, d)
-    return out
-
-
-def qbinom(m: int, n: int, d: int = 1) -> LaurentPoly:
-    """Quantum binomial [m choose n], computed by exact division of factorials."""
-    if n < 0 or n > m:
-        return LaurentPoly.zero()
-    return qfact(m, d).divexact(qfact(n, d) * qfact(m - n, d))

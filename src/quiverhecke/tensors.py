@@ -67,7 +67,7 @@ class TruncationModule:
 
     A is the free strand algebra R(beta), given by datum and beta (and
     qspec), with the basis monomials as basis; or the cyclotomic quotient
-    alg, with its quotient basis inside its window and products reduced
+    alg, with its quotient basis in its nonzero degrees and products reduced
     by alg.nf.
     """
 
@@ -87,6 +87,8 @@ class TruncationModule:
         else:
             self.engine = alg.engine
             self._min_degree = alg.dmin
+            # quotient_basis(d) is empty at every other degree
+            self._degrees = set(alg.graded_dims())
         self._basis = {}
 
     def min_degree(self):
@@ -97,7 +99,7 @@ class TruncationModule:
         if hit is None:
             if self.alg is None:
                 mons = basis_monomials(self.datum, self.beta, d)
-            elif self.alg.dmin <= d <= self.alg.dmax:
+            elif d in self._degrees:
                 mons = self.alg.quotient_basis(d)
             else:
                 mons = []

@@ -10,6 +10,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 from quiverhecke.cartan import Weight, build_cartan
 from quiverhecke.checks import check_pbw, run_check
@@ -22,6 +23,9 @@ A2 = build_cartan(("1", "2"), [[2, -1], [-1, 2]])
 A1AFF = build_cartan(("0", "1"), [[2, -2], [-2, 2]])
 
 TRIO = (A1, A2, A1AFF)
+
+CHECK_ALL_REFERENCE = (Path(__file__).resolve().parents[1] / "perfbench"
+                       / "reference" / "check-all.json")
 
 
 def _sub(a, b):
@@ -252,3 +256,7 @@ def test_12_check_all_deterministic():
         for out in runs
     ]
     assert stripped[0].encode() == stripped[1].encode()
+    # and the desk still emits the benchmark's reference answers
+    got = json.dumps(_strip_timing(json.loads(runs[0])), sort_keys=True,
+                     indent=2) + "\n"
+    assert got == CHECK_ALL_REFERENCE.read_text(encoding="utf-8")

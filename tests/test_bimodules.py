@@ -71,7 +71,8 @@ def test_frozen_dimensions_a2():
     # an isomorphism after the shift
     assert not bm.F.graded_dim_poly()
     shifted = bm.K1.graded_dim_poly().shift(bm.shift_P)
-    assert shifted.truncate_above(bm.window[1]) == bm.K0.graded_dim_poly()
+    assert LaurentPoly({d: c for d, c in shifted.coeffs.items()
+                        if d <= bm.window[1]}) == bm.K0.graded_dim_poly()
 
 
 def _exactness(bm, degrees):

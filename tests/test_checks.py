@@ -6,6 +6,7 @@ import json
 import pytest
 
 import quiverhecke.checks as checks_mod
+from quiverhecke.bimodules import Bimodules
 from quiverhecke.cartan import Weight, build_cartan
 from quiverhecke.checks import (
     CHECKS,
@@ -48,6 +49,20 @@ def test_pbw_passes():
 def test_taug_passes():
     rep = check_taug(A1, Weight((2,)), (1,), 0)
     assert rep.status == "pass"
+
+
+def test_taug_reports_a_wrong_p_after_q(monkeypatch):
+    pq_poly = Bimodules.pq_poly
+    monkeypatch.setattr(Bimodules, "pq_poly", lambda self: {
+        m: 2 * c for m, c in pq_poly(self).items()})
+    rep = check_taug(A2, Weight((1, 0)), (1, 1), 0)
+    assert rep.status == "fail"
+    fails = [w for w in rep.witness if w.get("kind") == "counterexample"]
+    assert [(w["nu"], w["identity"]) for w in fails] == [
+        ([0, 1], "P after Q")]
+    # Q after P is untouched and still passes on every column
+    assert [w for w in rep.witness if w.get("ok")] == [
+        {"nu": [0, 1], "ok": True}, {"nu": [1, 0], "ok": True}]
 
 
 def test_exact_passes_and_skips():

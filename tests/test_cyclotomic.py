@@ -23,6 +23,7 @@ from quiverhecke.klr import (
     BasisMonomial,
     crossing_degree,
     get_engine,
+    left_seq,
     seqs_of,
     weighted_comps,
 )
@@ -35,6 +36,7 @@ from quiverhecke.perms import (
     canonical_word,
 )
 from quiverhecke.qpolys import QSpec
+from quiverhecke.tensors import TruncationModule
 from quiverhecke.uqmod import UqModule
 
 A1 = build_cartan(("i",), [[2]])
@@ -96,9 +98,8 @@ def test_boundary_vanishing():
         (A2, Weight((1, 1)), (1, 1)),
     ]:
         A = CycAlgebra(datum, wt, beta)
-        A.check_boundary()
-        assert A.dim_at(A.dmax + 1) == 0
-        assert A.dim_at(A.dmin - 1) == 0
+        for d in (A.dmax + 1, A.dmax + 2, A.dmin - 1, A.dmin - 2):
+            assert A.dim_at(d) == 0, d
 
 
 # ---- ideal pieces ---------------------------------------------------
@@ -473,6 +474,20 @@ def test_zero_desk_algebra_is_zero():
     assert A.alive
     assert A.is_zero()
     assert A.graded_dims() == {}
+
+
+@pytest.mark.parametrize("datum,wt,beta", NONZERO_DESK_ALGEBRAS)
+def test_truncation_module_basis_matches_the_window_rule(datum, wt, beta):
+    # a cyclotomic module builds quotient blocks only in the nonzero
+    # degrees; the reference builds them at every degree of the window
+    A = CycAlgebra(datum, wt, beta)
+    seqs = set(A.alive[::2])
+    for side, seq_of in (("right", lambda m: m.seq), ("left", left_seq)):
+        M = TruncationModule(side, seqs, None, A)
+        for d in range(A.dmin - 1, A.dmax + 2):
+            window = A.quotient_basis(d) if A.dmin <= d <= A.dmax else []
+            want = [m for m in window if seq_of(m) in seqs]
+            assert M.basis(d) == want, (side, d)
 
 
 def block_rows(space, d):

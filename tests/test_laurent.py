@@ -2,7 +2,7 @@
 
 import pytest
 
-from quiverhecke.laurent import LaurentPoly, qbinom, qfact, qint
+from quiverhecke.laurent import LaurentPoly, qint
 
 
 def test_zero_and_one():
@@ -29,26 +29,18 @@ def test_mul_laurent():
     assert 3 * p == p * 3
 
 
-def test_shift_and_bar():
+def test_shift():
     p = LaurentPoly({2: 1, 0: 4, -1: 7})
     assert p.shift(3) == LaurentPoly({5: 1, 3: 4, 2: 7})
-    assert p.bar() == LaurentPoly({-2: 1, 0: 4, 1: 7})
-    assert p.bar().bar() == p
+    assert p.shift(-3).shift(3) == p
 
 
 def test_degree_valuation_leading():
     p = LaurentPoly({3: 2, -2: 5})
     assert p.degree() == 3
     assert p.valuation() == -2
-    assert p.leading_coeff() == 2
+    assert p.coeffs[p.degree()] == 2
     assert p.at_one() == 7
-
-
-def test_truncate_above():
-    p = LaurentPoly({4: 1, 2: 1, 0: 1})
-    assert p.truncate_above(2) == LaurentPoly({2: 1, 0: 1})
-    assert p.truncate_above(5) == p
-    assert p.truncate_above(-1).is_zero()
 
 
 def test_divexact():
@@ -75,10 +67,3 @@ def test_qint_values():
     assert qint(2, d=2) == LaurentPoly({2: 1, -2: 1})
     assert qint(-2) == -qint(2)
 
-
-def test_qfact_and_qbinom():
-    assert qfact(3) == qint(2) * qint(3)
-    assert qbinom(4, 2) == LaurentPoly({4: 1, 2: 1, 0: 2, -2: 1, -4: 1})
-    assert qbinom(4, 2).at_one() == 6
-    # binomials are bar-invariant
-    assert qbinom(5, 2).bar() == qbinom(5, 2)
