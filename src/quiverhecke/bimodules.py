@@ -7,10 +7,12 @@ the denominator generated through the first-strands embedding; K1 uses
 the columns starting with i and the shifted embedding; F is K0 modulo
 the full cyclotomic ideal, hence finite.
 
-The denominators are IdealSpace instances over restricted chain
-families; that the restricted family spans the intended one-sided ideal
-follows from the coset decomposition of the embedded subalgebra, which
-the test suite checks bilinearly on small cases.
+Each is a `tensors.TruncationModule` over an IdealSpace: the
+denominators of K0 and K1 are restricted chain families, and that such a
+family spans the intended one-sided ideal follows from the coset
+decomposition of the embedded subalgebra, which the test suite checks
+bilinearly on small cases.  On one strand both families are empty, and
+K0 and K1 are free column spaces.
 
 On top of the modules sit the comparison maps P, pi, Q and the phi
 endomorphism coefficients computed two independent ways (a linear solve
@@ -23,22 +25,15 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cartan import CartanDatum, Weight
-from .cyclotomic import CycAlgebra, IdealSpace, degree_cap, get_ideal_space
-from .klr import (
-    BasisMonomial,
-    basis_monomials,
-    get_engine,
-    left_seq,
-    min_tau_degree,
-    seqs_of,
-)
-from .laurent import LaurentPoly
+from .cyclotomic import (CycAlgebra, IdealSpace, degree_cap, free_space,
+                         get_ideal_space)
+from .klr import BasisMonomial, get_engine, left_seq, min_tau_degree, seqs_of
 from .linalg import SubspaceBasis
 from .qpolys import QSpec
+from .tensors import TruncationModule
 
 __all__ = [
     "Bimodules",
-    "ColumnQuotient",
     "emb_first",
     "emb_last",
     "first_strand_chains",
@@ -90,51 +85,6 @@ def default_window(datum, weight, beta_hat, qspec=None):
     return (min_tau_degree(datum, beta_hat), top)
 
 
-class ColumnQuotient:
-    """Left module R(beta_hat) e(S) / denominator, handled per degree.
-
-    S is a tuple of right color sequences; the denominator is an
-    IdealSpace over beta_hat (an empty chain family makes the module the
-    free column space).  Basis elements are the non-pivot basis
-    monomials of each (left seq, right seq, degree) block.
-    """
-
-    def __init__(self, engine, beta_hat, right_seqs, denom: IdealSpace, window):
-        self.engine = engine
-        self.beta_hat = tuple(beta_hat)
-        self.right_seqs = tuple(right_seqs)
-        self.denom = denom
-        self.window = window
-        self.left_seqs = seqs_of(self.beta_hat)
-        self._basis = {}
-
-    def basis(self, d):
-        hit = self._basis.get(d)
-        if hit is None:
-            hit = self.denom.quotient_basis(
-                ((lam, mu) for mu in self.right_seqs for lam in self.left_seqs),
-                d)
-            self._basis[d] = hit
-        return hit
-
-    def dim_at(self, d) -> int:
-        return len(self.basis(d))
-
-    def graded_dim_poly(self) -> LaurentPoly:
-        coeffs = {}
-        for d in range(self.window[0], self.window[1] + 1):
-            k = self.dim_at(d)
-            if k:
-                coeffs[d] = k
-        return LaurentPoly(coeffs)
-
-    def nf(self, E: dict) -> dict:
-        return self.denom.reduce(E)
-
-    def contains(self, E: dict) -> bool:
-        return not self.nf(E)
-
-
 class Bimodules:
     """The modules K0, K1, F for one (weight, beta, i) and their maps.
 
@@ -143,7 +93,7 @@ class Bimodules:
     """
 
     def __init__(self, datum: CartanDatum, weight: Weight, beta, i: int,
-                 qspec: QSpec = None, window=None):
+                 qspec: QSpec = None):
         if qspec is None:
             qspec = QSpec.standard(datum)
         self.datum = datum
@@ -158,20 +108,23 @@ class Bimodules:
         self.qspec = qspec
         self.engine = get_engine(datum, self.N, qspec)
         self.sub_engine = get_engine(datum, self.n, qspec)
-        if window is None:
-            window = default_window(datum, weight, self.beta_hat, qspec)
-        self.window = window
-        cols0 = tuple(s + (i,) for s in seqs_of(self.beta))
-        cols1 = tuple((i,) + s for s in seqs_of(self.beta))
-        eng = self.engine
-        self.D0 = IdealSpace(eng, weight, self.beta_hat,
-                             chains=first_strand_chains(self.N))
-        self.D1 = IdealSpace(eng, weight, self.beta_hat,
-                             chains=shifted_strand_chains(self.N))
-        self.Dfull = get_ideal_space(datum, weight, self.beta_hat, qspec)
-        self.K0 = ColumnQuotient(eng, self.beta_hat, cols0, self.D0, window)
-        self.K1 = ColumnQuotient(eng, self.beta_hat, cols1, self.D1, window)
-        self.F = ColumnQuotient(eng, self.beta_hat, cols0, self.Dfull, window)
+        self.window = default_window(datum, weight, self.beta_hat, qspec)
+        seqs = seqs_of(self.beta)
+        rows = seqs_of(self.beta_hat)
+        cols0 = [s + (i,) for s in seqs]
+        cols1 = [(i,) + s for s in seqs]
+        self.K0 = TruncationModule(IdealSpace(
+            self.engine, weight, self.beta_hat, first_strand_chains(self.N)),
+            rows, cols0)
+        self.K1 = TruncationModule(IdealSpace(
+            self.engine, weight, self.beta_hat, shifted_strand_chains(self.N)),
+            rows, cols1)
+        self.F = TruncationModule(
+            get_ideal_space(datum, weight, self.beta_hat, qspec), rows, cols0)
+        # the free R(beta) e(nu), nu ending in i, for phi_by_chase
+        self.ends_in_i = TruncationModule(
+            free_space(datum, self.beta, qspec), seqs,
+            [nu for nu in seqs if nu[-1:] == (i,)])
         self.sub = CycAlgebra(datum, weight, self.beta, qspec)
         self._g_cache = {}
 
@@ -306,9 +259,7 @@ class Bimodules:
             if not left or left[-1] != i:
                 continue
             da = D - db + d_ii
-            for a in basis_monomials(self.datum, self.beta, da):
-                if a.seq[-1] != i:
-                    continue
+            for a in self.ends_in_i.basis(da):
                 E = eng.right_mult_tau({emb_last(a, i): Fraction(1)}, self.n - 1)
                 E = eng.multiply(E, {emb_last(b, i): Fraction(1)})
                 cls = self.K0.nf(E)

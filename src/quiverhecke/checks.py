@@ -3,8 +3,9 @@
 Each check computes both sides of a dimension or element identity with
 exact arithmetic and reports pass or fail together with a witness
 table.  Failures never abort a run; every instance produces a report
-and the caller aggregates.  All iteration orders are fixed so that two
-runs over the same inputs emit identical output apart from timing.
+(`error` when it raised) and the caller aggregates.  All iteration
+orders are fixed so that two runs over the same inputs emit identical
+output apart from timing.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from itertools import product
 
 from .bimodules import Bimodules, emb_elt_first, emb_elt_last
 from .cartan import Weight, build_cartan
-from .cyclotomic import CertificationError, CycAlgebra, certified_cap
-from .klr import (BasisMonomial, basis_monomials, left_seq, min_tau_degree,
-                  seqs_of)
+from .cyclotomic import (CertificationError, CycAlgebra, certified_cap,
+                         free_space)
+from .klr import BasisMonomial, min_tau_degree, seqs_of
 from .laurent import LaurentPoly
 from .linalg import SubspaceBasis
 from .perms import all_perms, inversions
@@ -97,17 +98,10 @@ def _content(datum, seq):
     return tuple(beta)
 
 
-def _free_block_poly(datum, beta, rows, cols, window, qspec=None):
+def _free_block_poly(datum, beta, rows, cols, window):
     """Graded dims of e(rows) R(beta) e(cols) for the free algebra."""
-    coeffs = {}
-    for d in range(window[0], window[1] + 1):
-        k = 0
-        for m in basis_monomials(datum, beta, d):
-            if m.seq in cols and left_seq(m) in rows:
-                k += 1
-        if k:
-            coeffs[d] = k
-    return LaurentPoly(coeffs)
+    return TruncationModule(free_space(datum, beta), rows,
+                            cols).graded_dim_poly(window)
 
 
 def _free_dim_series(datum, beta, window):
@@ -165,12 +159,10 @@ def check_pbw(datum, beta, degcap=10, qspec=None):
             rep.fail(degree=d, lhs=a, rhs=b,
                      identity="count vs generating function")
             break
-    allseqs = set(seqs_of(beta))
+    corners = [_free_block_poly(datum, beta, [mu], seqs_of(beta), window)
+               for mu in seqs_of(beta)]
     for d in range(lo, degcap + 1):
-        total = 0
-        for mu in seqs_of(beta):
-            total += _free_block_poly(datum, beta, {mu}, allseqs,
-                                      (d, d)).coeffs.get(d, 0)
+        total = sum(corner.coeffs.get(d, 0) for corner in corners)
         if total != series.coeffs.get(d, 0):
             rep.fail(degree=d, lhs=total, rhs=series.coeffs.get(d, 0),
                      identity="corner sum")
@@ -249,25 +241,21 @@ def check_taug(datum, weight, beta, i, qspec=None):
     return rep
 
 
-def check_exact(datum, weight, beta, i, qspec=None, window=None):
+def check_exact(datum, weight, beta, i, qspec=None):
     """P injective, pi surjective, image of P equals kernel of pi, and
     the graded dimension identity, degree by degree over the window."""
     rep = Report("exact", {
         "labels": list(datum.labels), "levels": list(weight.levels),
         "beta": list(beta), "i": int(i),
     })
-    bim = Bimodules(datum, weight, beta, i, qspec=qspec, window=window)
+    bim = Bimodules(datum, weight, beta, i, qspec=qspec)
     rep.inputs["window"] = list(bim.window)
     lo, hi = bim.window
-    if lo > hi:
-        rep.status = "skip"
-        rep.note(reason="window empty")
-        return rep
     shift = bim.shift_P
     for d in range(lo, hi + 1):
-        dim0 = bim.K0.dim_at(d)
-        dimf = bim.F.dim_at(d)
-        dim1 = bim.K1.dim_at(d - shift)
+        dim0 = len(bim.K0.basis(d))
+        dimf = len(bim.F.basis(d))
+        dim1 = len(bim.K1.basis(d - shift))
         if dim0 != dimf + dim1:
             rep.fail(degree=d, lhs=dim0, rhs=dimf + dim1,
                      identity="dim K0 = dim F + shifted dim K1")
@@ -303,7 +291,7 @@ def check_exact(datum, weight, beta, i, qspec=None, window=None):
                      identity="image of P = kernel of pi")
     if rep.status == "pass":
         rep.note(window=[lo, hi], shift=shift,
-                 dims_K0=_poly_str(bim.K0.graded_dim_poly()))
+                 dims_K0=_poly_str(bim.K0.graded_dim_poly(bim.window)))
     return rep
 
 
@@ -327,13 +315,16 @@ def _fe_tensor(datum, weight, beta, i, j, qspec=None):
     here = CycAlgebra(datum, weight, tuple(beta), qspec)
     if mid.is_zero() or big.is_zero() or here.is_zero():
         return None, None
-    cols = {s + (j,) for s in seqs_of(sub)}
-    rows = {s + (i,) for s in seqs_of(sub)}
-    M = TruncationModule("right", cols, lambda e: emb_elt_last(e, j), big)
-    N = TruncationModule("left", rows, lambda e: emb_elt_last(e, i), here)
+    # each factor is built only in the nonzero degrees of its quotient
+    M = TruncationModule(big.space, big.alive,
+                         [s for s in big.alive if s[-1] == j], "right",
+                         lambda e: emb_elt_last(e, j), big.graded_dims())
+    N = TruncationModule(here.space, [s for s in here.alive if s[-1] == i],
+                         here.alive, "left", lambda e: emb_elt_last(e, i),
+                         here.graded_dims())
     gens = algebra_gens(datum, sub)
     span = (big.dmin + here.dmin, big.dmax + here.dmax)
-    return partial(tensor_dim, M, N, gens, dmax_m=big.dmax), span
+    return partial(tensor_dim, M, N, gens), span
 
 
 def _compare_tensor(rep, fe_fn, span, predicted):
@@ -507,19 +498,20 @@ def check_convolution(datum, beta, i, j, degcap=6, qspec=None):
         corner = LaurentPoly({})
     else:
         rows = {s + (i,) for s in seqs_of(shifted)}
-        corner = _free_block_poly(datum, big, rows, cols, window, qspec)
+        corner = _free_block_poly(datum, big, rows, cols, window)
     # the tensor side is compared after a degree shift, so compute it
     # one shift past the window at both ends
     pad = max(d_i, -datum.form(i, j))
     if sub is None:
         fe = LaurentPoly({})
     else:
-        M = TruncationModule("right", {s + (j,) for s in seqs_of(sub)},
-                             lambda e: emb_elt_last(e, j), datum=datum,
-                             beta=_add_beta(sub, j), qspec=qspec)
-        N = TruncationModule("left", {s + (i,) for s in seqs_of(sub)},
-                             lambda e: emb_elt_last(e, i), datum=datum,
-                             beta=beta, qspec=qspec)
+        sub_j = _add_beta(sub, j)
+        M = TruncationModule(free_space(datum, sub_j, qspec), seqs_of(sub_j),
+                             [s + (j,) for s in seqs_of(sub)], "right",
+                             lambda e: emb_elt_last(e, j))
+        N = TruncationModule(free_space(datum, beta, qspec),
+                             [s + (i,) for s in seqs_of(sub)], seqs_of(beta),
+                             "left", lambda e: emb_elt_last(e, i))
         fe = tensor_dim_poly(M, N, algebra_gens(datum, sub, qspec),
                              (window[0] - pad, degcap + pad))
     if i != j:
@@ -549,16 +541,17 @@ def check_convolution(datum, beta, i, j, degcap=6, qspec=None):
     # form twist of the added strand against beta
     rows2 = {s + (i,) for s in seqs_of(beta)}
     cols2 = {(i,) + s for s in seqs_of(beta)}
-    corner2 = _free_block_poly(datum, big, rows2, cols2, window, qspec)
+    corner2 = _free_block_poly(datum, big, rows2, cols2, window)
     if sub is None:
         fe2 = LaurentPoly({})
     else:
-        M2 = TruncationModule("right", {(i,) + s for s in seqs_of(sub)},
-                              lambda e: emb_elt_first(e, i), datum=datum,
-                              beta=beta, qspec=qspec)
-        N2 = TruncationModule("left", {s + (i,) for s in seqs_of(sub)},
-                              lambda e: emb_elt_last(e, i), datum=datum,
-                              beta=beta, qspec=qspec)
+        free = free_space(datum, beta, qspec)
+        M2 = TruncationModule(free, seqs_of(beta),
+                              [(i,) + s for s in seqs_of(sub)], "right",
+                              lambda e: emb_elt_first(e, i))
+        N2 = TruncationModule(free, [s + (i,) for s in seqs_of(sub)],
+                              seqs_of(beta), "left",
+                              lambda e: emb_elt_last(e, i))
         fe2 = tensor_dim_poly(M2, N2, algebra_gens(datum, sub, qspec), window)
     unit_i = tuple(1 if t == i else 0 for t in range(datum.rank))
     twist = -datum.form_beta(unit_i, beta)
@@ -580,10 +573,11 @@ def check_convolution(datum, beta, i, j, degcap=6, qspec=None):
     return rep
 
 
-def check_categorification(datum, weight, nmax, qspec=None, simple_cap=3):
+def check_categorification(datum, weight, nmax, qspec=None):
     """Corner dims of every quotient against the module-side pairing
-    values, simple counts against weight multiplicities, and the
-    ungraded commutator count, over all beta with at most nmax strands."""
+    values, simple counts against weight multiplicities (up to three
+    strands), and the ungraded commutator count, over all beta with at
+    most nmax strands."""
     rep = Report("categorification", {
         "labels": list(datum.labels), "levels": list(weight.levels),
         "nmax": int(nmax),
@@ -600,7 +594,7 @@ def check_categorification(datum, weight, nmax, qspec=None, simple_cap=3):
                     rep.fail(beta=list(beta), mu=list(mu), nu=list(nu),
                              lhs=_poly_str(got), rhs=_poly_str(want),
                              identity="corner dims")
-        if sum(beta) <= simple_cap:
+        if sum(beta) <= 3:
             sc = count_simples(alg)
             gram_rank = mod.weight_dim(beta)
             if sc.split:
@@ -739,11 +733,35 @@ def _instances(suite) -> list:
 CHECKS = {suite: partial(_instances, suite) for suite in DESK}
 
 
+def _error_report(thunk, exc) -> Report:
+    """The `error` report of an instance that raised: its check's name
+    and arguments, with the exception type and message as the witness."""
+    func = getattr(thunk, "func", thunk)
+    args = dict(zip(func.__code__.co_varnames, getattr(thunk, "args", ())))
+    args.update(getattr(thunk, "keywords", {}))
+    inputs = {}
+    for key, val in args.items():
+        if key == "datum":
+            key, val = "labels", list(val.labels)
+        elif key == "weight":
+            key, val = "levels", list(val.levels)
+        inputs[key] = list(val) if isinstance(val, tuple) else val
+    rep = Report(func.__name__.removeprefix("check_"), inputs)
+    rep.status = "error"
+    rep.witness.append({"kind": "error", "type": type(exc).__name__,
+                        "message": str(exc)})
+    return rep
+
+
 def run_timed(thunk) -> Report:
-    """Run one check instance and record its wall time in elapsed_ms.
+    """Run one check instance and record its wall time in elapsed_ms.  An
+    instance that raises gives an `error` report, and the run goes on.
     Module level, so a process pool can pickle it."""
     t0 = time.perf_counter()
-    rep = thunk()
+    try:
+        rep = thunk()
+    except Exception as exc:
+        rep = _error_report(thunk, exc)
     rep.elapsed_ms = (time.perf_counter() - t0) * 1000.0
     return rep
 

@@ -24,9 +24,10 @@ import sys
 from .cache import Cache, resolve_cache_dir, summary_key
 from .checks import CHECKS, run_timed
 from .config import ConfigError, load_config
-from .cyclotomic import CycAlgebra
-from .klr import basis_monomials, min_tau_degree, seqs_of
+from .cyclotomic import CycAlgebra, free_space
+from .klr import min_tau_degree, seqs_of
 from .laurent import LaurentPoly
+from .tensors import TruncationModule
 from .uqmod import UqModule
 
 __all__ = ["main"]
@@ -81,12 +82,9 @@ def cmd_basis(args):
     out = []
     for beta in betas:
         lo = min_tau_degree(cfg.datum, beta) if sum(beta) else 0
-        dims = {}
-        for d in range(lo, cap + 1):
-            k = len(basis_monomials(cfg.datum, beta, d))
-            if k:
-                dims[d] = k
-        out.append((beta, dims))
+        seqs = seqs_of(beta)
+        free = TruncationModule(free_space(cfg.datum, beta), seqs, seqs)
+        out.append((beta, free.graded_dim_poly((lo, cap)).coeffs))
     if _want_json(cfg, args):
         _emit_json({
             "command": "basis",
@@ -284,7 +282,7 @@ def cmd_check(args):
         sys.stderr.write(f"--jobs must be at least 1, got {args.jobs}\n")
         return 2
     reports = _run_checks(names, args.jobs)
-    failed = sum(1 for r in reports if r.status == "fail")
+    failed = sum(1 for r in reports if r.status in ("fail", "error"))
     if args.json:
         _emit_json({
             "command": "check",
@@ -298,9 +296,9 @@ def cmd_check(args):
                 r.status.upper(), r.name, _inputs_str(r.inputs)
             )
             sys.stdout.write(line.rstrip() + "\n")
-            if r.status == "fail":
+            if r.status in ("fail", "error"):
                 for row in r.witness:
-                    if row.get("kind") == "counterexample":
+                    if row.get("kind") in ("counterexample", "error"):
                         sys.stdout.write("     " + _inputs_str(row) + "\n")
         sys.stdout.write(
             f"{len(reports)} instances, {failed} failed\n"

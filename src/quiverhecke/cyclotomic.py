@@ -23,10 +23,16 @@ exact and small:
   largest dot degree: past such a run the quotient is certified to
   vanish (see `scan_until_vanishing`).
 
+* A sequence with a zero nilpotency bound is dead.  Construction checks
+  once that each dead idempotent lies in the ideal; its blocks are then
+  full, and the normal form is plain `IdealSpace.reduce`.
+
 The paper's tower bound (`certified_cap`) is not part of the window.  It
 checks that the monic last-strand relation lies in the ideal and bounds
 the top degree by recursion down the tower; the `categorification`
-suite checks it against every nonzero quotient it builds.
+suite checks it against every nonzero quotient it builds.  Modules
+over an IdealSpace, free, cyclotomic or one-sided, are
+`tensors.TruncationModule`s.
 """
 
 from __future__ import annotations
@@ -58,6 +64,7 @@ __all__ = [
     "full_ideal_chains",
     "scan_until_vanishing",
     "IdealSpace",
+    "free_space",
     "get_ideal_space",
     "CycAlgebra",
 ]
@@ -163,14 +170,18 @@ def degree_cap(datum, weight, beta, qspec=None):
     """
     if qspec is None:
         qspec = QSpec.standard(datum)
-    n = sum(beta)
     table = nilpotency_table(datum, weight, beta, qspec)
-    alive = alive_seqs(beta, table)
+    return _table_window(datum, table, alive_seqs(beta, table))
+
+
+def _table_window(datum, table, alive):
+    """The window of `degree_cap`, from a nilpotency table and its alive
+    sequences."""
     if not alive:
         return (0, -1)
     dmin = 0
     dmax = 0
-    perms = all_perms(n)
+    perms = all_perms(len(alive[0]))
     for seq in alive:
         taus = [crossing_degree(datum, w, seq) for w in perms]
         poly = sum(
@@ -195,7 +206,9 @@ class IdealSpace:
     The span is sum over the family `chains` of R * X_p * tau_word, where
     X_p places x_p^{level} against the left idempotent.  The default
     family is the full cyclotomic ideal; restricted families give the
-    one-sided denominators of the induction and restriction bimodules.
+    one-sided denominators of the induction and restriction bimodules,
+    and the empty family leaves R(beta) itself (see `free_space`), whose
+    bases are block columns with no block built.
     """
 
     def __init__(self, engine: KLR, weight: Weight, beta, chains=None):
@@ -299,12 +312,19 @@ class IdealSpace:
                     assert row.keys() <= colset, "ideal row escaped its block"
                     yield row
 
-    def block_dim(self, lam, mu, d) -> int:
+    def block_basis(self, lam, mu, d):
+        """Non-pivot columns of block (lam, mu, d): a basis of the block
+        modulo the span."""
+        if not self.chains:
+            return self.block_columns(lam, mu, d)
         cols, sb = self.block(lam, mu, d)
-        return len(cols) - sb.rank
+        pivots = sb.pivot_columns()
+        return [m for m in cols if m not in pivots]
 
     def reduce(self, E: dict) -> dict:
         """Canonical representative of E modulo the ideal."""
+        if not self.chains:
+            return {m: c for m, c in E.items() if c}
         eng = self.engine
         groups = {}
         for m, c in E.items():
@@ -327,11 +347,15 @@ class IdealSpace:
         sum of those blocks modulo the span."""
         out = []
         for lam, mu in pairs:
-            cols, sb = self.block(lam, mu, d)
-            pivots = sb.pivot_columns()
-            out.extend(m for m in cols if m not in pivots)
+            out.extend(self.block_basis(lam, mu, d))
         out.sort(key=BasisMonomial.sort_key)
         return out
+
+
+def free_space(datum, beta, qspec=None) -> IdealSpace:
+    """R(beta) as the IdealSpace of the empty chain family.  Free spaces
+    build no block and stay out of the shared registry below."""
+    return IdealSpace(get_engine(datum, sum(beta), qspec), None, beta, ())
 
 
 _ideal_spaces = {}
@@ -474,14 +498,20 @@ class CycAlgebra:
         self.engine = self.space.engine
         self.table = nilpotency_table(datum, weight, self.beta, qspec)
         self.alive = alive_seqs(self.beta, self.table)
-        self.dmin, self.dmax = degree_cap(datum, weight, self.beta, qspec)
+        self.dmin, self.dmax = _table_window(datum, self.table, self.alive)
         self.dmax_bound = self.dmax
+        # Each dead idempotent must lie in the ideal; as the ideal is
+        # two-sided, nf then drops every monomial on a dead sequence.
+        for nu in self.space.seqs:
+            if nu not in self.alive and self.nf(self.engine.idempotent(nu)):
+                raise AssertionError(
+                    "dead sequence monomial not in ideal; bounds are wrong"
+                )
         # The quotient vanishes exactly when the unit lies in the ideal,
         # which is a degree zero computation; a vanishing quotient skips
         # all higher degrees.
         self._zero = not self.alive or all(
-            not self.space.reduce(self.engine.idempotent(nu))
-            for nu in self.alive
+            not self.nf(self.engine.idempotent(nu)) for nu in self.alive
         )
         if self._zero:
             self.dmin, self.dmax = 0, -1
@@ -495,7 +525,7 @@ class CycAlgebra:
         hit = self._dims.get(d)
         if hit is not None:
             return hit
-        total = sum(self.space.block_dim(lam, mu, d)
+        total = sum(len(self.space.block_basis(lam, mu, d))
                     for lam in self.alive for mu in self.alive)
         self._dims[d] = total
         return total
@@ -529,8 +559,8 @@ class CycAlgebra:
         )
         step = max((self.datum.form(i, i) for i in nu), default=1)
         return LaurentPoly(scan_until_vanishing(
-            lambda d: space.block_dim(mu, nu, d), self.dmin, self.dmax, top, step
-        ))
+            lambda d: len(space.block_basis(mu, nu, d)),
+            self.dmin, self.dmax, top, step))
 
     def quotient_basis(self, d: int):
         """Monomials spanning degree d of the quotient: non-pivot columns
@@ -541,24 +571,8 @@ class CycAlgebra:
             ((lam, mu) for lam in self.alive for mu in self.alive), d)
 
     def nf(self, E: dict) -> dict:
-        """Normal form modulo the ideal; dead-sequence monomials drop."""
-        filtered = {}
-        aliveset = set(self.alive)
-        for m, c in E.items():
-            if m.seq not in aliveset:
-                if not self.space.contains({m: c}):
-                    raise AssertionError(
-                        "dead sequence monomial not in ideal; bounds are wrong"
-                    )
-                continue
-            if left_seq(m) not in aliveset:
-                if not self.space.contains({m: c}):
-                    raise AssertionError(
-                        "dead sequence monomial not in ideal; bounds are wrong"
-                    )
-                continue
-            filtered[m] = c
-        return self.space.reduce(filtered)
+        """Normal form modulo the ideal."""
+        return self.space.reduce(E)
 
     def is_zero(self) -> bool:
         return self._zero

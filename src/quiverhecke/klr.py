@@ -31,7 +31,6 @@ from .qpolys import QSpec
 __all__ = [
     "BasisMonomial",
     "KLR",
-    "basis_monomials",
     "crossing_degree",
     "get_engine",
     "left_seq",
@@ -127,25 +126,6 @@ def min_tau_degree(datum, beta) -> int:
 def left_seq(m) -> tuple:
     """Left color sequence w . seq of the basis monomial tau_w x^a e(seq)."""
     return apply_word(m.word, m.seq) if m.word else m.seq
-
-
-def basis_monomials(datum, beta, d):
-    """All basis monomials of R(beta) of degree d, canonically ordered.
-
-    The order is the monomial sort key: right sequence lexicographic,
-    then word length, word, exponents.
-    """
-    n = sum(beta)
-    out = []
-    for seq in seqs_of(beta):
-        weights = [datum.form(i, i) for i in seq]
-        for w in all_perms(n):
-            tdeg = crossing_degree(datum, w, seq)
-            word = canonical_word(w)
-            for exps in weighted_comps(weights, d - tdeg):
-                out.append(BasisMonomial(word, exps, seq))
-    out.sort(key=BasisMonomial.sort_key)
-    return out
 
 
 def _swap(t, k):

@@ -7,25 +7,19 @@ product factors as rel(ab; m, n) = rel(b; m.a, n) + rel(a; m, b.n), so
 the span over generators already contains the relation for every
 element of the subalgebra they generate.
 
-One module adapter wraps either a free strand algebra or a cyclotomic
-quotient, truncated by idempotents on one side, with the subalgebra
-acting on the other side through an embedding that adds one untouched
-strand (at the end or, shifted, at the front).
+`TruncationModule` is the one graded module class: e(rows) R(beta)
+e(cols) modulo the span of an IdealSpace, which is free for the empty
+chain family, a cyclotomic quotient for the full one, and K0 or K1 of
+`bimodules` for a restricted one.  A tensor factor also carries the side
+the subalgebra acts on and an embedding that adds one untouched strand
+(at the end or, shifted, at the front).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclotomic import CycAlgebra
-from .klr import (
-    BasisMonomial,
-    basis_monomials,
-    get_engine,
-    left_seq,
-    min_tau_degree,
-    seqs_of,
-)
+from .klr import BasisMonomial, min_tau_degree, seqs_of
 from .laurent import LaurentPoly
 from .linalg import SubspaceBasis
 
@@ -61,81 +55,72 @@ def algebra_gens(datum, beta, qspec=None):
 
 
 class TruncationModule:
-    """A e(S) as a right module (side "right", action m * g) or e(S) A as
-    a left module (side "left", action g * m) over a subalgebra whose
-    elements emb maps into A.
+    """The graded module sum over lam in rows and mu in cols of the blocks
+    e(lam) R(beta) e(mu), modulo the span of the IdealSpace `space`.
 
-    A is the free strand algebra R(beta), given by datum and beta (and
-    qspec), with the basis monomials as basis; or the cyclotomic quotient
-    alg, with its quotient basis in its nonzero degrees and products reduced
-    by alg.nf.
+    Its degree-d basis is the non-pivot columns of those blocks, in
+    canonical order, and its normal form is the space's.  `degrees`, when
+    given, holds every degree where the module can be nonzero, and no
+    block is built at any other; otherwise the module starts at the least
+    crossing degree and is unbounded above.  As a factor of a tensor
+    product it is a right module (side "right", action m * g) or a left
+    module (side "left", action g * m) over a subalgebra whose elements
+    emb maps into R(beta).
     """
 
-    def __init__(self, side, seqs, emb, alg: CycAlgebra = None,
-                 datum=None, beta=None, qspec=None):
-        if side not in ("left", "right"):
-            raise ValueError(f"side must be 'left' or 'right', not {side!r}")
+    def __init__(self, space, rows, cols, side=None, emb=None, degrees=None):
+        self.space = space
+        self.pairs = tuple((lam, mu) for lam in rows for mu in cols)
         self.side = side
-        self.seqs = set(seqs)
         self.emb = emb
-        self.alg = alg
-        if alg is None:
-            self.datum = datum
-            self.beta = tuple(beta)
-            self.engine = get_engine(datum, sum(beta), qspec)
-            self._min_degree = min_tau_degree(datum, self.beta)
+        self.degrees = degrees
+        if degrees is None:
+            self.min_degree = min_tau_degree(space.engine.datum, space.beta)
+            self.max_degree = float("inf")
         else:
-            self.engine = alg.engine
-            self._min_degree = alg.dmin
-            # quotient_basis(d) is empty at every other degree
-            self._degrees = set(alg.graded_dims())
+            self.min_degree = min(degrees, default=0)
+            self.max_degree = max(degrees, default=0)
         self._basis = {}
-
-    def min_degree(self):
-        return self._min_degree
 
     def basis(self, d):
         hit = self._basis.get(d)
         if hit is None:
-            if self.alg is None:
-                mons = basis_monomials(self.datum, self.beta, d)
-            elif d in self._degrees:
-                mons = self.alg.quotient_basis(d)
+            if self.degrees is None or d in self.degrees:
+                hit = self.space.quotient_basis(self.pairs, d)
             else:
-                mons = []
-            if self.side == "right":
-                hit = [m for m in mons if m.seq in self.seqs]
-            else:
-                hit = [m for m in mons if left_seq(m) in self.seqs]
+                hit = []
             self._basis[d] = hit
         return hit
+
+    def graded_dim_poly(self, window) -> LaurentPoly:
+        return LaurentPoly({d: len(self.basis(d))
+                            for d in range(window[0], window[1] + 1)})
+
+    def nf(self, E: dict) -> dict:
+        return self.space.reduce(E)
 
     def act(self, m, gen_elt):
         one = {m: Fraction(1)}
         g = self.emb(gen_elt)
         if self.side == "right":
-            prod = self.engine.multiply(one, g)
-        else:
-            prod = self.engine.multiply(g, one)
-        return prod if self.alg is None else self.alg.nf(prod)
+            return self.nf(self.space.engine.multiply(one, g))
+        return self.nf(self.space.engine.multiply(g, one))
 
 
 def _pair_key(key):
     return (key[0], BasisMonomial.sort_key(key[1]), BasisMonomial.sort_key(key[2]))
 
 
-def tensor_dim(M, N, gens, d, dmax_m=None) -> int:
+def tensor_dim(M, N, gens, d) -> int:
     """Dimension of (M tensor_A N) in degree d, with A presented by the
     (element, degree) list gens.
 
-    dmax_m caps the M-degree scan for finite M (None scans by N's lower
-    bound alone).
+    The M-degree scan runs from M's least degree up to the bound that N's
+    least degree sets, and stops at M's top degree.
     """
-    nmin = N.min_degree()
-    mmin = M.min_degree()
-    top = d - nmin if dmax_m is None else min(d - nmin, dmax_m)
+    nmin = N.min_degree
     npairs = 0
-    for d1 in range(mmin, top + 1):
+    for d1 in range(M.min_degree, min(d - nmin, M.max_degree) + 1):
         mb = M.basis(d1)
         if mb:
             npairs += len(mb) * len(N.basis(d - d1))
@@ -145,10 +130,8 @@ def tensor_dim(M, N, gens, d, dmax_m=None) -> int:
     for (gelt, gdeg) in gens:
         # relations can involve m above the pair window when the
         # generator has negative degree; the image still lands inside
-        top_g = d - nmin - gdeg
-        if dmax_m is not None:
-            top_g = min(top_g, dmax_m)
-        for d1 in range(mmin, top_g + 1):
+        top_g = min(d - nmin - gdeg, M.max_degree)
+        for d1 in range(M.min_degree, top_g + 1):
             mb = M.basis(d1)
             if not mb:
                 continue
@@ -172,10 +155,6 @@ def tensor_dim(M, N, gens, d, dmax_m=None) -> int:
     return npairs - sb.rank
 
 
-def tensor_dim_poly(M, N, gens, window, dmax_m=None) -> LaurentPoly:
-    coeffs = {}
-    for d in range(window[0], window[1] + 1):
-        k = tensor_dim(M, N, gens, d, dmax_m=dmax_m)
-        if k:
-            coeffs[d] = k
-    return LaurentPoly(coeffs)
+def tensor_dim_poly(M, N, gens, window) -> LaurentPoly:
+    return LaurentPoly({d: tensor_dim(M, N, gens, d)
+                        for d in range(window[0], window[1] + 1)})

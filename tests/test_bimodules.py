@@ -54,25 +54,25 @@ def test_frozen_dimensions_a1():
     bm = Bimodules(A1, Weight((2,)), (1,), 0)
     assert bm.window == (-2, 8)
     assert bm.shift_P == 2
-    assert bm.K0.graded_dim_poly() == LaurentPoly(
-        {-2: 1, 0: 3, 2: 4, 4: 4, 6: 4, 8: 4}
-    )
-    assert bm.K1.graded_dim_poly() == bm.K0.graded_dim_poly()
-    assert bm.F.graded_dim_poly() == LaurentPoly({-2: 1, 0: 2, 2: 1})
+    k0 = bm.K0.graded_dim_poly(bm.window)
+    assert k0 == LaurentPoly({-2: 1, 0: 3, 2: 4, 4: 4, 6: 4, 8: 4})
+    assert bm.K1.graded_dim_poly(bm.window) == k0
+    assert bm.F.graded_dim_poly(bm.window) == LaurentPoly({-2: 1, 0: 2, 2: 1})
 
 
 def test_frozen_dimensions_a2():
     bm = Bimodules(A2, Weight((1, 0)), (1, 1), 0)
     assert bm.shift_P == 1
-    assert bm.K0.graded_dim_poly() == LaurentPoly(
+    k0 = bm.K0.graded_dim_poly(bm.window)
+    assert k0 == LaurentPoly(
         {-1: 1, 0: 1, 1: 2, 2: 1, 3: 2, 4: 1, 5: 2, 6: 1, 7: 2, 8: 1}
     )
     # the full quotient upstairs vanishes here, so F is zero and P is
     # an isomorphism after the shift
-    assert not bm.F.graded_dim_poly()
-    shifted = bm.K1.graded_dim_poly().shift(bm.shift_P)
+    assert not bm.F.graded_dim_poly(bm.window)
+    shifted = bm.K1.graded_dim_poly(bm.window).shift(bm.shift_P)
     assert LaurentPoly({d: c for d, c in shifted.coeffs.items()
-                        if d <= bm.window[1]}) == bm.K0.graded_dim_poly()
+                        if d <= bm.window[1]}) == k0
 
 
 def _exactness(bm, degrees):

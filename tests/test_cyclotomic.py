@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from quiverhecke import cyclotomic
 from quiverhecke.cartan import Weight, build_cartan
 from quiverhecke.cyclotomic import (
     CycAlgebra,
@@ -481,13 +482,30 @@ def test_truncation_module_basis_matches_the_window_rule(datum, wt, beta):
     # a cyclotomic module builds quotient blocks only in the nonzero
     # degrees; the reference builds them at every degree of the window
     A = CycAlgebra(datum, wt, beta)
-    seqs = set(A.alive[::2])
+    seqs = A.alive[::2]
     for side, seq_of in (("right", lambda m: m.seq), ("left", left_seq)):
-        M = TruncationModule(side, seqs, None, A)
+        rows, cols = (A.alive, seqs) if side == "right" else (seqs, A.alive)
+        M = TruncationModule(A.space, rows, cols, side,
+                             degrees=A.graded_dims())
         for d in range(A.dmin - 1, A.dmax + 2):
             window = A.quotient_basis(d) if A.dmin <= d <= A.dmax else []
             want = [m for m in window if seq_of(m) in seqs]
             assert M.basis(d) == want, (side, d)
+
+
+@pytest.mark.parametrize("datum,wt,beta", NONZERO_DESK_ALGEBRAS)
+def test_a_live_sequence_declared_dead_fails_at_construction(monkeypatch,
+                                                            datum, wt, beta):
+    # the bounds declare a sequence dead whose idempotent survives in the
+    # quotient; normal forms would silently drop its monomials, so the
+    # construction itself must refuse
+    A = CycAlgebra(datum, wt, beta)
+    live = next(nu for nu in A.alive if A.truncation(nu, nu))
+    alive_seqs = cyclotomic.alive_seqs
+    monkeypatch.setattr(cyclotomic, "alive_seqs", lambda beta, table: tuple(
+        nu for nu in alive_seqs(beta, table) if nu != live))
+    with pytest.raises(AssertionError, match="bounds are wrong"):
+        CycAlgebra(datum, wt, beta)
 
 
 def block_rows(space, d):

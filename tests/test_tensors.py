@@ -1,10 +1,20 @@
 """Graded tensor products over embedded subalgebras, computed as
-coequalizers, against cases with independently known answers."""
+coequalizers, against cases with independently known answers; and the
+free module bases against a reference enumerator."""
 
 from quiverhecke.cartan import Weight, build_cartan
-from quiverhecke.cyclotomic import CycAlgebra
-from quiverhecke.klr import basis_monomials, left_seq, seqs_of
+from quiverhecke.checks import DESK, _betas_upto
+from quiverhecke.cyclotomic import CycAlgebra, free_space
+from quiverhecke.klr import (
+    BasisMonomial,
+    crossing_degree,
+    left_seq,
+    min_tau_degree,
+    seqs_of,
+    weighted_comps,
+)
 from quiverhecke.laurent import LaurentPoly
+from quiverhecke.perms import all_perms, canonical_word
 from quiverhecke.tensors import (
     TruncationModule,
     algebra_gens,
@@ -20,6 +30,65 @@ def ident(elt):
     return elt
 
 
+def basis_monomials(datum, beta, d):
+    """The free basis enumerator that the module classes replaced, kept
+    verbatim as the reference: all basis monomials of R(beta) of degree
+    d, over every right sequence and every permutation, canonically
+    ordered."""
+    n = sum(beta)
+    out = []
+    for seq in seqs_of(beta):
+        weights = [datum.form(i, i) for i in seq]
+        for w in all_perms(n):
+            tdeg = crossing_degree(datum, w, seq)
+            word = canonical_word(w)
+            for exps in weighted_comps(weights, d - tdeg):
+                out.append(BasisMonomial(word, exps, seq))
+    out.sort(key=BasisMonomial.sort_key)
+    return out
+
+
+def free_module(datum, beta, side, seqs, emb=ident):
+    """R(beta) e(seqs) (side "right") or e(seqs) R(beta) (side "left")."""
+    every = seqs_of(beta)
+    rows, cols = (every, seqs) if side == "right" else (seqs, every)
+    return TruncationModule(free_space(datum, beta), rows, cols, side, emb)
+
+
+def quotient_module(alg, side, seqs, emb=ident):
+    """The same truncation of a cyclotomic quotient, in its nonzero
+    degrees."""
+    cut = [nu for nu in alg.alive if nu in seqs]
+    rows, cols = (alg.alive, cut) if side == "right" else (cut, alg.alive)
+    return TruncationModule(alg.space, rows, cols, side, emb,
+                            alg.graded_dims())
+
+
+DESK_DATA = sorted({row[0] for _, _, _, rows in DESK.values()
+                    for row in rows}, key=lambda datum: datum.labels)
+
+
+def test_free_module_bases_match_the_reference_enumerator():
+    # every desk datum and beta of at most three strands, from the least
+    # crossing degree up to degree ten, on both sides, cut to every other
+    # sequence and uncut
+    cases = 0
+    for datum in DESK_DATA:
+        for beta in _betas_upto(datum.rank, 3):
+            seqs = seqs_of(beta)[::2]
+            right = free_module(datum, beta, "right", seqs)
+            left = free_module(datum, beta, "left", seqs)
+            whole = free_module(datum, beta, "right", seqs_of(beta))
+            for d in range(min_tau_degree(datum, beta), 11):
+                ref = basis_monomials(datum, beta, d)
+                assert right.basis(d) == [m for m in ref if m.seq in seqs]
+                assert left.basis(d) == [m for m in ref
+                                         if left_seq(m) in seqs]
+                assert whole.basis(d) == ref
+                cases += 1
+    assert cases == 312
+
+
 def test_algebra_gens_are_homogeneous():
     from quiverhecke.klr import get_engine
 
@@ -30,7 +99,7 @@ def test_algebra_gens_are_homogeneous():
 
 
 def test_left_seq_crosses_colors():
-    m = basis_monomials(A2, (1, 1), 1)[0]
+    m = free_module(A2, (1, 1), "right", seqs_of((1, 1))).basis(1)[0]
     if m.word:
         assert left_seq(m) != m.seq or m.seq[0] == m.seq[1]
 
@@ -40,23 +109,23 @@ def test_free_self_tensor_is_identity():
     # R(beta); the equal-color case makes the crossing generator have
     # negative degree, which the relation scan must still reach
     for datum, beta in ((A2, (1, 1)), (A1, (2,))):
-        cols = set(seqs_of(beta))
-        M = TruncationModule("right", cols, ident, datum=datum, beta=beta)
-        N = TruncationModule("left", cols, ident, datum=datum, beta=beta)
+        cols = seqs_of(beta)
+        M = free_module(datum, beta, "right", cols)
+        N = free_module(datum, beta, "left", cols)
         gens = algebra_gens(datum, beta)
         for d in range(-2, 5):
             want = len(basis_monomials(datum, beta, d))
-            assert tensor_dim(M, N, gens, d, dmax_m=6) == want
+            assert tensor_dim(M, N, gens, d) == want
 
 
 def test_cyclotomic_self_tensor_is_identity():
     alg = CycAlgebra(A1, Weight((2,)), (2,))
-    cols = set(seqs_of((2,)))
-    M = TruncationModule("right", cols, ident, alg)
-    N = TruncationModule("left", cols, ident, alg)
+    cols = seqs_of((2,))
+    M = quotient_module(alg, "right", cols)
+    N = quotient_module(alg, "left", cols)
     gens = algebra_gens(A1, (2,))
     window = (alg.dmin, alg.dmax)
-    got = tensor_dim_poly(M, N, gens, window, dmax_m=alg.dmax)
+    got = tensor_dim_poly(M, N, gens, window)
     assert got == alg.graded_dim_poly()
 
 
@@ -64,11 +133,11 @@ def test_tensor_over_trivial_subalgebra_multiplies_dimensions():
     # acting only through idempotents, the coequalizer is the plain
     # product of graded vector spaces
     alg = CycAlgebra(A1, Weight((2,)), (1,))
-    cols = set(seqs_of((1,)))
-    M = TruncationModule("right", cols, ident, alg)
-    N = TruncationModule("left", cols, ident, alg)
+    cols = seqs_of((1,))
+    M = quotient_module(alg, "right", cols)
+    N = quotient_module(alg, "left", cols)
     idems = [g for g in algebra_gens(A1, (1,)) if g[1] == 0]
-    got = tensor_dim_poly(M, N, idems, (0, 4), dmax_m=alg.dmax)
+    got = tensor_dim_poly(M, N, idems, (0, 4))
     assert got == LaurentPoly({0: 1, 2: 2, 4: 1})
     square = alg.graded_dim_poly() * alg.graded_dim_poly()
     assert got == square
@@ -79,10 +148,10 @@ def test_relations_cut_the_plain_product():
     # of just its idempotents, collapses from the product of dimensions
     # back down to the algebra itself
     alg = CycAlgebra(A1, Weight((2,)), (1,))
-    cols = set(seqs_of((1,)))
-    M = TruncationModule("right", cols, ident, alg)
-    N = TruncationModule("left", cols, ident, alg)
+    cols = seqs_of((1,))
+    M = quotient_module(alg, "right", cols)
+    N = quotient_module(alg, "left", cols)
     gens = algebra_gens(A1, (1,))
-    got = tensor_dim_poly(M, N, gens, (0, 4), dmax_m=alg.dmax)
+    got = tensor_dim_poly(M, N, gens, (0, 4))
     assert got == alg.graded_dim_poly()
     assert got == LaurentPoly({0: 1, 2: 1})
