@@ -110,15 +110,40 @@ def cmd_basis(args):
 # -- cyclotomic and compare --------------------------------------------
 
 
+# the JSON type of each field of CycAlgebra.summary(): [t] is a list of
+# t, {str: t} a dict of t, and {int: t} one keyed by written integers
+_SUMMARY_TYPES = {
+    "labels": [str], "levels": [int], "beta": [int], "window": [int],
+    "window_bound": int, "nilpotency": [{str: int}], "alive": [str],
+    "zero": bool, "graded_dim": {int: int}, "total_dim": int,
+    "truncations": {str: {int: int}},
+}
+
+
+def _typed(value, kind) -> bool:
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(_typed(v, kind[0])
+                                               for v in value)
+    if isinstance(kind, dict):
+        (key, inner), = kind.items()
+        return isinstance(value, dict) and all(
+            isinstance(k, str) and (key is str or
+                                    k.removeprefix("-").isdecimal())
+            and _typed(v, inner) for k, v in value.items())
+    return type(value) is kind
+
+
 def _summary_for(cfg, beta, cache):
     """Fetch or compute the summary payload for one root space.  A cache
     entry counts as a hit only when it is a dict with exactly the fields
-    of CycAlgebra.summary(); any other entry is recomputed and
-    overwritten."""
+    of CycAlgebra.summary(), each of its type; any other entry is
+    recomputed and overwritten."""
     key = summary_key(cfg.datum, cfg.qspec, cfg.weight, beta)
     if cache is not None:
         hit = cache.get(key)
-        if isinstance(hit, dict) and set(hit) == set(CycAlgebra.SUMMARY_KEYS):
+        if (isinstance(hit, dict)
+                and set(hit) == set(CycAlgebra.SUMMARY_KEYS)
+                and all(_typed(hit[k], t) for k, t in _SUMMARY_TYPES.items())):
             return hit
     alg = CycAlgebra(cfg.datum, cfg.weight, beta, cfg.qspec)
     payload = alg.summary()

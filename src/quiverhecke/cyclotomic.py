@@ -32,7 +32,8 @@ checks that the monic last-strand relation lies in the ideal and bounds
 the top degree by recursion down the tower; the `categorification`
 suite checks it against every nonzero quotient it builds.  Modules
 over an IdealSpace, free, cyclotomic or one-sided, are
-`tensors.TruncationModule`s.
+`tensors.TruncationModule`s; `CycAlgebra.module` cuts one to alive
+sequences, and `CycAlgebra.corner` counts it by certified scans.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from .laurent import LaurentPoly
 from .linalg import SubspaceBasis, span_basis
 from .perms import act_on_seq, all_perms, apply_word, canonical_word
 from .qpolys import QSpec
+from .tensors import TruncationModule
 
 __all__ = [
     "CertificationError",
@@ -546,21 +548,34 @@ class CycAlgebra:
     def graded_dim_poly(self) -> LaurentPoly:
         return LaurentPoly(self.graded_dims())
 
-    def truncation(self, mu, nu) -> LaurentPoly:
-        """Graded dimension of e(mu) R^Lambda(beta) e(nu)."""
-        mu = tuple(mu)
-        nu = tuple(nu)
-        if self._zero or mu not in self.alive or nu not in self.alive:
-            return LaurentPoly.zero()
-        space = self.space
-        top = max(
-            crossing_degree(self.datum, w, nu)
-            for w in space.transporter(nu, mu)
-        )
-        step = max((self.datum.form(i, i) for i in nu), default=1)
-        return LaurentPoly(scan_until_vanishing(
-            lambda d: len(space.block_basis(mu, nu, d)),
-            self.dmin, self.dmax, top, step))
+    def _cut(self, seqs):
+        """The alive sequences among seqs, in the order of `alive`."""
+        seqs = set(map(tuple, seqs))
+        return [nu for nu in self.alive if nu in seqs]
+
+    def corner(self, rows, cols) -> LaurentPoly:
+        """Graded dimension of the sum of the blocks e(lam) R^Lambda(beta)
+        e(mu) over alive lam in rows and mu in cols, each certified by its
+        own scan of the window."""
+        total = LaurentPoly.zero()
+        if self._zero:
+            return total
+        for lam in self._cut(rows):
+            for mu in self._cut(cols):
+                top = max(crossing_degree(self.datum, w, mu)
+                          for w in self.space.transporter(mu, lam))
+                step = max((self.datum.form(i, i) for i in mu), default=1)
+                total += LaurentPoly(scan_until_vanishing(
+                    lambda d, lam=lam, mu=mu: len(
+                        self.space.block_basis(lam, mu, d)),
+                    self.dmin, self.dmax, top, step))
+        return total
+
+    def module(self, rows, cols, side, emb) -> TruncationModule:
+        """The blocks of `corner` as a module, built only in the nonzero
+        degrees of the quotient."""
+        return TruncationModule(self.space, self._cut(rows), self._cut(cols),
+                                side, emb, self.graded_dims())
 
     def quotient_basis(self, d: int):
         """Monomials spanning degree d of the quotient: non-pivot columns
@@ -580,18 +595,16 @@ class CycAlgebra:
     def summary(self) -> dict:
         """JSON-ready description of the computed algebra."""
         dims = self.graded_dims()
+
+        def name(seq):
+            return ",".join(str(self.datum.labels[i]) for i in seq)
+
         truncs = {}
         for mu in self.alive:
             for nu in self.alive:
-                t = self.truncation(mu, nu)
+                t = self.corner([mu], [nu])
                 if t:
-                    key = "|".join(
-                        (
-                            ",".join(str(self.datum.labels[i]) for i in mu),
-                            ",".join(str(self.datum.labels[i]) for i in nu),
-                        )
-                    )
-                    truncs[key] = t.to_json()
+                    truncs[name(mu) + "|" + name(nu)] = t.to_json()
         return {
             "labels": list(map(str, self.datum.labels)),
             "levels": list(self.weight.levels),
@@ -602,10 +615,7 @@ class CycAlgebra:
                 {str(self.datum.labels[i]): v for i, v in row.items()}
                 for row in self.table
             ],
-            "alive": [
-                ",".join(str(self.datum.labels[i]) for i in nu)
-                for nu in self.alive
-            ],
+            "alive": [name(nu) for nu in self.alive],
             "zero": self.is_zero(),
             "graded_dim": {str(d): v for d, v in sorted(dims.items())},
             "total_dim": sum(dims.values()),

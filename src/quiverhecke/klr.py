@@ -5,8 +5,8 @@ permutation w (stored as its lexicographically minimal reduced word),
 a tuple of polynomial exponents, and a color sequence nu of label
 indices.  Products are rewritten into this basis by a recursive engine
 whose only real work is multiplying a basis monomial by one crossing
-on the right; everything else (general products, the antiautomorphism
-psi, intertwiners) reduces to that.
+on the right; everything else (general products, intertwiners) reduces
+to that.
 
 The rewriting recursion terminates because every correction term that
 the quadratic or braid relation produces involves at least two fewer
@@ -169,12 +169,6 @@ class KLR:
     def gen_tau(self, k: int, seq) -> dict:
         return {BasisMonomial((k,), self._zero_exps, tuple(seq)): Fraction(1)}
 
-    def one(self, seqs) -> dict:
-        out = {}
-        for seq in seqs:
-            out[BasisMonomial((), self._zero_exps, tuple(seq))] = Fraction(1)
-        return out
-
     # ---- core rewriting ---------------------------------------------
 
     def right_mult_tau(self, E: dict, k: int) -> dict:
@@ -293,7 +287,7 @@ class KLR:
                 _add(out, BasisMonomial(m.word, bumped, m.seq), c * t)
         return out
 
-    def right_mult_x(self, E: dict, m_pos: int, power: int = 1) -> dict:
+    def right_mult_x(self, E: dict, m_pos: int, power: int) -> dict:
         out = {}
         for m, c in E.items():
             b = list(m.exps)
@@ -318,17 +312,6 @@ class KLR:
             for m, c in E.items():
                 bumped = tuple(a + b for a, b in zip(m.exps, m2.exps))
                 _add(out, BasisMonomial(m.word, bumped, m.seq), c * c2)
-        return out
-
-    def psi(self, E: dict) -> dict:
-        """The antiautomorphism fixing e(nu), x_m, tau_k."""
-        out = {}
-        for m, c in E.items():
-            cur = {BasisMonomial((), m.exps, m.seq): c}
-            for k in reversed(m.word):
-                cur = self.right_mult_tau(cur, k)
-            for m2, c2 in cur.items():
-                _add(out, m2, c2)
         return out
 
     # ---- degrees ----------------------------------------------------

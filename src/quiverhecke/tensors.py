@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 
-def algebra_gens(datum, beta, qspec=None):
+def algebra_gens(datum, beta):
     """Generators of the strand algebra R(beta) as (element, degree)
     pairs: all idempotents and their dot and crossing cuts.  The same
     list presents a cyclotomic quotient, whose actions reduce anyway."""

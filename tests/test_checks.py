@@ -12,6 +12,8 @@ from quiverhecke.bimodules import Bimodules
 from quiverhecke.cartan import Weight, build_cartan
 from quiverhecke.checks import (
     CHECKS,
+    Report,
+    _compare,
     check_categorification,
     check_convolution,
     check_exact,
@@ -23,7 +25,10 @@ from quiverhecke.checks import (
     run_check,
     run_timed,
 )
-from quiverhecke.cyclotomic import CertificationError, CycAlgebra
+from quiverhecke.cyclotomic import CertificationError, CycAlgebra, IdealSpace
+from quiverhecke.klr import BasisMonomial, crossing_degree, weighted_comps
+from quiverhecke.laurent import LaurentPoly
+from quiverhecke.perms import canonical_word
 
 A1 = build_cartan(("0",), [[2]])
 A2 = build_cartan(("1", "2"), [[2, -1], [-1, 2]])
@@ -174,3 +179,58 @@ def test_a_broken_dead_sequence_bound_reports_an_error(monkeypatch):
     assert rep.inputs == {"labels": ["0"], "levels": [2], "beta": [1],
                           "i": 0}
     assert [w["type"] for w in rep.witness] == ["AssertionError"]
+
+
+def test_compare_fails_at_the_first_differing_degree():
+    rep = Report("x", {})
+    lhs = LaurentPoly({0: 1, 1: 2, 2: 3})
+    rhs = LaurentPoly({0: 1, 1: 5, 2: 4, 7: 1})
+    assert _compare(rep, lhs, rhs, range(-1, 1), "same") is True
+    assert rep.status == "pass" and rep.witness == []
+    assert _compare(rep, lhs, rhs, range(-1, 3), "first", nu=[0]) is False
+    assert rep.status == "fail"
+    assert rep.fail_degree == 1
+    assert rep.witness == [{"kind": "counterexample", "degree": 1, "lhs": 2,
+                            "rhs": 5, "identity": "first", "nu": [0]}]
+    # the degrees are walked in the order given
+    assert _compare(rep, lhs, rhs, [7, 2], "second") is False
+    assert rep.witness[-1]["degree"] == 7
+    assert rep.fail_degree == 1
+
+
+def _columns_from_the_transporter_lam_to_mu(self, lam, mu, d):
+    return _mutant_columns(self, lam, mu, d, self.transporter(lam, mu), mu)
+
+
+def _columns_with_the_crossing_degree_on_lam(self, lam, mu, d):
+    return _mutant_columns(self, lam, mu, d, self.transporter(mu, lam), lam)
+
+
+def _mutant_columns(self, lam, mu, d, perms, deg_seq):
+    """IdealSpace.block_columns with its permutations and the sequence
+    its crossing degree is taken on passed in."""
+    datum = self.engine.datum
+    weights = [datum.form(i, i) for i in mu]
+    cols = [BasisMonomial(canonical_word(w), exps, mu) for w in perms
+            for exps in weighted_comps(
+                weights, d - crossing_degree(datum, w, deg_seq))]
+    return sorted(cols, key=BasisMonomial.sort_key)
+
+
+@pytest.mark.parametrize("mutant", [
+    _columns_from_the_transporter_lam_to_mu,
+    _columns_with_the_crossing_degree_on_lam,
+], ids=["transporter-lam-to-mu", "crossing-degree-on-lam"])
+def test_pbw_sees_a_block_enumerated_from_the_wrong_side(monkeypatch,
+                                                         mutant):
+    # summed over all blocks both mutants cancel; block by block they do
+    # not, on the two 3-strand betas of A2 and of affine A1
+    monkeypatch.setattr(IdealSpace, "block_columns", mutant)
+    reports = run_check("pbw")
+    failed = [(r.inputs["labels"], r.inputs["beta"]) for r in reports
+              if r.status == "fail"]
+    assert failed == [(["1", "2"], [1, 2]), (["1", "2"], [2, 1]),
+                      (["0", "1"], [1, 2]), (["0", "1"], [2, 1])]
+    rows = [w for r in reports for w in r.witness]
+    assert {w["identity"] for w in rows} == {"block"}
+    assert len(rows) == 16

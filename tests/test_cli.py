@@ -8,6 +8,7 @@ import pytest
 
 from quiverhecke.cache import Cache, resolve_cache_dir, summary_key
 from quiverhecke.cartan import Weight, build_cartan
+from quiverhecke import cli
 from quiverhecke.cli import main
 from quiverhecke.config import load_config
 from quiverhecke.cyclotomic import CycAlgebra
@@ -332,6 +333,42 @@ def test_wrong_shaped_cache_entry_is_a_miss(cfg_path, tmp_path, capsys,
         # the wrong-shaped entries were overwritten with real summaries
         for key in keys:
             assert set(cache.get(key)) == set(CycAlgebra.SUMMARY_KEYS)
+
+
+def test_summary_types_cover_the_summary_fields():
+    assert set(cli._SUMMARY_TYPES) == set(CycAlgebra.SUMMARY_KEYS)
+
+
+# one field of a well-keyed summary given a value of the wrong type
+WRONG_TYPES = [("graded_dim", "oops"), ("truncations", [1, 2]),
+               ("total_dim", "1"), ("zero", 0), ("levels", [1.0, 0]),
+               ("graded_dim", {"x": 1}), ("truncations", {"1,2|1,2": []}),
+               ("nilpotency", [{"1": True}])]
+
+
+@pytest.mark.parametrize("field,value", WRONG_TYPES,
+                         ids=[f"{f}={v!r}" for f, v in WRONG_TYPES])
+@pytest.mark.parametrize("command", ["cyclotomic", "compare"])
+def test_wrongly_typed_cache_entry_is_a_miss(cfg_path, tmp_path, capsys,
+                                             command, field, value):
+    cfg = load_config(cfg_path)
+    cache_dir = str(tmp_path / "cache")
+    cache = Cache(cache_dir)
+    betas = cfg.require_betas()
+    keys = [summary_key(cfg.datum, cfg.qspec, cfg.weight, beta)
+            for beta in betas]
+    summaries = [CycAlgebra(cfg.datum, cfg.weight, beta, cfg.qspec).summary()
+                 for beta in betas]
+    for fmt in ((), ("--json",)):
+        for key, summary in zip(keys, summaries):
+            cache.put(key, {**summary, field: value})
+        fresh = run(capsys, command, "--config", cfg_path, "--no-cache", *fmt)
+        cached = run(capsys, command, "--config", cfg_path,
+                     "--cache-dir", cache_dir, *fmt)
+        assert cached == fresh
+        assert fresh[0] == 0
+        # the entries were recomputed and overwritten
+        assert [cache.get(key) for key in keys] == summaries
 
 
 def test_cache_interleaved_writers(tmp_path, monkeypatch):

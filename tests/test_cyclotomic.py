@@ -37,7 +37,6 @@ from quiverhecke.perms import (
     canonical_word,
 )
 from quiverhecke.qpolys import QSpec
-from quiverhecke.tensors import TruncationModule
 from quiverhecke.uqmod import UqModule
 
 A1 = build_cartan(("i",), [[2]])
@@ -253,8 +252,8 @@ def test_a2_fundamental_weight():
     A = CycAlgebra(A2, wt, (1, 1))
     assert A.graded_dims() == {0: 1}
     # the single survivor is the e((0,1)) corner
-    assert A.truncation((0, 1), (0, 1)) == LaurentPoly.one()
-    assert A.truncation((1, 0), (1, 0)).is_zero()
+    assert A.corner([(0, 1)], [(0, 1)]) == LaurentPoly.one()
+    assert A.corner([(1, 0)], [(1, 0)]).is_zero()
     assert CycAlgebra(A2, wt, (2, 0)).is_zero()
     assert CycAlgebra(A2, wt, (2, 1)).is_zero()
 
@@ -314,7 +313,7 @@ def test_truncations_match_module_cornerwise():
     A = CycAlgebra(A2, Weight((1, 1)), (1, 1))
     for mu in seqs_of((1, 1)):
         for nu in seqs_of((1, 1)):
-            assert A.truncation(mu, nu) == V.predicted_dim((1, 1), mu, nu)
+            assert A.corner([mu], [nu]) == V.predicted_dim((1, 1), mu, nu)
 
 
 # ---- misc interface -------------------------------------------------
@@ -457,7 +456,7 @@ def assert_early_exits_match(A: CycAlgebra):
     ]
     for mu in A.alive:
         for nu in A.alive:
-            assert A.truncation(mu, nu).coeffs == reference_dims(A, [(mu, nu)])
+            assert A.corner([mu], [nu]).coeffs == reference_dims(A, [(mu, nu)])
 
 
 @pytest.mark.parametrize("datum,wt,beta", NONZERO_DESK_ALGEBRAS)
@@ -480,13 +479,14 @@ def test_zero_desk_algebra_is_zero():
 @pytest.mark.parametrize("datum,wt,beta", NONZERO_DESK_ALGEBRAS)
 def test_truncation_module_basis_matches_the_window_rule(datum, wt, beta):
     # a cyclotomic module builds quotient blocks only in the nonzero
-    # degrees; the reference builds them at every degree of the window
+    # degrees and cuts its sequences to alive ones; the reference builds
+    # alive blocks at every degree of the window
     A = CycAlgebra(datum, wt, beta)
     seqs = A.alive[::2]
+    every = seqs_of(A.beta)
     for side, seq_of in (("right", lambda m: m.seq), ("left", left_seq)):
-        rows, cols = (A.alive, seqs) if side == "right" else (seqs, A.alive)
-        M = TruncationModule(A.space, rows, cols, side,
-                             degrees=A.graded_dims())
+        rows, cols = (every, seqs) if side == "right" else (seqs, every)
+        M = A.module(rows, cols, side, None)
         for d in range(A.dmin - 1, A.dmax + 2):
             window = A.quotient_basis(d) if A.dmin <= d <= A.dmax else []
             want = [m for m in window if seq_of(m) in seqs]
@@ -500,7 +500,7 @@ def test_a_live_sequence_declared_dead_fails_at_construction(monkeypatch,
     # quotient; normal forms would silently drop its monomials, so the
     # construction itself must refuse
     A = CycAlgebra(datum, wt, beta)
-    live = next(nu for nu in A.alive if A.truncation(nu, nu))
+    live = next(nu for nu in A.alive if A.corner([nu], [nu]))
     alive_seqs = cyclotomic.alive_seqs
     monkeypatch.setattr(cyclotomic, "alive_seqs", lambda beta, table: tuple(
         nu for nu in alive_seqs(beta, table) if nu != live))

@@ -30,6 +30,24 @@ CASES = [
 ]
 
 
+def unit(seqs):
+    """The sum of the idempotents e(seq) over seqs."""
+    return {BasisMonomial((), (0,) * len(seq), tuple(seq)): Fraction(1)
+            for seq in seqs}
+
+
+def psi(eng, E: dict) -> dict:
+    """The antiautomorphism fixing e(nu), x_m, tau_k."""
+    out = {}
+    for m, c in E.items():
+        cur = {BasisMonomial((), m.exps, m.seq): c}
+        for k in reversed(m.word):
+            cur = eng.right_mult_tau(cur, k)
+        for m2, c2 in cur.items():
+            out[m2] = out.get(m2, 0) + c2
+    return {m: c for m, c in out.items() if c}
+
+
 def engine(datum, qspec, n=3):
     return get_engine(datum, n, qspec)
 
@@ -69,7 +87,7 @@ def test_idempotents(datum, qspec):
         assert eng.multiply(e, e) == e
     mu, nu = all_seqs[0], all_seqs[-1]
     assert eng.multiply(eng.idempotent(mu), eng.idempotent(nu)) == {}
-    one = eng.one(all_seqs)
+    one = unit(all_seqs)
     x = eng.gen_x(1, all_seqs[2])
     assert eng.multiply(one, x) == x
     assert eng.multiply(x, one) == x
@@ -221,26 +239,27 @@ def test_psi_antihomomorphism(datum, qspec):
     for _ in range(10):
         a = random_element(eng, rng, all_seqs)
         b = random_element(eng, rng, all_seqs)
-        assert eng.psi(eng.multiply(a, b)) == eng.multiply(eng.psi(b), eng.psi(a))
-        assert eng.psi(eng.psi(a)) == a
+        assert psi(eng, eng.multiply(a, b)) == eng.multiply(psi(eng, b),
+                                                            psi(eng, a))
+        assert psi(eng, psi(eng, a)) == a
 
 
 def test_psi_fixes_generators():
     eng = get_engine(A2, 3)
     all_seqs = seqs(A2)
     for nu in all_seqs:
-        assert eng.psi(eng.idempotent(nu)) == eng.idempotent(nu)
+        assert psi(eng, eng.idempotent(nu)) == eng.idempotent(nu)
         for m in range(3):
-            assert eng.psi(eng.gen_x(m, nu)) == eng.gen_x(m, nu)
+            assert psi(eng, eng.gen_x(m, nu)) == eng.gen_x(m, nu)
         for k in range(2):
             # on one block psi flips the idempotent across the crossing
             snu = nu[:k] + (nu[k + 1], nu[k]) + nu[k + 2 :]
-            assert eng.psi(eng.gen_tau(k, nu)) == eng.gen_tau(k, snu)
+            assert psi(eng, eng.gen_tau(k, nu)) == eng.gen_tau(k, snu)
     for k in range(2):
         total = {}
         for nu in all_seqs:
             total.update(eng.gen_tau(k, nu))
-        assert eng.psi(total) == total
+        assert psi(eng, total) == total
 
 
 @pytest.mark.parametrize("datum,qspec", CASES)

@@ -22,29 +22,48 @@ ALLOWED = {
 }
 
 
-def _names(node):
-    """Count of every name and attribute read in node."""
-    return Counter(n.id if isinstance(n, ast.Name) else n.attr
-                   for n in ast.walk(node)
-                   if isinstance(n, (ast.Name, ast.Attribute)))
+def _reads(node):
+    """Counts of the bare names and of the attribute names read in node.
+    A store, such as a local variable, reads nothing."""
+    names, attrs = Counter(), Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            names[n.id] += 1
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            attrs[n.attr] += 1
+    return names, attrs
+
+
+def _uses(reads, name, method):
+    """A method is used only through an attribute read; a function or a
+    class through either read."""
+    names, attrs = reads
+    return attrs[name] + (0 if method else names[name])
 
 
 def unreferenced_defs(root):
     """(file, name) of each def or class, dunder methods aside, that no
-    code under root names outside its own body.  An import alone is not a
+    code under root reads outside its own body.  An import alone is not a
     reference."""
     trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
              for p in sorted(root.glob("*.py"))}
-    total = sum((_names(t) for t in trees.values()), Counter())
+    total = (Counter(), Counter())
+    for tree in trees.values():
+        for count, more in zip(total, _reads(tree)):
+            count.update(more)
     out = []
     for fname, tree in trees.items():
+        methods = {id(item) for node in ast.walk(tree)
+                   if isinstance(node, ast.ClassDef) for item in node.body}
         for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                      ast.ClassDef)):
                 continue
             if node.name.startswith("__") and node.name.endswith("__"):
                 continue
-            if total[node.name] == _names(node)[node.name]:
+            method = id(node) in methods
+            if (_uses(total, node.name, method)
+                    == _uses(_reads(node), node.name, method)):
                 out.append((fname, node.name))
     return out
 
