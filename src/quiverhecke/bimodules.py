@@ -12,7 +12,8 @@ denominators of K0 and K1 are restricted chain families, and that such a
 family spans the intended one-sided ideal follows from the coset
 decomposition of the embedded subalgebra, which the test suite checks
 bilinearly on small cases.  On one strand both families are empty, and
-K0 and K1 are free column spaces.
+K0 and K1 are free column spaces.  F is the corner R^Lambda(beta+alpha_i)
+e(beta, i), a `CycAlgebra.module` built in its nonzero degrees only.
 
 On top of the modules sit the comparison maps P, pi, Q and the phi
 endomorphism coefficients computed two independent ways (a linear solve
@@ -25,11 +26,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cartan import CartanDatum, Weight
-from .cyclotomic import (CycAlgebra, IdealSpace, degree_cap, free_space,
-                         get_ideal_space)
+from .cyclotomic import CycAlgebra, IdealSpace, free_space
 from .klr import BasisMonomial, get_engine, left_seq, min_tau_degree, seqs_of
 from .linalg import SubspaceBasis
-from .qpolys import QSpec
+from .qpolys import QSpec, poly_product
 from .tensors import TruncationModule
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "emb_last",
     "first_strand_chains",
     "shifted_strand_chains",
-    "default_window",
 ]
 
 
@@ -76,15 +75,6 @@ def shifted_strand_chains(N: int):
     return tuple((1, tuple(range(1, a + 1))) for a in range(N - 1))
 
 
-def default_window(datum, weight, beta_hat, qspec=None):
-    """Degree window for bimodule comparisons: from the least crossing
-    degree up to the quotient bound on beta_hat plus one extra
-    polynomial step."""
-    pad = 2 * max(datum.form(i, i) for i in range(datum.rank))
-    top = degree_cap(datum, weight, beta_hat, qspec)[1] + pad
-    return (min_tau_degree(datum, beta_hat), top)
-
-
 class Bimodules:
     """The modules K0, K1, F for one (weight, beta, i) and their maps.
 
@@ -108,7 +98,11 @@ class Bimodules:
         self.qspec = qspec
         self.engine = get_engine(datum, self.N, qspec)
         self.sub_engine = get_engine(datum, self.n, qspec)
-        self.window = default_window(datum, weight, self.beta_hat, qspec)
+        hat = CycAlgebra(datum, weight, self.beta_hat, qspec)
+        # up to the quotient bound plus one extra polynomial step
+        pad = 2 * max(datum.form(j, j) for j in range(datum.rank))
+        self.window = (min_tau_degree(datum, self.beta_hat),
+                       hat.dmax_bound + pad)
         seqs = seqs_of(self.beta)
         rows = seqs_of(self.beta_hat)
         cols0 = [s + (i,) for s in seqs]
@@ -119,8 +113,7 @@ class Bimodules:
         self.K1 = TruncationModule(IdealSpace(
             self.engine, weight, self.beta_hat, shifted_strand_chains(self.N)),
             rows, cols1)
-        self.F = TruncationModule(
-            get_ideal_space(datum, weight, self.beta_hat, qspec), rows, cols0)
+        self.F = hat.module(rows, cols0)
         # the free R(beta) e(nu), nu ending in i, for phi_by_chase
         self.ends_in_i = TruncationModule(
             free_space(datum, self.beta, qspec), seqs,
@@ -212,12 +205,6 @@ class Bimodules:
                 total[m] = total.get(m, 0) + c
         return {m: c for m, c in total.items() if c}
 
-    def _sub_quotient_basis(self):
-        """Quotient basis monomials of R^Lambda(beta) with their degrees,
-        over the nonzero degrees only."""
-        return [(m, d) for d in sorted(self.sub.graded_dims())
-                for m in self.sub.quotient_basis(d)]
-
     def phi_by_chase(self, k: int):
         """Decompose u_k against the direct sum image(tensor part) +
         polynomial part inside e(beta, i)K0.
@@ -238,7 +225,7 @@ class Bimodules:
             raise AssertionError("inhomogeneous decomposition target")
         D = degs.pop()
         d_ii = self.datum.form(i, i)
-        qbasis = self._sub_quotient_basis()
+        qbasis = self.sub.basis()
         sb = SubspaceBasis(keyfunc=BasisMonomial.sort_key, track=True)
         tags = []
         # polynomial family: emb(q) x_last^j
@@ -293,53 +280,20 @@ class Bimodules:
         <h_i, lambda> + 2p."""
         i = self.i
         pref = Fraction(-1) ** self.beta[i] / self.gamma_inverse()
-        out = {}
-        for nu in seqs_of(self.beta):
-            # t is the added first strand: its exponent is the t power
-            poly = self.qspec.strand_poly(self.weight.level(i), (i,) + nu, 0)
-            for e, c in poly.items():
-                m = BasisMonomial((), e[1:], nu)
-                slot = out.setdefault(e[0], {})
-                slot[m] = slot.get(m, 0) + c * pref
-        cleaned = {}
-        for j, slot in out.items():
-            red = self.sub.nf({m: c for m, c in slot.items() if c})
-            if red:
-                cleaned[j] = red
-        return cleaned
+        # t is the added first strand: its exponent is the t power
+        return _t_slots(self.sub, (
+            (nu, self.qspec.strand_poly(self.weight.level(i), (i,) + nu, 0))
+            for nu in seqs_of(self.beta)), pref)
 
     def _tpoly_s(self):
         """S = sum over nu of prod over a with nu_a = i of (t - x_a)^2
         e(nu): the monic central annihilator denominator."""
-        i = self.i
-        out = {}
-        for nu in seqs_of(self.beta):
-            terms = [({}, 0, Fraction(1))]
-            for a, c in enumerate(nu):
-                if c != i:
-                    continue
-                new = []
-                # (t - x_a)^2 = t^2 - 2 t x_a + x_a^2
-                for (dx, dt, cf) in ((0, 2, Fraction(1)), (1, 1, Fraction(-2)), (2, 0, Fraction(1))):
-                    for exps, jt, coeff in terms:
-                        e = dict(exps)
-                        if dx:
-                            e[a] = e.get(a, 0) + dx
-                        new.append((e, jt + dt, coeff * cf))
-                terms = new
-            for exps, jt, coeff in terms:
-                ev = [0] * self.n
-                for pos, val in exps.items():
-                    ev[pos] = val
-                m = BasisMonomial((), tuple(ev), nu)
-                slot = out.setdefault(jt, {})
-                slot[m] = slot.get(m, 0) + coeff
-        cleaned = {}
-        for j, slot in out.items():
-            red = self.sub.nf({m: c for m, c in slot.items() if c})
-            if red:
-                cleaned[j] = red
-        return cleaned
+        # t first, then x_a at a + 1: (t - x_a)^2 = t^2 - 2 t x_a + x_a^2
+        return _t_slots(self.sub, (
+            (nu, poly_product([0] * (self.n + 1), (
+                [({0: 2}, 1), ({0: 1, a + 1: 1}, -2), ({a + 1: 2}, 1)]
+                for a, c in enumerate(nu) if c == self.i)))
+            for nu in seqs_of(self.beta)), Fraction(1))
 
     def phi_by_division(self, k: int):
         """phi_k as gamma^-1 times the quotient of t^k F by the monic S,
@@ -388,3 +342,21 @@ class Bimodules:
                 if val:
                     flat[(j, m)] = val
         return flat
+
+
+def _t_slots(sub: CycAlgebra, polys, scale=1) -> dict:
+    """Polynomials in t over R^Lambda(beta), given as (nu, {(t power, dot
+    exponents...): coeff}) pairs, as {t power: element of sub} with each
+    slot scaled by `scale` and reduced, and zero slots dropped."""
+    out = {}
+    for nu, poly in polys:
+        for e, c in poly.items():
+            m = BasisMonomial((), e[1:], nu)
+            slot = out.setdefault(e[0], {})
+            slot[m] = slot.get(m, 0) + c * scale
+    cleaned = {}
+    for j, slot in out.items():
+        red = sub.nf({m: c for m, c in slot.items() if c})
+        if red:
+            cleaned[j] = red
+    return cleaned

@@ -5,8 +5,9 @@ symmetrizer, coefficient polynomial table, weight levels, and the root
 beta, plus a schema version so stale payload layouts are never reused,
 and an engine revision so payloads computed by an older engine are never
 served after the engine changes.
-The cache only ever stores finished summary payloads, so a hit and a
-recomputation produce identical output.
+The cache only ever stores finished summary payloads, each next to the
+key it was stored under so that an entry copied to another key is a
+miss; a hit and a recomputation produce identical output.
 
 The cache directory is resolved from, in order: an explicit argument
 (the --cache-dir flag), the QUIVERHECKE_CACHE_DIR environment variable,

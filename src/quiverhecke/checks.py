@@ -399,7 +399,7 @@ def check_phi(datum, weight, beta, i, kmax=4, qspec=None):
     rep.inputs["pairing"] = lvl
     unit = {}
     if not sub_zero:
-        for m, d in bim._sub_quotient_basis():
+        for m, d in bim.sub.basis():
             if d == 0 and not m.word and not any(m.exps):
                 unit[m] = Fraction(1)
     prev = None

@@ -81,7 +81,7 @@ def cmd_basis(args):
         cap = 10
     out = []
     for beta in betas:
-        lo = min_tau_degree(cfg.datum, beta) if sum(beta) else 0
+        lo = min_tau_degree(cfg.datum, beta)
         seqs = seqs_of(beta)
         free = TruncationModule(free_space(cfg.datum, beta), seqs, seqs)
         out.append((beta, free.graded_dim_poly((lo, cap)).coeffs))
@@ -135,12 +135,16 @@ def _typed(value, kind) -> bool:
 
 def _summary_for(cfg, beta, cache):
     """Fetch or compute the summary payload for one root space.  A cache
-    entry counts as a hit only when it is a dict with exactly the fields
-    of CycAlgebra.summary(), each of its type; any other entry is
-    recomputed and overwritten."""
+    entry is {"key": key, "summary": payload}.  It counts as a hit only
+    when it carries the key it is stored under and its payload is a dict
+    with exactly the fields of CycAlgebra.summary(), each of its type;
+    any other entry, such as a bare payload or one copied from another
+    key, is recomputed and overwritten."""
     key = summary_key(cfg.datum, cfg.qspec, cfg.weight, beta)
     if cache is not None:
-        hit = cache.get(key)
+        entry = cache.get(key)
+        hit = (entry.get("summary") if isinstance(entry, dict)
+               and entry.get("key") == key else None)
         if (isinstance(hit, dict)
                 and set(hit) == set(CycAlgebra.SUMMARY_KEYS)
                 and all(_typed(hit[k], t) for k, t in _SUMMARY_TYPES.items())):
@@ -148,7 +152,7 @@ def _summary_for(cfg, beta, cache):
     alg = CycAlgebra(cfg.datum, cfg.weight, beta, cfg.qspec)
     payload = alg.summary()
     if cache is not None:
-        cache.put(key, payload)
+        cache.put(key, {"key": key, "summary": payload})
     return payload
 
 

@@ -18,7 +18,7 @@ exact and small:
 * A degree window is fixed before anything big is computed: its bottom
   is the least crossing degree and its top a bound from per-strand
   nilpotency degrees, so the quotient vanishes outside it (see
-  `degree_cap`).  Graded scans inside the window stop early at a run of
+  `CycAlgebra`).  Graded scans inside the window stop early at a run of
   zero degrees above every crossing degree that is as long as the
   largest dot degree: past such a run the quotient is certified to
   vanish (see `scan_until_vanishing`).
@@ -32,8 +32,9 @@ checks that the monic last-strand relation lies in the ideal and bounds
 the top degree by recursion down the tower; the `categorification`
 suite checks it against every nonzero quotient it builds.  Modules
 over an IdealSpace, free, cyclotomic or one-sided, are
-`tensors.TruncationModule`s; `CycAlgebra.module` cuts one to alive
-sequences, and `CycAlgebra.corner` counts it by certified scans.
+`tensors.TruncationModule`s.  `CycAlgebra`, the one way into a
+quotient, keeps its own basis as one; its `module` cuts one to alive
+sequences, and its `corner` counts blocks by certified scans.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ __all__ = [
     "min_power_in_ideal",
     "nilpotency_table",
     "alive_seqs",
-    "degree_cap",
     "certified_cap",
     "full_ideal_chains",
     "scan_until_vanishing",
@@ -161,37 +161,6 @@ def alive_seqs(beta, table):
         if all(table[pos][i] > 0 for pos, i in enumerate(seq)):
             out.append(seq)
     return tuple(out)
-
-
-def degree_cap(datum, weight, beta, qspec=None):
-    """Degree window (dmin, dmax) from the nilpotency table alone.
-
-    dmin is the least crossing degree over alive sequences; dmax adds the
-    largest polynomial part allowed by the per-strand bounds.  An empty
-    window (0, -1) signals that every sequence is dead.
-    """
-    if qspec is None:
-        qspec = QSpec.standard(datum)
-    table = nilpotency_table(datum, weight, beta, qspec)
-    return _table_window(datum, table, alive_seqs(beta, table))
-
-
-def _table_window(datum, table, alive):
-    """The window of `degree_cap`, from a nilpotency table and its alive
-    sequences."""
-    if not alive:
-        return (0, -1)
-    dmin = 0
-    dmax = 0
-    perms = all_perms(len(alive[0]))
-    for seq in alive:
-        taus = [crossing_degree(datum, w, seq) for w in perms]
-        poly = sum(
-            (table[pos][i] - 1) * datum.form(i, i) for pos, i in enumerate(seq)
-        )
-        dmin = min(dmin, min(taus))
-        dmax = max(dmax, max(taus) + poly)
-    return (dmin, dmax)
 
 
 def full_ideal_chains(n):
@@ -343,16 +312,6 @@ class IdealSpace:
     def contains(self, E: dict) -> bool:
         return not self.reduce(E)
 
-    def quotient_basis(self, pairs, d):
-        """Non-pivot columns of the blocks (lam, mu, d) over the given
-        (lam, mu) pairs, in canonical order: a basis of degree d of the
-        sum of those blocks modulo the span."""
-        out = []
-        for lam, mu in pairs:
-            out.extend(self.block_basis(lam, mu, d))
-        out.sort(key=BasisMonomial.sort_key)
-        return out
-
 
 def free_space(datum, beta, qspec=None) -> IdealSpace:
     """R(beta) as the IdealSpace of the empty chain family.  Free spaces
@@ -500,8 +459,19 @@ class CycAlgebra:
         self.engine = self.space.engine
         self.table = nilpotency_table(datum, weight, self.beta, qspec)
         self.alive = alive_seqs(self.beta, self.table)
-        self.dmin, self.dmax = _table_window(datum, self.table, self.alive)
+        # The window: the least crossing degree of an alive sequence up to
+        # the largest plus the largest polynomial part the nilpotency
+        # bounds allow; (0, -1) when every sequence is dead.
+        perms = all_perms(self.n)
+        taus = [[crossing_degree(datum, w, nu) for w in perms]
+                for nu in self.alive]
+        polys = [sum((self.table[pos][i] - 1) * datum.form(i, i)
+                     for pos, i in enumerate(nu)) for nu in self.alive]
+        self.dmin = min((min(t) for t in taus), default=0)
+        self.dmax = max((max(t) + p for t, p in zip(taus, polys)), default=-1)
         self.dmax_bound = self.dmax
+        # the largest crossing degree, the `top` of the graded scan
+        self._top = max((max(t) for t in taus), default=0)
         # Each dead idempotent must lie in the ideal; as the ideal is
         # two-sided, nf then drops every monomial on a dead sequence.
         for nu in self.space.seqs:
@@ -517,33 +487,32 @@ class CycAlgebra:
         )
         if self._zero:
             self.dmin, self.dmax = 0, -1
-        self._dims = {}
+        self._whole = TruncationModule(
+            self.space, () if self._zero else self.alive, self.alive)
 
-    # -- dimensions ----------------------------------------------------
+    # -- dimensions and bases ------------------------------------------
+
+    def quotient_basis(self, d: int):
+        """Monomials spanning degree d of the quotient: non-pivot columns
+        of every alive block, in canonical order."""
+        return self._whole.basis(d)
 
     def dim_at(self, d: int) -> int:
-        if self._zero:
-            return 0
-        hit = self._dims.get(d)
-        if hit is not None:
-            return hit
-        total = sum(len(self.space.block_basis(lam, mu, d))
-                    for lam in self.alive for mu in self.alive)
-        self._dims[d] = total
-        return total
+        return len(self.quotient_basis(d))
 
     def graded_dims(self) -> dict:
-        if self._zero:
-            return {}
-        perms = all_perms(self.n)
-        top = max(
-            crossing_degree(self.datum, w, nu) for nu in self.alive for w in perms
-        )
         # With no strands there is nothing above degree top; any step works.
         step = max(
             (self.datum.form(i, i) for nu in self.alive for i in nu), default=1
         )
-        return scan_until_vanishing(self.dim_at, self.dmin, self.dmax, top, step)
+        return scan_until_vanishing(self.dim_at, self.dmin, self.dmax,
+                                    self._top, step)
+
+    def basis(self):
+        """The quotient's basis as (monomial, degree) pairs, degree by
+        degree over the nonzero degrees in ascending order."""
+        return [(m, d) for d in sorted(self.graded_dims())
+                for m in self.quotient_basis(d)]
 
     def graded_dim_poly(self) -> LaurentPoly:
         return LaurentPoly(self.graded_dims())
@@ -571,19 +540,11 @@ class CycAlgebra:
                     self.dmin, self.dmax, top, step))
         return total
 
-    def module(self, rows, cols, side, emb) -> TruncationModule:
+    def module(self, rows, cols, side=None, emb=None) -> TruncationModule:
         """The blocks of `corner` as a module, built only in the nonzero
         degrees of the quotient."""
         return TruncationModule(self.space, self._cut(rows), self._cut(cols),
                                 side, emb, self.graded_dims())
-
-    def quotient_basis(self, d: int):
-        """Monomials spanning degree d of the quotient: non-pivot columns
-        of every alive block, in canonical order."""
-        if self._zero:
-            return []
-        return self.space.quotient_basis(
-            ((lam, mu) for lam in self.alive for mu in self.alive), d)
 
     def nf(self, E: dict) -> dict:
         """Normal form modulo the ideal."""

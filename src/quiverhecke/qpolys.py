@@ -15,7 +15,25 @@ from fractions import Fraction
 
 from .cartan import CartanDatum
 
-__all__ = ["QSpec"]
+__all__ = ["QSpec", "poly_product"]
+
+
+def poly_product(base, factors) -> dict:
+    """x^base times the product of `factors`, as {exponent tuple: coeff}.
+    Each factor is a list of (shift, coeff) terms, a shift {position:
+    exponent} standing for a monomial; zero coefficients are dropped."""
+    poly = {tuple(base): 1}
+    for factor in factors:
+        nxt = {}
+        for e, c in poly.items():
+            for shift, t in factor:
+                e2 = list(e)
+                for pos, k in shift.items():
+                    e2[pos] += k
+                e2 = tuple(e2)
+                nxt[e2] = nxt.get(e2, 0) + c * t
+        poly = {e: c for e, c in nxt.items() if c}
+    return poly
 
 
 def _exact(c):
@@ -109,20 +127,9 @@ class QSpec:
         i = seq[pos]
         base = [0] * len(seq)
         base[pos] = level
-        poly = {tuple(base): 1}
-        for b, j in enumerate(seq):
-            if j == i:
-                continue
-            nxt = {}
-            for e, c in poly.items():
-                for (p, q, t) in self.terms(i, j):
-                    e2 = list(e)
-                    e2[pos] += p
-                    e2[b] += q
-                    e2 = tuple(e2)
-                    nxt[e2] = nxt.get(e2, 0) + c * t
-            poly = {e: c for e, c in nxt.items() if c}
-        return poly
+        return poly_product(base, (
+            [({pos: p, b: q}, t) for (p, q, t) in self.terms(i, j)]
+            for b, j in enumerate(seq) if j != i))
 
     def unit_coeff(self, i: int, j: int):
         """The coefficient of u^{-a_ij} in Q_ij (a unit by construction)."""

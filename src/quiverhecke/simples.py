@@ -45,9 +45,7 @@ class SimpleCount:
 def _mult_table(alg: CycAlgebra):
     """Ungraded basis and structure constants c[i][j] = coords of
     b_i b_j."""
-    basis = []
-    for d in sorted(alg.graded_dims()):
-        basis.extend(alg.quotient_basis(d))
+    basis = [m for m, _ in alg.basis()]
     index = {m: k for k, m in enumerate(basis)}
     eng = alg.engine
     table = {}

@@ -9,10 +9,11 @@ element of the subalgebra they generate.
 
 `TruncationModule` is the one graded module class: e(rows) R(beta)
 e(cols) modulo the span of an IdealSpace, which is free for the empty
-chain family, a cyclotomic quotient for the full one, and K0 or K1 of
-`bimodules` for a restricted one.  A tensor factor also carries the side
-the subalgebra acts on and an embedding that adds one untouched strand
-(at the end or, shifted, at the front).
+chain family, a cyclotomic quotient for the full one (always through
+`CycAlgebra`), and K0 or K1 of `bimodules` for a restricted one.  A
+tensor factor also carries the side the subalgebra acts on and an
+embedding that adds one untouched strand (at the end or, shifted, at the
+front).
 """
 
 from __future__ import annotations
@@ -85,10 +86,11 @@ class TruncationModule:
     def basis(self, d):
         hit = self._basis.get(d)
         if hit is None:
+            hit = []
             if self.degrees is None or d in self.degrees:
-                hit = self.space.quotient_basis(self.pairs, d)
-            else:
-                hit = []
+                for lam, mu in self.pairs:
+                    hit.extend(self.space.block_basis(lam, mu, d))
+                hit.sort(key=BasisMonomial.sort_key)
             self._basis[d] = hit
         return hit
 

@@ -1,0 +1,156 @@
+"""The quotient paths that `CycAlgebra` replaced, kept verbatim as
+references for the differential tests: the window functions
+`degree_cap`, `_table_window` and `default_window`, the basis listings
+`IdealSpace.quotient_basis`, `CycAlgebra.quotient_basis`,
+`CycAlgebra.dim_at` (without its memo) and
+`Bimodules._sub_quotient_basis`, the F module built at every degree and
+on every sequence, and `Bimodules._tpoly_s`.  Methods take their object
+as the first argument."""
+
+from fractions import Fraction
+
+from quiverhecke.cyclotomic import alive_seqs, get_ideal_space, nilpotency_table
+from quiverhecke.klr import (
+    BasisMonomial,
+    crossing_degree,
+    min_tau_degree,
+    seqs_of,
+)
+from quiverhecke.perms import all_perms
+from quiverhecke.qpolys import QSpec
+from quiverhecke.tensors import TruncationModule
+
+
+# ---- windows ---------------------------------------------------------
+
+
+def degree_cap(datum, weight, beta, qspec=None):
+    """Degree window (dmin, dmax) from the nilpotency table alone.
+
+    dmin is the least crossing degree over alive sequences; dmax adds the
+    largest polynomial part allowed by the per-strand bounds.  An empty
+    window (0, -1) signals that every sequence is dead.
+    """
+    if qspec is None:
+        qspec = QSpec.standard(datum)
+    table = nilpotency_table(datum, weight, beta, qspec)
+    return _table_window(datum, table, alive_seqs(beta, table))
+
+
+def _table_window(datum, table, alive):
+    """The window of `degree_cap`, from a nilpotency table and its alive
+    sequences."""
+    if not alive:
+        return (0, -1)
+    dmin = 0
+    dmax = 0
+    perms = all_perms(len(alive[0]))
+    for seq in alive:
+        taus = [crossing_degree(datum, w, seq) for w in perms]
+        poly = sum(
+            (table[pos][i] - 1) * datum.form(i, i) for pos, i in enumerate(seq)
+        )
+        dmin = min(dmin, min(taus))
+        dmax = max(dmax, max(taus) + poly)
+    return (dmin, dmax)
+
+
+def default_window(datum, weight, beta_hat, qspec=None):
+    """Degree window for bimodule comparisons: from the least crossing
+    degree up to the quotient bound on beta_hat plus one extra
+    polynomial step."""
+    pad = 2 * max(datum.form(i, i) for i in range(datum.rank))
+    top = degree_cap(datum, weight, beta_hat, qspec)[1] + pad
+    return (min_tau_degree(datum, beta_hat), top)
+
+
+def graded_scan_top(self):
+    """The `top` that `CycAlgebra.graded_dims` computed for its scan."""
+    perms = all_perms(self.n)
+    return max(
+        crossing_degree(self.datum, w, nu) for nu in self.alive for w in perms
+    )
+
+
+# ---- bases -----------------------------------------------------------
+
+
+def space_quotient_basis(self, pairs, d):
+    """Non-pivot columns of the blocks (lam, mu, d) over the given
+    (lam, mu) pairs, in canonical order: a basis of degree d of the
+    sum of those blocks modulo the span."""
+    out = []
+    for lam, mu in pairs:
+        out.extend(self.block_basis(lam, mu, d))
+    out.sort(key=BasisMonomial.sort_key)
+    return out
+
+
+def quotient_basis(self, d: int):
+    """Monomials spanning degree d of the quotient: non-pivot columns
+    of every alive block, in canonical order."""
+    if self._zero:
+        return []
+    return space_quotient_basis(
+        self.space, ((lam, mu) for lam in self.alive for mu in self.alive), d)
+
+
+def dim_at(self, d: int) -> int:
+    if self._zero:
+        return 0
+    return sum(len(self.space.block_basis(lam, mu, d))
+               for lam in self.alive for mu in self.alive)
+
+
+def sub_quotient_basis(self):
+    """Quotient basis monomials of R^Lambda(beta) with their degrees,
+    over the nonzero degrees only."""
+    return [(m, d) for d in sorted(self.sub.graded_dims())
+            for m in quotient_basis(self.sub, d)]
+
+
+# ---- bimodules -------------------------------------------------------
+
+
+def uncut_F(self):
+    """F as `Bimodules` built it: every sequence, every degree."""
+    seqs = seqs_of(self.beta)
+    rows = seqs_of(self.beta_hat)
+    cols0 = [s + (self.i,) for s in seqs]
+    return TruncationModule(
+        get_ideal_space(self.datum, self.weight, self.beta_hat, self.qspec),
+        rows, cols0)
+
+
+def _tpoly_s(self):
+    """S = sum over nu of prod over a with nu_a = i of (t - x_a)^2
+    e(nu): the monic central annihilator denominator."""
+    i = self.i
+    out = {}
+    for nu in seqs_of(self.beta):
+        terms = [({}, 0, Fraction(1))]
+        for a, c in enumerate(nu):
+            if c != i:
+                continue
+            new = []
+            # (t - x_a)^2 = t^2 - 2 t x_a + x_a^2
+            for (dx, dt, cf) in ((0, 2, Fraction(1)), (1, 1, Fraction(-2)), (2, 0, Fraction(1))):
+                for exps, jt, coeff in terms:
+                    e = dict(exps)
+                    if dx:
+                        e[a] = e.get(a, 0) + dx
+                    new.append((e, jt + dt, coeff * cf))
+            terms = new
+        for exps, jt, coeff in terms:
+            ev = [0] * self.n
+            for pos, val in exps.items():
+                ev[pos] = val
+            m = BasisMonomial((), tuple(ev), nu)
+            slot = out.setdefault(jt, {})
+            slot[m] = slot.get(m, 0) + coeff
+    cleaned = {}
+    for j, slot in out.items():
+        red = self.sub.nf({m: c for m, c in slot.items() if c})
+        if red:
+            cleaned[j] = red
+    return cleaned

@@ -267,14 +267,15 @@ def test_cache_key_carries_the_engine_revision(cfg_path, tmp_path, capsys,
     stale = CycAlgebra(cfg.datum, cfg.weight, beta, cfg.qspec).summary()
     stale["total_dim"] += 1
     cache_dir = str(tmp_path / "cache")
-    Cache(cache_dir).put(old_key, stale)
+    Cache(cache_dir).put(old_key, {"key": old_key, "summary": stale})
     fresh = run(capsys, "cyclotomic", "--config", cfg_path, "--no-cache",
                 "--json")
     cached = run(capsys, "cyclotomic", "--config", cfg_path,
                  "--cache-dir", cache_dir, "--json")
     assert cached == fresh
-    assert Cache(cache_dir).get(old_key) == stale
-    assert Cache(cache_dir).get(key)["total_dim"] == stale["total_dim"] - 1
+    assert Cache(cache_dir).get(old_key) == {"key": old_key, "summary": stale}
+    assert (Cache(cache_dir).get(key)["summary"]["total_dim"]
+            == stale["total_dim"] - 1)
 
 
 def test_cache_dir_resolution(tmp_path, monkeypatch):
@@ -324,15 +325,18 @@ def test_wrong_shaped_cache_entry_is_a_miss(cfg_path, tmp_path, capsys,
     keys = [summary_key(cfg.datum, cfg.qspec, cfg.weight, beta)
             for beta in cfg.require_betas()]
     for fmt in ((), ("--json",)):
+        # each under its own key, so only the summary's shape is wrong
         for key in keys:
-            cache.put(key, entry)
+            cache.put(key, {"key": key, "summary": entry})
         fresh = run(capsys, command, "--config", cfg_path, "--no-cache", *fmt)
         cached = run(capsys, command, "--config", cfg_path,
                      "--cache-dir", cache_dir, *fmt)
         assert cached[:2] == fresh[:2]
         # the wrong-shaped entries were overwritten with real summaries
         for key in keys:
-            assert set(cache.get(key)) == set(CycAlgebra.SUMMARY_KEYS)
+            assert cache.get(key)["key"] == key
+            assert (set(cache.get(key)["summary"])
+                    == set(CycAlgebra.SUMMARY_KEYS))
 
 
 def test_summary_types_cover_the_summary_fields():
@@ -360,15 +364,52 @@ def test_wrongly_typed_cache_entry_is_a_miss(cfg_path, tmp_path, capsys,
     summaries = [CycAlgebra(cfg.datum, cfg.weight, beta, cfg.qspec).summary()
                  for beta in betas]
     for fmt in ((), ("--json",)):
+        # each under its own key, so only the field's type is wrong
         for key, summary in zip(keys, summaries):
-            cache.put(key, {**summary, field: value})
+            cache.put(key, {"key": key, "summary": {**summary, field: value}})
         fresh = run(capsys, command, "--config", cfg_path, "--no-cache", *fmt)
         cached = run(capsys, command, "--config", cfg_path,
                      "--cache-dir", cache_dir, *fmt)
         assert cached == fresh
         assert fresh[0] == 0
         # the entries were recomputed and overwritten
-        assert [cache.get(key) for key in keys] == summaries
+        assert [cache.get(key) for key in keys] == [
+            {"key": key, "summary": summary}
+            for key, summary in zip(keys, summaries)]
+
+
+@pytest.mark.parametrize("command", ["cyclotomic", "compare"])
+def test_cache_entry_copied_to_another_key_is_a_miss(cfg_path, tmp_path,
+                                                     capsys, command):
+    # a well-formed entry of A2 at rho and beta = alpha_1 + alpha_2 copied
+    # over the file of Lambda = Lambda_1 and beta = alpha_1, and a bare
+    # summary of the older format under its right key
+    cfg = load_config(cfg_path)
+    rho = tmp_path / "rho.json"
+    rho.write_text(json.dumps({**A2_CONFIG, "lambda": {"1": 1, "2": 1}}))
+    cache_dir = str(tmp_path / "cache")
+    assert run(capsys, "cyclotomic", "--config", str(rho),
+               "--cache-dir", cache_dir)[0] == 0
+    rho_cfg = load_config(str(rho))
+    src = summary_key(rho_cfg.datum, rho_cfg.qspec, rho_cfg.weight, (1, 1))
+    dst = summary_key(cfg.datum, cfg.qspec, cfg.weight, (1, 0))
+    bare = summary_key(cfg.datum, cfg.qspec, cfg.weight, (0, 1))
+    cache = Cache(cache_dir)
+    copied = cache.get(src)
+    assert copied["key"] == src
+    cache.put(dst, copied)
+    cache.put(bare, CycAlgebra(cfg.datum, cfg.weight, (0, 1),
+                               cfg.qspec).summary())
+    for fmt in ((), ("--json",)):
+        fresh = run(capsys, command, "--config", cfg_path, "--no-cache", *fmt)
+        cached = run(capsys, command, "--config", cfg_path,
+                     "--cache-dir", cache_dir, *fmt)
+        assert cached == fresh
+        assert fresh[0] == 0
+    # both entries were recomputed and overwritten under their own keys
+    for key in (dst, bare):
+        assert cache.get(key)["key"] == key
+    assert cache.get(dst)["summary"]["beta"] == [1, 0]
 
 
 def test_cache_interleaved_writers(tmp_path, monkeypatch):

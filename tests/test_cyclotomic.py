@@ -14,7 +14,6 @@ from quiverhecke.cyclotomic import (
     IdealSpace,
     alive_seqs,
     certified_cap,
-    degree_cap,
     get_ideal_space,
     min_power_in_ideal,
     nilpotency_table,
@@ -38,6 +37,8 @@ from quiverhecke.perms import (
 )
 from quiverhecke.qpolys import QSpec
 from quiverhecke.uqmod import UqModule
+
+from old_quotient_paths import degree_cap
 
 A1 = build_cartan(("i",), [[2]])
 A2 = build_cartan(("1", "2"), [[2, -1], [-1, 2]])
@@ -86,10 +87,17 @@ def test_nilpotency_a2_fundamental():
 
 
 def test_degree_cap_rank_one():
-    assert degree_cap(A1, Weight((2,)), (1,)) == (0, 2)
-    assert degree_cap(A1, Weight((1,)), (2,)) == (-2, 0)
-    # all-dead weight gives the empty window
-    assert degree_cap(A1, Weight((0,)), (2,)) == (0, -1)
+    # the old window function, and the window of CycAlgebra that
+    # replaced it
+    for wt, beta, window in [(Weight((2,)), (1,), (0, 2)),
+                             (Weight((1,)), (2,), (-2, 0)),
+                             # all-dead weight gives the empty window
+                             (Weight((0,)), (2,), (0, -1))]:
+        assert degree_cap(A1, wt, beta) == window
+        A = CycAlgebra(A1, wt, beta)
+        assert A.dmax_bound == window[1]
+        if not A.is_zero():
+            assert (A.dmin, A.dmax) == window
 
 
 def test_boundary_vanishing():

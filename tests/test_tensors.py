@@ -24,6 +24,7 @@ from quiverhecke.tensors import (
 
 A1 = build_cartan(("0",), [[2]])
 A2 = build_cartan(("1", "2"), [[2, -1], [-1, 2]])
+B2 = build_cartan(("s", "l"), [[2, -2], [-1, 2]])
 
 
 def ident(elt):
@@ -71,9 +72,10 @@ DESK_DATA = sorted({row[0] for _, _, _, rows in DESK.values()
 def test_free_module_bases_match_the_reference_enumerator():
     # every desk datum and beta of at most three strands, from the least
     # crossing degree up to degree ten, on both sides, cut to every other
-    # sequence and uncut
+    # sequence and uncut; B2 has dots of two degrees, so a dot weight
+    # read from the wrong sequence shows
     cases = 0
-    for datum in DESK_DATA:
+    for datum in DESK_DATA + [B2]:
         for beta in _betas_upto(datum.rank, 3):
             seqs = seqs_of(beta)[::2]
             right = free_module(datum, beta, "right", seqs)
@@ -86,7 +88,7 @@ def test_free_module_bases_match_the_reference_enumerator():
                                          if left_seq(m) in seqs]
                 assert whole.basis(d) == ref
                 cases += 1
-    assert cases == 312
+    assert cases == 452
 
 
 def test_algebra_gens_are_homogeneous():
