@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 
 __all__ = ["ENGINE_REVISION", "SCHEMA_VERSION", "resolve_cache_dir",
            "summary_key", "Cache"]
@@ -30,6 +31,9 @@ SCHEMA_VERSION = 2
 ENGINE_REVISION = 2
 
 _ENV_VAR = "QUIVERHECKE_CACHE_DIR"
+
+# the file name of an entry, a `summary_key` digest; other files are kept
+_ENTRY_NAME = re.compile(r"[0-9a-f]{64}\.json")
 
 
 def resolve_cache_dir(explicit=None) -> str:
@@ -95,7 +99,7 @@ class Cache:
             names = os.listdir(self.root)
         except OSError:
             return []
-        return sorted(n for n in names if n.endswith(".json"))
+        return sorted(n for n in names if _ENTRY_NAME.fullmatch(n))
 
     def stat(self) -> dict:
         names = self._entries()

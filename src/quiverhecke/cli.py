@@ -110,16 +110,6 @@ def cmd_basis(args):
 # -- cyclotomic and compare --------------------------------------------
 
 
-# the JSON type of each field of CycAlgebra.summary(): [t] is a list of
-# t, {str: t} a dict of t, and {int: t} one keyed by written integers
-_SUMMARY_TYPES = {
-    "labels": [str], "levels": [int], "beta": [int], "window": [int],
-    "window_bound": int, "nilpotency": [{str: int}], "alive": [str],
-    "zero": bool, "graded_dim": {int: int}, "total_dim": int,
-    "truncations": {str: {int: int}},
-}
-
-
 def _typed(value, kind) -> bool:
     if isinstance(kind, list):
         return isinstance(value, list) and all(_typed(v, kind[0])
@@ -145,9 +135,9 @@ def _summary_for(cfg, beta, cache):
         entry = cache.get(key)
         hit = (entry.get("summary") if isinstance(entry, dict)
                and entry.get("key") == key else None)
-        if (isinstance(hit, dict)
-                and set(hit) == set(CycAlgebra.SUMMARY_KEYS)
-                and all(_typed(hit[k], t) for k, t in _SUMMARY_TYPES.items())):
+        types = CycAlgebra.SUMMARY_TYPES
+        if (isinstance(hit, dict) and set(hit) == set(types)
+                and all(_typed(hit[k], t) for k, t in types.items())):
             return hit
     alg = CycAlgebra(cfg.datum, cfg.weight, beta, cfg.qspec)
     payload = alg.summary()

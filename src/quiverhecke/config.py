@@ -205,6 +205,8 @@ def load_config(path) -> RunConfig:
             data = json.load(fh)
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from None
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"config {path} is not UTF-8: {err}") from None
     except json.JSONDecodeError as err:
         raise ConfigError(f"config {path} is not valid JSON: {err}") from None
     return parse_config(data)

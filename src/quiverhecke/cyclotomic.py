@@ -1,7 +1,7 @@
 """Cyclotomic quotients R^Lambda(beta) computed degree by degree.
 
 The quotient is the strand algebra modulo the two-sided ideal generated
-by x_1^{<h_{nu_1}, Lambda>} e(nu).  Three devices keep the computation
+by x_1^{<h_{nu_1}, Lambda>} e(nu).  Four devices keep the computation
 exact and small:
 
 * The two-sided ideal is spanned, in each degree, by left multiples of
@@ -18,10 +18,10 @@ exact and small:
 * A degree window is fixed before anything big is computed: its bottom
   is the least crossing degree and its top a bound from per-strand
   nilpotency degrees, so the quotient vanishes outside it (see
-  `CycAlgebra`).  Graded scans inside the window stop early at a run of
-  zero degrees above every crossing degree that is as long as the
-  largest dot degree: past such a run the quotient is certified to
-  vanish (see `scan_until_vanishing`).
+  `CycAlgebra`).  Each alive block is scanned once in the window, up to
+  a run of zero degrees above its crossing degrees as long as its
+  largest dot degree, past which it is certified to vanish (see
+  `scan_until_vanishing`).  Every dimension is read from these scans.
 
 * A sequence with a zero nilpotency bound is dead.  Construction checks
   once that each dead idempotent lies in the ideal; its blocks are then
@@ -34,7 +34,7 @@ suite checks it against every nonzero quotient it builds.  Modules
 over an IdealSpace, free, cyclotomic or one-sided, are
 `tensors.TruncationModule`s.  `CycAlgebra`, the one way into a
 quotient, keeps its own basis as one; its `module` cuts one to alive
-sequences, and its `corner` counts blocks by certified scans.
+sequences, and its `corner` sums the block scans.
 """
 
 from __future__ import annotations
@@ -408,11 +408,10 @@ def scan_until_vanishing(dim_of, dmin, dmax, top, step):
     The scan goes upward from dmin and stops at dmax, or earlier at the
     first run of `step` consecutive zero degrees [D, D + step) that
     starts at some D > top (the zeros may continue a run that began at
-    or below top).  Here dim_of(d) is the degree-d dimension of a sum of
-    blocks e(lam) R^Lambda(beta) e(nu), so a zero sum means every block
-    vanishes; `top` is at least every crossing degree of those blocks
-    and `step` at least the degree (alpha_i | alpha_i) of every dot on
-    their right sequences.
+    or below top).  Here dim_of(d) is the degree-d dimension of one
+    block e(lam) R^Lambda(beta) e(nu); `top` is at least every crossing
+    degree of the block and `step` at least the degree (alpha_i | alpha_i)
+    of every dot on nu.
 
     Why nothing is lost past such a run, by induction on d >= D + step:
     take a basis monomial tau_w x^a e(nu) of degree d > top.  Its
@@ -420,8 +419,7 @@ def scan_until_vanishing(dim_of, dmin, dmax, top, step):
     (tau_w x^(a - e_k) e(nu)) * x_k.  The left factor lies in the same
     block, in a degree in [d - step, d) and hence in [D, d), where the
     block vanishes: the left factor lies in the ideal, and since the
-    ideal is two-sided so does the product.  Dead blocks vanish outright,
-    because e(nu) lies in the ideal when nu is dead.
+    ideal is two-sided so does the product.
     """
     out = {}
     zero_from = None
@@ -441,11 +439,14 @@ def scan_until_vanishing(dim_of, dmin, dmax, top, step):
 class CycAlgebra:
     """The graded algebra R^Lambda(beta) over its degree window."""
 
-    # the fields of summary(), in the order it writes them
-    SUMMARY_KEYS = (
-        "labels", "levels", "beta", "window", "window_bound", "nilpotency",
-        "alive", "zero", "graded_dim", "total_dim", "truncations",
-    )
+    # the fields of summary() in write order, with their JSON types: [t]
+    # a list of t, {str: t} a dict of t, {int: t} one keyed by integers
+    SUMMARY_TYPES = {
+        "labels": [str], "levels": [int], "beta": [int], "window": [int],
+        "window_bound": int, "nilpotency": [{str: int}], "alive": [str],
+        "zero": bool, "graded_dim": {int: int}, "total_dim": int,
+        "truncations": {str: {int: int}},
+    }
 
     def __init__(self, datum, weight, beta, qspec=None):
         if qspec is None:
@@ -470,8 +471,6 @@ class CycAlgebra:
         self.dmin = min((min(t) for t in taus), default=0)
         self.dmax = max((max(t) + p for t, p in zip(taus, polys)), default=-1)
         self.dmax_bound = self.dmax
-        # the largest crossing degree, the `top` of the graded scan
-        self._top = max((max(t) for t in taus), default=0)
         # Each dead idempotent must lie in the ideal; as the ideal is
         # two-sided, nf then drops every monomial on a dead sequence.
         for nu in self.space.seqs:
@@ -487,26 +486,38 @@ class CycAlgebra:
         )
         if self._zero:
             self.dmin, self.dmax = 0, -1
-        self._whole = TruncationModule(
-            self.space, () if self._zero else self.alive, self.alive)
+        self._dims = {}
+        self._whole = None
 
     # -- dimensions and bases ------------------------------------------
+
+    def _block(self, lam, mu) -> dict:
+        """{d: dim} of the alive block e(lam) R^Lambda(beta) e(mu), scanned
+        once by `scan_until_vanishing` over the window from its least
+        crossing degree, below which it has no columns, with its largest
+        crossing degree as `top` and largest dot degree on mu as `step`."""
+        dims = self._dims.get((lam, mu))
+        if dims is None:
+            taus = [crossing_degree(self.datum, w, mu)
+                    for w in self.space.transporter(mu, lam)]
+            step = max((self.datum.form(i, i) for i in mu), default=1)
+            dims = self._dims[(lam, mu)] = scan_until_vanishing(
+                lambda d: len(self.space.block_basis(lam, mu, d)),
+                max(min(taus), self.dmin), self.dmax, max(taus), step)
+        return dims
 
     def quotient_basis(self, d: int):
         """Monomials spanning degree d of the quotient: non-pivot columns
         of every alive block, in canonical order."""
+        if self._whole is None:
+            self._whole = self.module(self.alive, self.alive)
         return self._whole.basis(d)
 
     def dim_at(self, d: int) -> int:
         return len(self.quotient_basis(d))
 
     def graded_dims(self) -> dict:
-        # With no strands there is nothing above degree top; any step works.
-        step = max(
-            (self.datum.form(i, i) for nu in self.alive for i in nu), default=1
-        )
-        return scan_until_vanishing(self.dim_at, self.dmin, self.dmax,
-                                    self._top, step)
+        return self.graded_dim_poly().coeffs
 
     def basis(self):
         """The quotient's basis as (monomial, degree) pairs, degree by
@@ -515,7 +526,7 @@ class CycAlgebra:
                 for m in self.quotient_basis(d)]
 
     def graded_dim_poly(self) -> LaurentPoly:
-        return LaurentPoly(self.graded_dims())
+        return self.corner(self.alive, self.alive)
 
     def _cut(self, seqs):
         """The alive sequences among seqs, in the order of `alive`."""
@@ -524,27 +535,19 @@ class CycAlgebra:
 
     def corner(self, rows, cols) -> LaurentPoly:
         """Graded dimension of the sum of the blocks e(lam) R^Lambda(beta)
-        e(mu) over alive lam in rows and mu in cols, each certified by its
-        own scan of the window."""
+        e(mu) over alive lam in rows and mu in cols."""
         total = LaurentPoly.zero()
-        if self._zero:
-            return total
         for lam in self._cut(rows):
             for mu in self._cut(cols):
-                top = max(crossing_degree(self.datum, w, mu)
-                          for w in self.space.transporter(mu, lam))
-                step = max((self.datum.form(i, i) for i in mu), default=1)
-                total += LaurentPoly(scan_until_vanishing(
-                    lambda d, lam=lam, mu=mu: len(
-                        self.space.block_basis(lam, mu, d)),
-                    self.dmin, self.dmax, top, step))
+                total += LaurentPoly(self._block(lam, mu))
         return total
 
     def module(self, rows, cols, side=None, emb=None) -> TruncationModule:
-        """The blocks of `corner` as a module, built only in the nonzero
-        degrees of the quotient."""
-        return TruncationModule(self.space, self._cut(rows), self._cut(cols),
-                                side, emb, self.graded_dims())
+        """The blocks of `corner` as a module, each built only in the
+        degrees where its own scan found it nonzero."""
+        rows, cols = self._cut(rows), self._cut(cols)
+        return TruncationModule(self.space, rows, cols, side, emb, {
+            (lam, mu): self._block(lam, mu) for lam in rows for mu in cols})
 
     def nf(self, E: dict) -> dict:
         """Normal form modulo the ideal."""
@@ -563,9 +566,9 @@ class CycAlgebra:
         truncs = {}
         for mu in self.alive:
             for nu in self.alive:
-                t = self.corner([mu], [nu])
+                t = self._block(mu, nu)
                 if t:
-                    truncs[name(mu) + "|" + name(nu)] = t.to_json()
+                    truncs[name(mu) + "|" + name(nu)] = LaurentPoly(t).to_json()
         return {
             "labels": list(map(str, self.datum.labels)),
             "levels": list(self.weight.levels),

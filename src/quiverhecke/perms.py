@@ -98,10 +98,9 @@ def canonical_word(w: tuple) -> tuple:
     """Lexicographically smallest reduced word for w.
 
     Built greedily: repeatedly strip the smallest left descent.  s_k is a
-    left descent of w exactly when the value k+1 appears before the value
-    k+2 is ... concretely, when position of k (value) in w is after
-    position of k+1.  Suffixes of canonical words are canonical; prefixes
-    need not be.
+    left descent of w exactly when the value k stands after the value k+1
+    in w.  Suffixes of canonical words are canonical; prefixes need not
+    be.
     """
     w = list(w)
     n = len(w)

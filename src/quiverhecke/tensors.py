@@ -61,12 +61,12 @@ class TruncationModule:
 
     Its degree-d basis is the non-pivot columns of those blocks, in
     canonical order, and its normal form is the space's.  `degrees`, when
-    given, holds every degree where the module can be nonzero, and no
-    block is built at any other; otherwise the module starts at the least
-    crossing degree and is unbounded above.  As a factor of a tensor
-    product it is a right module (side "right", action m * g) or a left
-    module (side "left", action g * m) over a subalgebra whose elements
-    emb maps into R(beta).
+    given, maps each pair (lam, mu) to every degree where its block can
+    be nonzero, and no block is built at any other; otherwise the module
+    starts at the least crossing degree and is unbounded above.  As a
+    factor of a tensor product it is a right module (side "right", action
+    m * g) or a left module (side "left", action g * m) over a subalgebra
+    whose elements emb maps into R(beta).
     """
 
     def __init__(self, space, rows, cols, side=None, emb=None, degrees=None):
@@ -79,18 +79,19 @@ class TruncationModule:
             self.min_degree = min_tau_degree(space.engine.datum, space.beta)
             self.max_degree = float("inf")
         else:
-            self.min_degree = min(degrees, default=0)
-            self.max_degree = max(degrees, default=0)
+            every = [d for pair in self.pairs for d in degrees[pair]]
+            self.min_degree = min(every, default=0)
+            self.max_degree = max(every, default=0)
         self._basis = {}
 
     def basis(self, d):
         hit = self._basis.get(d)
         if hit is None:
             hit = []
-            if self.degrees is None or d in self.degrees:
-                for lam, mu in self.pairs:
-                    hit.extend(self.space.block_basis(lam, mu, d))
-                hit.sort(key=BasisMonomial.sort_key)
+            for pair in self.pairs:
+                if self.degrees is None or d in self.degrees[pair]:
+                    hit.extend(self.space.block_basis(*pair, d))
+            hit.sort(key=BasisMonomial.sort_key)
             self._basis[d] = hit
         return hit
 

@@ -4,18 +4,27 @@ references for the differential tests: the window functions
 `IdealSpace.quotient_basis`, `CycAlgebra.quotient_basis`,
 `CycAlgebra.dim_at` (without its memo) and
 `Bimodules._sub_quotient_basis`, the F module built at every degree and
-on every sequence, and `Bimodules._tpoly_s`.  Methods take their object
-as the first argument."""
+on every sequence, `Bimodules._tpoly_s`, and the two certified scans of
+`CycAlgebra`: `graded_dims` over the whole algebra and `corner` block by
+block, with the `module` and `summary` that read them.  Methods take
+their object as the first argument, and calls between them go through
+this module."""
 
 from fractions import Fraction
 
-from quiverhecke.cyclotomic import alive_seqs, get_ideal_space, nilpotency_table
+from quiverhecke.cyclotomic import (
+    alive_seqs,
+    get_ideal_space,
+    nilpotency_table,
+    scan_until_vanishing,
+)
 from quiverhecke.klr import (
     BasisMonomial,
     crossing_degree,
     min_tau_degree,
     seqs_of,
 )
+from quiverhecke.laurent import LaurentPoly
 from quiverhecke.perms import all_perms
 from quiverhecke.qpolys import QSpec
 from quiverhecke.tensors import TruncationModule
@@ -100,6 +109,78 @@ def dim_at(self, d: int) -> int:
         return 0
     return sum(len(self.space.block_basis(lam, mu, d))
                for lam in self.alive for mu in self.alive)
+
+
+# ---- the two certified scans ----------------------------------------
+
+
+def graded_dims(self) -> dict:
+    # With no strands there is nothing above degree top; any step works.
+    step = max(
+        (self.datum.form(i, i) for nu in self.alive for i in nu), default=1
+    )
+    return scan_until_vanishing(lambda d: dim_at(self, d), self.dmin,
+                                self.dmax, graded_scan_top(self), step)
+
+
+def corner(self, rows, cols) -> LaurentPoly:
+    """Graded dimension of the sum of the blocks e(lam) R^Lambda(beta)
+    e(mu) over alive lam in rows and mu in cols, each certified by its
+    own scan of the window."""
+    total = LaurentPoly.zero()
+    if self._zero:
+        return total
+    for lam in self._cut(rows):
+        for mu in self._cut(cols):
+            top = max(crossing_degree(self.datum, w, mu)
+                      for w in self.space.transporter(mu, lam))
+            step = max((self.datum.form(i, i) for i in mu), default=1)
+            total += LaurentPoly(scan_until_vanishing(
+                lambda d, lam=lam, mu=mu: len(
+                    self.space.block_basis(lam, mu, d)),
+                self.dmin, self.dmax, top, step))
+    return total
+
+
+def module(self, rows, cols, side=None, emb=None) -> TruncationModule:
+    """The blocks of `corner` as a module, built only in the nonzero
+    degrees of the quotient (given to every block in the per-pair form
+    `TruncationModule` now takes)."""
+    rows, cols = self._cut(rows), self._cut(cols)
+    dims = graded_dims(self)
+    return TruncationModule(self.space, rows, cols, side, emb,
+                            {(lam, mu): dims for lam in rows for mu in cols})
+
+
+def summary(self) -> dict:
+    """JSON-ready description of the computed algebra."""
+    dims = graded_dims(self)
+
+    def name(seq):
+        return ",".join(str(self.datum.labels[i]) for i in seq)
+
+    truncs = {}
+    for mu in self.alive:
+        for nu in self.alive:
+            t = corner(self, [mu], [nu])
+            if t:
+                truncs[name(mu) + "|" + name(nu)] = t.to_json()
+    return {
+        "labels": list(map(str, self.datum.labels)),
+        "levels": list(self.weight.levels),
+        "beta": list(self.beta),
+        "window": [self.dmin, self.dmax],
+        "window_bound": self.dmax_bound,
+        "nilpotency": [
+            {str(self.datum.labels[i]): v for i, v in row.items()}
+            for row in self.table
+        ],
+        "alive": [name(nu) for nu in self.alive],
+        "zero": self.is_zero(),
+        "graded_dim": {str(d): v for d, v in sorted(dims.items())},
+        "total_dim": sum(dims.values()),
+        "truncations": truncs,
+    }
 
 
 def sub_quotient_basis(self):

@@ -212,6 +212,16 @@ def test_bad_config_exit_two(tmp_path, capsys):
     assert "config error" in err
 
 
+def test_config_that_is_not_utf8_exit_two(tmp_path, capsys):
+    p = tmp_path / "bad.json"
+    p.write_bytes(b'{"cartan": "\xff"}')
+    rc, out, err = run(capsys, "cyclotomic", "--config", str(p))
+    assert rc == 2
+    assert "config error" in err
+    assert "not UTF-8" in err
+    assert "Traceback" not in err and out == ""
+
+
 def test_missing_config_exit_two(capsys):
     rc, _, err = run(capsys, "basis")
     assert rc == 2
@@ -229,6 +239,23 @@ def test_cache_stat_and_clear(tmp_path, capsys):
     assert rc == 0
     assert "removed 1" in out
     assert cache.stat()["entries"] == 0
+
+
+def test_cache_leaves_foreign_json_files_alone(tmp_path, capsys):
+    # only digest-named files are entries: a user's config kept in the
+    # cache directory is neither counted nor removed
+    cache_dir = tmp_path / "cache"
+    cache = Cache(str(cache_dir))
+    cache.put("ab" * 32, {"x": 1})
+    foreign = ["myconfig.json", "AB" * 32 + ".json", "ab" * 31 + ".json"]
+    for name in foreign:
+        (cache_dir / name).write_text(json.dumps(A2_CONFIG))
+    assert cache.stat()["entries"] == 1
+    rc, out, _ = run(capsys, "cache", "clear", "--cache-dir", str(cache_dir))
+    assert rc == 0
+    assert "removed 1 " in out
+    assert sorted(os.listdir(cache_dir)) == sorted(foreign)
+    assert cache.stat() == {"root": str(cache_dir), "entries": 0, "bytes": 0}
 
 
 def test_cache_key_sensitivity():
@@ -300,7 +327,7 @@ def test_cache_ignores_corrupt_entries(tmp_path):
 def test_summary_keys_are_the_summary_fields():
     alg = CycAlgebra(build_cartan(("1", "2"), [[2, -1], [-1, 2]]),
                      Weight((1, 1)), (1, 1))
-    assert tuple(alg.summary()) == CycAlgebra.SUMMARY_KEYS
+    assert tuple(alg.summary()) == tuple(CycAlgebra.SUMMARY_TYPES)
 
 
 # a full summary as schema 1 wrote it, with its window_certified field
@@ -336,11 +363,17 @@ def test_wrong_shaped_cache_entry_is_a_miss(cfg_path, tmp_path, capsys,
         for key in keys:
             assert cache.get(key)["key"] == key
             assert (set(cache.get(key)["summary"])
-                    == set(CycAlgebra.SUMMARY_KEYS))
+                    == set(CycAlgebra.SUMMARY_TYPES))
 
 
 def test_summary_types_cover_the_summary_fields():
-    assert set(cli._SUMMARY_TYPES) == set(CycAlgebra.SUMMARY_KEYS)
+    # every field the cache reads is typed, and a real summary passes
+    alg = CycAlgebra(build_cartan(("1", "2"), [[2, -1], [-1, 2]]),
+                     Weight((1, 1)), (1, 1))
+    summary = alg.summary()
+    assert set(summary) == set(CycAlgebra.SUMMARY_TYPES)
+    assert all(cli._typed(summary[k], t)
+               for k, t in CycAlgebra.SUMMARY_TYPES.items())
 
 
 # one field of a well-keyed summary given a value of the wrong type

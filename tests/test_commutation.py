@@ -4,8 +4,9 @@ replaced.
 
 The references below are `CycAlgebra.truncation` and the `checks`
 helpers `_corner_sum_poly`, `_fe_tensor` and `_compare_tensor`, copied
-verbatim.  A fixture puts `truncation` back on `CycAlgebra` for the old
-corner sum to call.
+verbatim, except that `_fe_tensor` hands its factors their degrees in
+the per-pair form `TruncationModule` now takes.  A fixture puts
+`truncation` back on `CycAlgebra` for the old corner sum to call.
 """
 
 from functools import partial
@@ -51,6 +52,14 @@ def _corner_sum_poly(alg: CycAlgebra, rows, cols) -> LaurentPoly:
     return total
 
 
+def every_pair(alg: CycAlgebra) -> dict:
+    """The nonzero degrees of the whole quotient for each alive pair: the
+    `degrees` of the old factors, which held one degree set for all of
+    their blocks."""
+    dims = alg.graded_dims()
+    return {(lam, mu): dims for lam in alg.alive for mu in alg.alive}
+
+
 def _fe_tensor(datum, weight, beta, i, j, qspec=None):
     """The tensor presenting F_j E_i on the quotient at beta.  Returns
     (per-degree dim function, natural support window) or (None, None)
@@ -66,10 +75,10 @@ def _fe_tensor(datum, weight, beta, i, j, qspec=None):
     # each factor is built only in the nonzero degrees of its quotient
     M = TruncationModule(big.space, big.alive,
                          [s for s in big.alive if s[-1] == j], "right",
-                         lambda e: emb_elt_last(e, j), big.graded_dims())
+                         lambda e: emb_elt_last(e, j), every_pair(big))
     N = TruncationModule(here.space, [s for s in here.alive if s[-1] == i],
                          here.alive, "left", lambda e: emb_elt_last(e, i),
-                         here.graded_dims())
+                         every_pair(here))
     gens = algebra_gens(datum, sub)
     span = (big.dmin + here.dmin, big.dmax + here.dmax)
     return partial(tensor_dim, M, N, gens), span

@@ -477,11 +477,20 @@ def test_tower_cap_between_top_degree_and_nilpotency_bound(datum, wt, beta):
     assert max(A.graded_dims()) <= cap <= A.dmax_bound
 
 
-def test_zero_desk_algebra_is_zero():
+def test_zero_desk_algebra_is_zero(monkeypatch):
     A = CycAlgebra(*ZERO_DESK_ALGEBRA)
     assert A.alive
     assert A.is_zero()
+    # its one alive block has crossing degrees down to -6, but the empty
+    # window leaves the block scan nothing to build
+    scanned = []
+    monkeypatch.setattr(A.space, "block_basis",
+                        lambda lam, mu, d: scanned.append(d) or [])
     assert A.graded_dims() == {}
+    assert A.corner(A.alive, A.alive).is_zero()
+    assert A.module(A.alive, A.alive).basis(0) == []
+    assert A.summary()["truncations"] == {}
+    assert scanned == []
 
 
 @pytest.mark.parametrize("datum,wt,beta", NONZERO_DESK_ALGEBRAS)
@@ -552,17 +561,39 @@ def test_normal_forms_stay_fractions_with_an_integral_qspec():
     assert nonzero
 
 
-def test_vanishing_run_stops_before_the_window_top():
+def test_vanishing_run_stops_before_the_window_top(monkeypatch):
     # window [-2, 10], but nothing survives above degree 2
     A = CycAlgebra(A1AFF, Weight((1, 0)), (2, 1))
     assert (A.dmin, A.dmax) == (-2, 10)
     scanned = []
-    dim_at = A.dim_at
-    A.dim_at = lambda d: scanned.append(d) or dim_at(d)
+    block_basis = A.space.block_basis
+    monkeypatch.setattr(A.space, "block_basis", lambda lam, mu, d: (
+        scanned.append(d) or block_basis(lam, mu, d)))
     dims = A.graded_dims()
     assert max(dims) == 2
+    # the block scans stop short of the window top
     assert max(scanned) < A.dmax
     assert A.summary()["window"] == [-2, 10]
+
+
+def test_block_scan_runs_past_zeros_up_to_its_largest_crossing_degree(
+        monkeypatch):
+    # The one block of A1 at beta = 2 has crossing degrees -2 and 0 and
+    # dots of degree 2.  Faked dimensions that vanish in degrees -1 and 0,
+    # a run of two above the least crossing degree but not above the
+    # largest, and come back in degree 2 must still be seen there: such
+    # zeros certify nothing.
+    A = CycAlgebra(A1, Weight((2,)), (2,))
+    (seq,) = A.alive
+    assert sorted(crossing_degree(A1, w, seq)
+                  for w in A.space.transporter(seq, seq)) == [-2, 0]
+    assert A.dmax >= 3
+    fake = {-2: 1, 2: 1}
+    monkeypatch.setattr(A.space, "block_basis",
+                        lambda lam, mu, d: ["m"] * fake.get(d, 0))
+    assert A.corner([seq], [seq]).coeffs == fake
+    assert A.graded_dims() == fake
+    assert A.summary()["truncations"] == {"i,i|i,i": {"-2": 1, "2": 1}}
 
 
 def test_scan_until_vanishing_needs_a_run_above_top():

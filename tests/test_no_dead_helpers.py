@@ -12,6 +12,8 @@ ALLOWED = {
     "gen_tau": "public API: a crossing generator of the exported KLR engine",
     "predicted_total_dim": "public API: the README's UqModule example",
     "run_all": "public API: exported by the package __init__",
+    "dim_at": "public API: one degree of a quotient; the benchmark tracer "
+              "wraps it by name",
     "compose": "reference: the perms tests check word_to_perm against it",
     "simple": "reference: the perms tests check word_to_perm against "
               "products of simple transpositions",

@@ -57,12 +57,13 @@ def free_module(datum, beta, side, seqs, emb=ident):
 
 
 def quotient_module(alg, side, seqs, emb=ident):
-    """The same truncation of a cyclotomic quotient, in its nonzero
-    degrees."""
+    """The same truncation of a cyclotomic quotient, each block built in
+    every nonzero degree of the quotient."""
     cut = [nu for nu in alg.alive if nu in seqs]
     rows, cols = (alg.alive, cut) if side == "right" else (cut, alg.alive)
+    dims = alg.graded_dims()
     return TruncationModule(alg.space, rows, cols, side, emb,
-                            alg.graded_dims())
+                            {(lam, mu): dims for lam in rows for mu in cols})
 
 
 DESK_DATA = sorted({row[0] for _, _, _, rows in DESK.values()
