@@ -28,7 +28,7 @@ from fractions import Fraction
 from .cartan import CartanDatum, Weight
 from .cyclotomic import CycAlgebra, IdealSpace, free_space
 from .klr import BasisMonomial, get_engine, left_seq, min_tau_degree, seqs_of
-from .linalg import SubspaceBasis
+from .linalg import coords_in_span
 from .qpolys import QSpec, poly_product
 from .tensors import TruncationModule
 
@@ -226,7 +226,7 @@ class Bimodules:
         D = degs.pop()
         d_ii = self.datum.form(i, i)
         qbasis = self.sub.basis()
-        sb = SubspaceBasis(keyfunc=BasisMonomial.sort_key, track=True)
+        gens = []
         tags = []
         # polynomial family: emb(q) x_last^j
         for (q, dq) in qbasis:
@@ -237,8 +237,8 @@ class Bimodules:
             m = emb_last(q, i)
             exps = list(m.exps)
             exps[self.N - 1] += j
-            cls = self.K0.nf({BasisMonomial(m.word, tuple(exps), m.seq): Fraction(1)})
-            sb.add(cls)
+            gens.append(self.K0.nf(
+                {BasisMonomial(m.word, tuple(exps), m.seq): Fraction(1)}))
             tags.append(("t", j, q))
         # tensor family: emb(a) tau_{n-1} emb(b), crossing on two i strands
         for (b, db) in qbasis:
@@ -249,10 +249,9 @@ class Bimodules:
             for a in self.ends_in_i.basis(da):
                 E = eng.right_mult_tau({emb_last(a, i): Fraction(1)}, self.n - 1)
                 E = eng.multiply(E, {emb_last(b, i): Fraction(1)})
-                cls = self.K0.nf(E)
-                sb.add(cls)
+                gens.append(self.K0.nf(E))
                 tags.append(("F", a, b))
-        coords = sb.coords_in_gens(u)
+        coords, = coords_in_span(gens, [u], keyfunc=BasisMonomial.sort_key)
         if coords is None:
             raise AssertionError("decomposition families failed to span u_k")
         phi = {}

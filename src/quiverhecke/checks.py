@@ -22,7 +22,7 @@ from .bimodules import Bimodules, emb_elt_first, emb_elt_last
 from .cartan import Weight, build_cartan
 from .cyclotomic import (CertificationError, CycAlgebra, certified_cap,
                          free_space)
-from .klr import BasisMonomial, min_tau_degree, seqs_of
+from .klr import BasisMonomial, min_tau_degree, seqs_of, weighted_comps
 from .laurent import LaurentPoly
 from .linalg import SubspaceBasis
 from .perms import act_on_seq, all_perms, inversions
@@ -247,32 +247,28 @@ def check_exact(datum, weight, beta, i, qspec=None):
             continue
         src = bim.K1.basis(d - shift)
         sb = SubspaceBasis(keyfunc=BasisMonomial.sort_key)
-        rank_p = 0
         im_in_ker = True
         for m in src:
             v = bim.K0.nf(bim.apply_P({m: Fraction(1)}))
             if bim.F.nf(v):
                 im_in_ker = False
-            if sb.add(v):
-                rank_p += 1
-        if rank_p != len(src):
-            rep.fail(degree=d, lhs=rank_p, rhs=len(src),
+            sb.add(v)
+        if sb.rank != len(src):
+            rep.fail(degree=d, lhs=sb.rank, rhs=len(src),
                      identity="P injective")
             continue
         if not im_in_ker:
             rep.fail(degree=d, identity="pi after P vanishes")
             continue
         sbp = SubspaceBasis(keyfunc=BasisMonomial.sort_key)
-        rank_pi = 0
         for m in bim.K0.basis(d):
-            if sbp.add(bim.F.nf({m: Fraction(1)})):
-                rank_pi += 1
-        if rank_pi != dimf:
-            rep.fail(degree=d, lhs=rank_pi, rhs=dimf,
+            sbp.add(bim.F.nf({m: Fraction(1)}))
+        if sbp.rank != dimf:
+            rep.fail(degree=d, lhs=sbp.rank, rhs=dimf,
                      identity="pi surjective")
             continue
-        if rank_p != dim0 - rank_pi:
-            rep.fail(degree=d, lhs=rank_p, rhs=dim0 - rank_pi,
+        if sb.rank != dim0 - sbp.rank:
+            rep.fail(degree=d, lhs=sb.rank, rhs=dim0 - sbp.rank,
                      identity="image of P = kernel of pi")
     if rep.status == "pass":
         rep.note(window=[lo, hi], shift=shift,
@@ -560,21 +556,10 @@ def check_categorification(datum, weight, nmax, qspec=None):
 
 
 def _betas_upto(rank, nmax):
-    out = []
-
-    def rec(pos, rem, acc):
-        if pos == rank:
-            if rem == 0:
-                out.append(tuple(acc))
-            return
-        for k in range(rem + 1):
-            acc.append(k)
-            rec(pos + 1, rem - k, acc)
-            acc.pop()
-
-    for total in range(nmax + 1):
-        rec(0, total, [])
-    return out
+    """Every beta of at most nmax strands, by height, each height in
+    increasing lex order."""
+    return [beta for total in range(nmax + 1)
+            for beta in weighted_comps((1,) * rank, total)]
 
 
 # ---------------------------------------------------------------------

@@ -24,12 +24,12 @@ v to label b.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .cartan import CartanDatum, Weight, build_cartan
+from .klr import weighted_comps
 from .qpolys import QSpec
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "load_config"]
@@ -164,15 +164,9 @@ def _parse_betas(beta, nmax, datum):
         _expect(isinstance(nmax, int) and not isinstance(nmax, bool)
                 and nmax >= 0,
                 "\"nmax\" must be a nonnegative integer")
-        betas = []
-        for total in range(nmax + 1):
-            for cuts in itertools.combinations_with_replacement(
-                    range(datum.rank), total):
-                counts = [0] * datum.rank
-                for i in cuts:
-                    counts[i] += 1
-                betas.append(tuple(counts))
-        return tuple(betas)
+        # by height, each height in decreasing lex order
+        return tuple(beta for total in range(nmax + 1) for beta in
+                     reversed(weighted_comps((1,) * datum.rank, total)))
     return None
 
 

@@ -4,7 +4,9 @@
 of a span of sparse Fraction vectors.  Vectors are dicts keyed by any
 hashable column labels; a key function fixes the column order, and with
 it the echelon form (hence normal forms of vectors modulo the span) is
-canonical, independent of insertion order.
+canonical, independent of insertion order.  `coords_in_span` solves
+for coordinates over a list of generators with the same echelon form,
+by giving each generator a tag column of its own.
 
 `RankModP` keeps a row echelon form modulo the prime P = 2^61 - 1 of
 sparse integer vectors over a fixed, ordered list of columns.  It only
@@ -22,23 +24,20 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 
-__all__ = ["P", "RankModP", "SubspaceBasis", "laurent_rank", "span_basis"]
+__all__ = ["P", "RankModP", "SubspaceBasis", "coords_in_span", "laurent_rank",
+           "span_basis"]
 
 P = 2**61 - 1
 
 
 class SubspaceBasis:
-    """Row space in reduced echelon form, with optional tracking of each
-    row as a combination of the inserted generators."""
+    """Row space in reduced echelon form.  Row r has pivot column c when
+    pivots[c] == r, and pivots lists the rows in order."""
 
-    def __init__(self, keyfunc=None, track=False):
+    def __init__(self, keyfunc=None):
         self.keyfunc = keyfunc if keyfunc is not None else (lambda c: c)
-        self.track = track
         self.rows = []
-        self.row_pivots = []
         self.pivots = {}
-        self.exprs = []
-        self.ngens = 0
 
     @classmethod
     def identity(cls, cols, keyfunc=None) -> "SubspaceBasis":
@@ -46,7 +45,6 @@ class SubspaceBasis:
         column, which is the reduced echelon form of any full-rank span."""
         sb = cls(keyfunc)
         sb.rows = [{c: Fraction(1)} for c in cols]
-        sb.row_pivots = list(cols)
         sb.pivots = {c: r for r, c in enumerate(cols)}
         return sb
 
@@ -55,10 +53,8 @@ class SubspaceBasis:
         return len(self.rows)
 
     def _reduce(self, vec):
-        """vec minus its projection; returns (residual, usage) where usage
-        maps row index -> coefficient with vec = sum usage*rows + residual."""
+        """vec minus its projection onto the span."""
         res = {c: Fraction(v) for c, v in vec.items() if v}
-        usage = {}
         # One pass suffices: each basis row contains no pivot column of
         # any other row, so eliminating a pivot never reintroduces one.
         for col in list(res):
@@ -68,39 +64,24 @@ class SubspaceBasis:
             coef = res.get(col)
             if not coef:
                 continue
-            usage[r] = usage.get(r, 0) + coef
             for c2, v2 in self.rows[r].items():
                 v = res.get(c2, 0) - coef * v2
                 if v:
                     res[c2] = v
                 else:
                     res.pop(c2, None)
-        return res, usage
+        return res
 
     def add(self, vec) -> bool:
         """Insert a generator; returns True when the rank grew."""
-        gen_idx = self.ngens
-        self.ngens += 1
-        res, usage = self._reduce(vec)
-        if self.track:
-            expr = {gen_idx: Fraction(1)}
-            for r, coef in usage.items():
-                for g, a in self.exprs[r].items():
-                    v = expr.get(g, 0) - coef * a
-                    if v:
-                        expr[g] = v
-                    else:
-                        expr.pop(g, None)
-            # Now res = sum expr[g] * gen_g.
+        res = self._reduce(vec)
         if not res:
             return False
         pivot = min(res, key=self.keyfunc)
         inv = Fraction(1) / res[pivot]
         row = {c: v * inv for c, v in res.items()}
-        if self.track:
-            expr = {g: a * inv for g, a in expr.items()}
         # Back-substitute the new pivot out of existing rows.
-        for r, other in enumerate(self.rows):
+        for other in self.rows:
             coef = other.get(pivot)
             if not coef:
                 continue
@@ -110,51 +91,59 @@ class SubspaceBasis:
                     other[c2] = v
                 else:
                     other.pop(c2, None)
-            if self.track:
-                oe = self.exprs[r]
-                for g, a in expr.items():
-                    v = oe.get(g, 0) - coef * a
-                    if v:
-                        oe[g] = v
-                    else:
-                        oe.pop(g, None)
+        self.pivots[pivot] = len(self.rows)
         self.rows.append(row)
-        self.row_pivots.append(pivot)
-        self.pivots[pivot] = len(self.rows) - 1
-        if self.track:
-            self.exprs.append(expr)
         return True
 
     def contains(self, vec) -> bool:
-        res, _ = self._reduce(vec)
-        return not res
+        return not self._reduce(vec)
 
     def normal_form(self, vec):
         """Canonical representative of vec modulo the span (supported on
         non-pivot columns)."""
-        res, _ = self._reduce(vec)
-        return res
-
-    def coords_in_gens(self, vec):
-        """Some expression of vec as a combination of inserted generators,
-        or None when vec is outside the span.  Requires track=True."""
-        if not self.track:
-            raise ValueError("basis built without generator tracking")
-        res, usage = self._reduce(vec)
-        if res:
-            return None
-        out = {}
-        for r, coef in usage.items():
-            for g, a in self.exprs[r].items():
-                v = out.get(g, 0) + coef * a
-                if v:
-                    out[g] = v
-                else:
-                    out.pop(g, None)
-        return out
+        return self._reduce(vec)
 
     def pivot_columns(self):
         return set(self.pivots)
+
+
+def coords_in_span(gens, targets, keyfunc=None):
+    """For each target, {k: c} with target = sum c * gens[k], or None
+    when the target is outside the span of gens.
+
+    The coordinates are not unique when gens are dependent; these are
+    read off one `SubspaceBasis` of the vectors (gens[k], e_k), with a
+    tag column e_k per generator.  The vectors' columns come first, in
+    `keyfunc` order, and the tags after them, later generators first.
+    - Every vector of that span is (sum t_k gens[k], sum t_k e_k), so the
+      tags of each echelon row write its vector part as a combination of
+      generators.
+    - A generator that adds no rank to the vector columns reduces to a
+      row whose least column is its own tag, since the rows it was
+      reduced by carry only the tags of earlier generators.  No other row
+      ever holds that tag, so no reduction uses this row, and the rows
+      with vector pivots are those of the vector columns alone.
+    - Reducing (target, 0) by those rows leaves its residual on the
+      vector columns and minus its coordinates on the tags.
+    So the coordinates are, one for one, those that keeping each echelon
+    row's expression in the generators gives, and a generator that adds
+    no rank gets none.
+    """
+    key = keyfunc if keyfunc is not None else (lambda c: c)
+    sb = SubspaceBasis(
+        lambda col: (0, key(col[1])) if col[0] == 0 else (1, -col[1]))
+    for k, gen in enumerate(gens):
+        row = {(0, c): v for c, v in gen.items()}
+        row[(1, k)] = 1
+        sb.add(row)
+    out = []
+    for target in targets:
+        res = sb.normal_form({(0, c): v for c, v in target.items()})
+        if any(col[0] == 0 for col in res):
+            out.append(None)
+        else:
+            out.append({col[1]: -v for col, v in sorted(res.items())})
+    return out
 
 
 class RankModP:

@@ -15,7 +15,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 __all__ = [
-    "identity",
     "simple",
     "compose",
     "inverse",
@@ -30,10 +29,6 @@ __all__ = [
     "reduced_words",
     "move_path",
 ]
-
-
-def identity(n: int) -> tuple:
-    return tuple(range(n))
 
 
 def simple(n: int, k: int) -> tuple:

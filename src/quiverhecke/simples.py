@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 from .cyclotomic import CycAlgebra
-from .linalg import SubspaceBasis
+from .linalg import SubspaceBasis, coords_in_span
 
 __all__ = ["SimpleCount", "count_simples", "split_center"]
 
@@ -87,8 +87,8 @@ def _nullspace(rows, ncols):
         if f in sb.pivots:
             continue
         v = {f: Fraction(1)}
-        for row, p in zip(sb.rows, sb.row_pivots):
-            c = row.get(f)
+        for p, r in sb.pivots.items():
+            c = sb.rows[r].get(f)
             if c:
                 v[p] = -c
         out.append(v)
@@ -167,15 +167,9 @@ def _split_by(z, comp, qmul):
     vectors) along the factors of the characteristic polynomial of
     multiplication by z on it; [comp] when there is a single factor."""
     n = len(comp)
-    cb = SubspaceBasis(track=True)
-    for v in comp:
-        cb.add(v)
-    images = []
-    for v in comp:
-        coords = cb.coords_in_gens(qmul(z, v))
-        if coords is None:
-            raise AssertionError("center component not closed")
-        images.append(coords)
+    images = coords_in_span(comp, [qmul(z, v) for v in comp])
+    if any(coords is None for coords in images):
+        raise AssertionError("center component not closed")
     Mz = [[images[s].get(t, Fraction(0)) for s in range(n)] for t in range(n)]
     factors = _factors(_charpoly(Mz))
     if len(factors) == 1:

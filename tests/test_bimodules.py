@@ -4,6 +4,8 @@ phi_k extracted by two independent routes."""
 
 from fractions import Fraction
 
+import old_tracked_basis as old
+from quiverhecke import bimodules
 from quiverhecke.bimodules import (
     Bimodules,
     emb_first,
@@ -12,6 +14,7 @@ from quiverhecke.bimodules import (
     shifted_strand_chains,
 )
 from quiverhecke.cartan import Weight, build_cartan
+from quiverhecke.checks import DESK, _betas_upto
 from quiverhecke.klr import BasisMonomial, min_tau_degree
 from quiverhecke.laurent import LaurentPoly
 from quiverhecke.linalg import SubspaceBasis
@@ -181,3 +184,24 @@ def test_phi_monic_of_predicted_degree():
                     bm.sub_engine.idempotent((0,))).items()}
         assert tops == unit
         assert all(j <= lvl + k for (j, _) in phi)
+
+
+def test_phi_by_chase_matches_tracked_basis(monkeypatch):
+    # many generators that phi_by_chase offers add no rank, so psi and
+    # e_psi depend on which coordinates are read off: over the phi desk
+    # they must be those of the tracked basis that coords_in_span replaced
+    _, fixed, nmin, rows = DESK["phi"]
+    bims = [Bimodules(datum, weight, beta, *tail)
+            for datum, weights, nmax, tails in rows for weight in weights
+            for beta in _betas_upto(datum.rank, nmax) if sum(beta) >= nmin
+            for tail in tails]
+    ks = range(fixed["kmax"] + 1)
+
+    def chase():
+        return [(phi, {(a, b): c for a, b, c in psi}, e_psi)
+                for bm in bims for phi, psi, e_psi in map(bm.phi_by_chase, ks)]
+
+    got = chase()
+    assert any(psi for _, psi, _ in got)
+    monkeypatch.setattr(bimodules, "coords_in_span", old.tracked_coords)
+    assert chase() == got

@@ -261,7 +261,7 @@ def test_a2_fundamental_weight():
     assert A.graded_dims() == {0: 1}
     # the single survivor is the e((0,1)) corner
     assert A.corner([(0, 1)], [(0, 1)]) == LaurentPoly.one()
-    assert A.corner([(1, 0)], [(1, 0)]).is_zero()
+    assert A.corner([(1, 0)], [(1, 0)]) == LaurentPoly.zero()
     assert CycAlgebra(A2, wt, (2, 0)).is_zero()
     assert CycAlgebra(A2, wt, (2, 1)).is_zero()
 
@@ -487,7 +487,7 @@ def test_zero_desk_algebra_is_zero(monkeypatch):
     monkeypatch.setattr(A.space, "block_basis",
                         lambda lam, mu, d: scanned.append(d) or [])
     assert A.graded_dims() == {}
-    assert A.corner(A.alive, A.alive).is_zero()
+    assert A.corner(A.alive, A.alive) == LaurentPoly.zero()
     assert A.module(A.alive, A.alive).basis(0) == []
     assert A.summary()["truncations"] == {}
     assert scanned == []

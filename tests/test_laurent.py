@@ -8,8 +8,8 @@ from quiverhecke.laurent import LaurentPoly, qint
 def test_zero_and_one():
     z = LaurentPoly.zero()
     o = LaurentPoly.one()
-    assert z.is_zero()
-    assert not o.is_zero()
+    assert not z
+    assert o
     assert o + z == o
     assert o * z == z
 
@@ -59,7 +59,7 @@ def test_json_round_trip():
 
 
 def test_qint_values():
-    assert qint(0).is_zero()
+    assert qint(0) == LaurentPoly.zero()
     assert qint(1) == LaurentPoly.one()
     assert qint(2) == LaurentPoly({1: 1, -1: 1})
     assert qint(3) == LaurentPoly({2: 1, 0: 1, -2: 1})

@@ -4,11 +4,13 @@ prime, and Laurent-entry ranks."""
 import random
 from fractions import Fraction
 
+import old_tracked_basis as old
 from quiverhecke.laurent import LaurentPoly
 from quiverhecke.linalg import (
     P,
     RankModP,
     SubspaceBasis,
+    coords_in_span,
     laurent_rank,
     span_basis,
 )
@@ -45,15 +47,13 @@ def test_normal_form_zero_on_span():
     assert sb.normal_form({1: Fraction(1), 2: Fraction(2)}) == {}
 
 
-def test_coords_in_gens_reconstructs():
+def test_coords_in_span_reconstructs():
     rng = random.Random(77)
-    sb = SubspaceBasis(track=True)
     gens = []
     for _ in range(6):
         v = {k: Fraction(rng.randrange(-4, 5)) for k in range(5)}
         v = {k: c for k, c in v.items() if c}
         gens.append(v)
-        sb.add(v)
     # a random combination of the generators must be recognized
     target = {}
     combo = [Fraction(rng.randrange(-3, 4)) for _ in gens]
@@ -61,17 +61,76 @@ def test_coords_in_gens_reconstructs():
         for k, val in g.items():
             target[k] = target.get(k, 0) + c * val
     target = {k: v for k, v in target.items() if v}
-    coords = sb.coords_in_gens(target)
-    assert coords is not None
-    rebuilt = {}
-    for idx, c in coords.items():
-        for k, val in gens[idx].items():
-            rebuilt[k] = rebuilt.get(k, 0) + c * val
-    assert {k: v for k, v in rebuilt.items() if v} == target
     # a vector outside the span has no coordinates
     outside = dict(target)
     outside["w"] = Fraction(1)
-    assert sb.coords_in_gens(outside) is None
+    coords, none = coords_in_span(gens, [target, outside])
+    assert coords is not None
+    assert _combine(gens, coords) == target
+    assert none is None
+
+
+def _combine(gens, coords):
+    out = {}
+    for idx, c in coords.items():
+        for k, val in gens[idx].items():
+            out[k] = out.get(k, 0) + c * val
+    return {k: v for k, v in out.items() if v}
+
+
+def _random_family(rng, ncols, nindep, ndep):
+    """nindep random vectors over ncols columns, with ndep random
+    combinations of them (zero vectors and repeats included) shuffled
+    in, so that the family has dependent generators."""
+    def vec():
+        v = {c: Fraction(rng.randrange(-3, 4), rng.choice((1, 1, 2, 3)))
+             for c in rng.sample(range(ncols), rng.randint(1, ncols))}
+        return {c: x for c, x in v.items() if x}
+
+    base = [vec() for _ in range(nindep)]
+    gens = list(base)
+    for _ in range(ndep):
+        pick = rng.sample(range(len(gens)), min(len(gens), rng.randint(0, 3)))
+        gens.insert(rng.randint(0, len(gens)),
+                    _combine(gens, {k: Fraction(rng.randrange(-2, 3))
+                                    for k in pick}))
+    return gens
+
+
+def test_coords_in_span_matches_tracked_basis():
+    # the coordinates of dependent families are not unique: the tag
+    # columns must give exactly the tracked basis's choice
+    rng = random.Random(2011)
+    keyfuncs = (None, lambda c: -c, lambda c: (c % 3, c))
+    dependent = 0
+    for trial in range(300):
+        ncols = rng.randint(1, 7)
+        gens = _random_family(rng, ncols, rng.randint(0, 6),
+                              rng.randint(0, 6))
+        keyfunc = keyfuncs[trial % len(keyfuncs)]
+        ref = old.SubspaceBasis(keyfunc)
+        dependent += sum(not ref.add(g) for g in gens)
+        targets = []
+        for _ in range(4):
+            combo = {k: Fraction(rng.randrange(-3, 4))
+                     for k in range(len(gens)) if rng.random() < 0.5}
+            inside = _combine(gens, combo)
+            targets.append(inside)
+            extra = {rng.randrange(ncols + 1): Fraction(rng.randrange(1, 4))}
+            targets.append({c: inside.get(c, 0) + extra.get(c, 0)
+                            for c in set(inside) | set(extra)})
+        got = coords_in_span(gens, targets, keyfunc)
+        assert got == old.tracked_coords(gens, targets, keyfunc)
+        for target, coords in zip(targets, got):
+            assert (coords is None) == (not ref.contains(target))
+            if coords is not None:
+                assert _combine(gens, coords) == {
+                    c: v for c, v in target.items() if v}
+    assert dependent > 300
+
+
+def test_coords_in_span_of_no_generators():
+    assert coords_in_span([], [{}, {"a": 1}]) == [{}, None]
 
 
 def test_keyfunc_controls_pivots():

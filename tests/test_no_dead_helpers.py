@@ -1,5 +1,8 @@
 """Every def and class in src/ has a caller in src/, apart from a short
-allowlist of public names and of references that tests compare against."""
+allowlist of public names and of references that tests compare against.
+The scan credits a def with any read of its name, so reading a
+parameter, attribute or method of the same name elsewhere in src/ hides
+a dead one."""
 
 import ast
 from collections import Counter

@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import pytest
 
+import old_tracked_basis as old
+from quiverhecke import simples
 from quiverhecke.cartan import Weight, build_cartan
 from quiverhecke.cyclotomic import CycAlgebra
 from quiverhecke.linalg import SubspaceBasis
@@ -232,3 +234,18 @@ def test_cli_import_leaves_sympy_out(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_split_center_matches_tracked_basis(monkeypatch):
+    # Q^4 on the basis of partial sums of its idempotents, and Q x Q x Q
+    # through a triangular basis: the components are the same when the
+    # coordinates come from the tracked basis that coords_in_span replaced
+    qmul = _synthetic({(k, k): {k: 1} for k in range(4)})
+    sums = [{k: Fraction(1) for k in range(top)} for top in range(4, 0, -1)]
+    tri = [{0: Fraction(2), 1: Fraction(-1)}, {1: Fraction(3), 2: Fraction(1)},
+           {2: Fraction(1, 2)}]
+    cases = [(sums, qmul), (tri, qmul)]
+    got = [split_center(vecs, q) for vecs, q in cases]
+    assert [len(c) for c in got] == [4, 3]
+    monkeypatch.setattr(simples, "coords_in_span", old.tracked_coords)
+    assert [split_center(vecs, q) for vecs, q in cases] == got
