@@ -26,8 +26,10 @@ __all__ = ["ENGINE_REVISION", "SCHEMA_VERSION", "resolve_cache_dir",
 
 SCHEMA_VERSION = 2
 
-# Bump on every change to how summaries are computed.  Revision 2 builds
-# ideal rows over the integers and certifies full blocks modulo a prime.
+# Bump on every change that can alter a stored summary; a change that
+# computes the same summaries another way, with an argument that they are
+# equal, keeps it.  Revision 2 builds ideal rows over the integers and
+# certifies full blocks modulo a prime.
 ENGINE_REVISION = 2
 
 _ENV_VAR = "QUIVERHECKE_CACHE_DIR"

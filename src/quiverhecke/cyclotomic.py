@@ -8,7 +8,10 @@ exact and small:
   the finitely many elements X * tau_0 ... tau_{a-1}: the coset
   decomposition of the strand algebra over its last-(n-1)-strands
   subalgebra turns R * X * R into sum_a R * (X * chain_a), so the row
-  count is linear in the number of basis monomials.
+  count is linear in the number of basis monomials.  As X = x_1^L e(nu)
+  is a dot, the row of a basis monomial b is (b x_1^L) * tau_0 ...
+  tau_{a-1}: one basis monomial times the bare chain crossing, never
+  the expanded generator.
 
 * Every product row has a single left color sequence and a single right
   color sequence, so each graded piece splits into independent small
@@ -53,7 +56,13 @@ from .klr import (
 )
 from .laurent import LaurentPoly
 from .linalg import SubspaceBasis, span_basis
-from .perms import act_on_seq, all_perms, apply_word, canonical_word
+from .perms import (
+    act_on_seq,
+    all_perms,
+    apply_word,
+    canonical_word,
+    word_to_perm,
+)
 from .qpolys import QSpec
 from .tensors import TruncationModule
 
@@ -189,51 +198,31 @@ class IdealSpace:
         self.n = sum(beta)
         self.seqs = seqs_of(beta)
         self.chains = full_ideal_chains(self.n) if chains is None else tuple(chains)
-        self._gens = {}
         self._blocks = {}
-        self._transporters = {}
-
-    # -- generators X_p * tau_word, cut to right idempotents -----------
-
-    def generator(self, idx: int, mu):
-        """x_p^{level} e(w mu) tau_word for the idx-th family member, in
-        basis form; this is the right-idempotent-mu piece of that
-        generator.  Returns (element, degree)."""
-        key = (idx, mu)
-        hit = self._gens.get(key)
-        if hit is not None:
-            return hit
-        eng = self.engine
-        xpos, word = self.chains[idx]
-        left = apply_word(word, mu)
-        exps = [0] * self.n
-        exps[xpos] = self.weight.level(left[xpos])
-        E = {BasisMonomial((), tuple(exps), left): 1}
-        E = eng.right_mult_word(E, word)
-        deg = eng.element_degree(E) if E else None
-        self._gens[key] = (E, deg)
-        return E, deg
+        self._crossings = {}
 
     def transporter(self, src, dst):
         """All w in S_n with w . src == dst."""
+        return tuple(w for w in all_perms(self.n) if act_on_seq(w, src) == dst)
+
+    def crossings(self, src, dst):
+        """(canonical word, crossing degree on src) of each w in
+        `transporter(src, dst)`, in its order; memoized."""
         key = (src, dst)
-        hit = self._transporters.get(key)
+        hit = self._crossings.get(key)
         if hit is None:
-            hit = tuple(
-                w for w in all_perms(self.n) if act_on_seq(w, src) == dst
-            )
-            self._transporters[key] = hit
+            datum = self.engine.datum
+            hit = self._crossings[key] = tuple(
+                (canonical_word(w), crossing_degree(datum, w, src))
+                for w in self.transporter(src, dst))
         return hit
 
     def block_columns(self, lam, mu, d):
         """Degree-d basis monomials of e(lam) R(beta) e(mu), sorted."""
-        eng = self.engine
-        datum = eng.datum
+        datum = self.engine.datum
         weights = [datum.form(i, i) for i in mu]
         cols = []
-        for w in self.transporter(mu, lam):
-            word = canonical_word(w)
-            tdeg = crossing_degree(datum, w, mu)
+        for word, tdeg in self.crossings(mu, lam):
             for exps in weighted_comps(weights, d - tdeg):
                 cols.append(BasisMonomial(word, exps, mu))
         cols.sort(key=BasisMonomial.sort_key)
@@ -268,17 +257,49 @@ class IdealSpace:
         self._blocks[key] = (cols, sb)
         return cols, sb
 
+    def chain_factor(self, idx: int, mu):
+        """The idx-th family member (p, word) on the right idempotent mu,
+        as (left, L, chain, degree).  The generator is x_p^L e(left)
+        tau_word with left = word . mu and L the level of left[p]; chain
+        is the bare crossing tau_word e(mu) as a basis monomial, and
+        degree is that of the generator,
+        L (alpha_c|alpha_c) + crossing degree of word on mu, c = left[p].
+        A chain word (0..a-1) or (1..a) is the only reduced word of its
+        permutation, so the monomial is canonical."""
+        xpos, word = self.chains[idx]
+        datum = self.engine.datum
+        left = apply_word(word, mu)
+        c = left[xpos]
+        L = self.weight.level(c)
+        chain = BasisMonomial(word, (0,) * self.n, mu)
+        deg = L * datum.form(c, c) + crossing_degree(
+            datum, word_to_perm(self.n, word), mu)
+        return left, L, chain, deg
+
     def _ideal_rows(self, lam, mu, d, colset):
-        """Nonzero spanning rows b * generator of block (lam, mu, d),
-        each checked to lie on the block's columns `colset`."""
+        """Nonzero spanning rows b * (x_p^L e(left) tau_word) of block
+        (lam, mu, d), over the family and then the columns b of
+        e(lam) R e(left) in the complementary degree, each checked to lie
+        on the block's columns `colset`.
+
+        Each row is one product (b x_p^L) * tau_word.  By associativity
+        b * (x_p^L e(left) tau_word) = (b x_p^L) tau_word, and for
+        b = tau_w x^a e(left) the right factor x_p^L only raises a dot,
+        so b x_p^L is the basis monomial b' = tau_w x^(a + L e_p) e(left).
+        Both products are the same element written in the PBW basis, so
+        each row equals the one the generator expanded into basis form
+        gives, in the same order, while the rewrite chain of the word
+        runs once per row instead of once per term of the generator.
+        """
         eng = self.engine
-        for idx in range(len(self.chains)):
-            gen, gdeg = self.generator(idx, mu)
-            if not gen:
-                continue
-            left_of_gen = apply_word(self.chains[idx][1], mu)
-            for b in self.block_columns(lam, left_of_gen, d - gdeg):
-                row = eng.multiply({b: 1}, gen)
+        for idx, (xpos, _) in enumerate(self.chains):
+            left, L, chain, gdeg = self.chain_factor(idx, mu)
+            tail = {chain: 1}
+            for b in self.block_columns(lam, left, d - gdeg):
+                exps = list(b.exps)
+                exps[xpos] += L
+                row = eng.multiply(
+                    {BasisMonomial(b.word, tuple(exps), left): 1}, tail)
                 if row:
                     assert row.keys() <= colset, "ideal row escaped its block"
                     yield row
@@ -498,8 +519,7 @@ class CycAlgebra:
         crossing degree as `top` and largest dot degree on mu as `step`."""
         dims = self._dims.get((lam, mu))
         if dims is None:
-            taus = [crossing_degree(self.datum, w, mu)
-                    for w in self.space.transporter(mu, lam)]
+            taus = [tdeg for _, tdeg in self.space.crossings(mu, lam)]
             step = max((self.datum.form(i, i) for i in mu), default=1)
             dims = self._dims[(lam, mu)] = scan_until_vanishing(
                 lambda d: len(self.space.block_basis(lam, mu, d)),

@@ -77,8 +77,17 @@ def seqs_of(beta):
     return tuple(sorted(out))
 
 
+_comps_memo = {}
+
+
 def weighted_comps(weights, total):
-    """Nonnegative integer tuples e with sum e_k * weights[k] == total."""
+    """Nonnegative integer tuples e with sum e_k * weights[k] == total, in
+    lexicographic order.  The answer is a tuple, memoized per
+    (tuple(weights), total) and shared by every caller."""
+    key = (tuple(weights), total)
+    hit = _comps_memo.get(key)
+    if hit is not None:
+        return hit
     out = []
     k = len(weights)
 
@@ -96,7 +105,8 @@ def weighted_comps(weights, total):
 
     if total >= 0:
         rec(0, total, [])
-    return out
+    hit = _comps_memo[key] = tuple(out)
+    return hit
 
 
 def crossing_degree(datum, w, seq) -> int:

@@ -1,5 +1,7 @@
 """The quotient paths that `CycAlgebra` replaced, kept verbatim as
-references for the differential tests: the window functions
+references for the differential tests: the ideal rows as products with
+the expanded generator, `IdealSpace.generator` (without its memo) and
+`IdealSpace._ideal_rows`, the window functions
 `degree_cap`, `_table_window` and `default_window`, the basis listings
 `IdealSpace.quotient_basis`, `CycAlgebra.quotient_basis`,
 `CycAlgebra.dim_at` (without its memo) and
@@ -25,9 +27,43 @@ from quiverhecke.klr import (
     seqs_of,
 )
 from quiverhecke.laurent import LaurentPoly
-from quiverhecke.perms import all_perms
+from quiverhecke.perms import all_perms, apply_word
 from quiverhecke.qpolys import QSpec
 from quiverhecke.tensors import TruncationModule
+
+
+# ---- ideal rows --------------------------------------------------------
+
+
+def generator(self, idx: int, mu):
+    """x_p^{level} e(w mu) tau_word for the idx-th family member, in
+    basis form; this is the right-idempotent-mu piece of that
+    generator.  Returns (element, degree)."""
+    eng = self.engine
+    xpos, word = self.chains[idx]
+    left = apply_word(word, mu)
+    exps = [0] * self.n
+    exps[xpos] = self.weight.level(left[xpos])
+    E = {BasisMonomial((), tuple(exps), left): 1}
+    E = eng.right_mult_word(E, word)
+    deg = eng.element_degree(E) if E else None
+    return E, deg
+
+
+def ideal_rows(self, lam, mu, d, colset):
+    """Nonzero spanning rows b * generator of block (lam, mu, d),
+    each checked to lie on the block's columns `colset`."""
+    eng = self.engine
+    for idx in range(len(self.chains)):
+        gen, gdeg = generator(self, idx, mu)
+        if not gen:
+            continue
+        left_of_gen = apply_word(self.chains[idx][1], mu)
+        for b in self.block_columns(lam, left_of_gen, d - gdeg):
+            row = eng.multiply({b: 1}, gen)
+            if row:
+                assert row.keys() <= colset, "ideal row escaped its block"
+                yield row
 
 
 # ---- windows ---------------------------------------------------------

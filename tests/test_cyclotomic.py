@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from quiverhecke import cyclotomic
+from quiverhecke import checks, cyclotomic
+from quiverhecke.bimodules import Bimodules
 from quiverhecke.cartan import Weight, build_cartan
 from quiverhecke.cyclotomic import (
     CycAlgebra,
@@ -24,6 +25,7 @@ from quiverhecke.klr import (
     crossing_degree,
     get_engine,
     left_seq,
+    min_tau_degree,
     seqs_of,
     weighted_comps,
 )
@@ -34,11 +36,14 @@ from quiverhecke.perms import (
     all_perms,
     apply_word,
     canonical_word,
+    word_to_perm,
 )
 from quiverhecke.qpolys import QSpec
 from quiverhecke.uqmod import UqModule
 
 from old_quotient_paths import degree_cap
+from old_quotient_paths import generator as old_generator
+from old_quotient_paths import ideal_rows as old_ideal_rows
 
 A1 = build_cartan(("i",), [[2]])
 A2 = build_cartan(("1", "2"), [[2, -1], [-1, 2]])
@@ -385,7 +390,7 @@ def reference_block(space: IdealSpace, lam, mu, d):
     sb = SubspaceBasis(keyfunc=BasisMonomial.sort_key)
     if cols:
         for idx, (_, word) in enumerate(space.chains):
-            gen, gdeg = space.generator(idx, mu)
+            gen, gdeg = old_generator(space, idx, mu)
             if not gen:
                 continue
             for b in space.block_columns(lam, apply_word(word, mu), d - gdeg):
@@ -465,6 +470,73 @@ def assert_early_exits_match(A: CycAlgebra):
     for mu in A.alive:
         for nu in A.alive:
             assert A.corner([mu], [nu]).coeffs == reference_dims(A, [(mu, nu)])
+
+
+# ---- ideal rows against the expanded generator -----------------------
+
+
+def assert_rows_match_expanded_generator(space, degrees, integral):
+    """Every block of `space` over the given degrees: `_ideal_rows` yields
+    the rows b * generator that the expanded generator gave, row for
+    row, in order, with equal coefficient dicts (all int with an
+    integral table), and each chain degree is the generator's degree.
+    Returns the number of rows compared."""
+    eng = space.engine
+    for idx, (_, word) in enumerate(space.chains):
+        assert canonical_word(word_to_perm(space.n, word)) == word
+        for mu in space.seqs:
+            gen, _ = old_generator(space, idx, mu)
+            assert gen
+            assert space.chain_factor(idx, mu)[3] == eng.element_degree(gen)
+    count = 0
+    for lam in space.seqs:
+        for mu in space.seqs:
+            for d in degrees:
+                colset = set(space.block_columns(lam, mu, d))
+                new = list(space._ideal_rows(lam, mu, d, colset))
+                old = list(old_ideal_rows(space, lam, mu, d, colset))
+                assert new == old
+                if integral:
+                    assert all(type(c) is int for rows in (new, old)
+                               for row in rows for c in row.values())
+                count += len(new)
+    return count
+
+
+def _quotient_degrees(A):
+    """Every degree a block of A can be scanned or reduced in, with
+    margins: from the least crossing degree to the nilpotency bound."""
+    return range(min_tau_degree(A.datum, A.beta) - 2, A.dmax_bound + 3)
+
+
+@pytest.mark.parametrize("datum,wt,beta", DESK_ALGEBRAS)
+def test_ideal_rows_match_the_expanded_generator(datum, wt, beta):
+    A = CycAlgebra(datum, wt, beta)
+    assert assert_rows_match_expanded_generator(
+        IdealSpace(A.engine, wt, beta), _quotient_degrees(A), True)
+
+
+def test_ideal_rows_match_the_expanded_generator_non_integral_qspec():
+    A = CycAlgebra(A2, Weight((1, 1)), (2, 1), A2_HALF)
+    assert assert_rows_match_expanded_generator(
+        IdealSpace(A.engine, A.weight, A.beta), _quotient_degrees(A), False)
+
+
+@pytest.mark.parametrize("thunk", checks.CHECKS["exact"](),
+                         ids=lambda t: repr(t.args[1:]))
+def test_one_sided_ideal_rows_match_the_expanded_generator(thunk):
+    # the first_strand_chains and shifted_strand_chains families of K0
+    # and K1, over the window of the exact check and its shift
+    bim = Bimodules(*thunk.args)
+    lo, hi = bim.window
+    shift = bim.shift_P
+    degrees = range(min(lo, lo - shift) - 2, max(hi, hi - shift) + 3)
+    for space in (bim.K0.space, bim.K1.space):
+        count = assert_rows_match_expanded_generator(
+            IdealSpace(space.engine, space.weight, space.beta, space.chains),
+            degrees, True)
+        # with beta = 0 the families are empty
+        assert bool(count) == bool(space.chains)
 
 
 @pytest.mark.parametrize("datum,wt,beta", NONZERO_DESK_ALGEBRAS)

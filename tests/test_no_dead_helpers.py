@@ -13,6 +13,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "quiverhecke"
 ALLOWED = {
     "gen_x": "public API: a dot generator of the exported KLR engine",
     "gen_tau": "public API: a crossing generator of the exported KLR engine",
+    "element_degree": "public API: the degree of a homogeneous element of "
+                      "the exported KLR engine",
     "predicted_total_dim": "public API: the README's UqModule example",
     "run_all": "public API: exported by the package __init__",
     "dim_at": "public API: one degree of a quotient; the benchmark tracer "
