@@ -238,7 +238,7 @@ class Bimodules:
             exps = list(m.exps)
             exps[self.N - 1] += j
             gens.append(self.K0.nf(
-                {BasisMonomial(m.word, tuple(exps), m.seq): Fraction(1)}))
+                {BasisMonomial(m.word, tuple(exps), m.seq): 1}))
             tags.append(("t", j, q))
         # tensor family: emb(a) tau_{n-1} emb(b), crossing on two i strands
         for (b, db) in qbasis:
@@ -247,8 +247,8 @@ class Bimodules:
                 continue
             da = D - db + d_ii
             for a in self.ends_in_i.basis(da):
-                E = eng.right_mult_tau({emb_last(a, i): Fraction(1)}, self.n - 1)
-                E = eng.multiply(E, {emb_last(b, i): Fraction(1)})
+                E = eng.right_mult_tau({emb_last(a, i): 1}, self.n - 1)
+                E = eng.multiply(E, {emb_last(b, i): 1})
                 gens.append(self.K0.nf(E))
                 tags.append(("F", a, b))
         coords, = coords_in_span(gens, [u], keyfunc=BasisMonomial.sort_key)
@@ -265,7 +265,7 @@ class Bimodules:
         phi = {key: c for key, c in phi.items() if c}
         e_psi = {}
         for (a, b, c) in psi:
-            prod = self.sub_engine.multiply({a: Fraction(1)}, {b: Fraction(1)})
+            prod = self.sub_engine.multiply({a: 1}, {b: 1})
             for m, cc in self.sub.nf(prod).items():
                 e_psi[m] = e_psi.get(m, 0) + c * cc
         e_psi = {m: c for m, c in e_psi.items() if c}

@@ -76,7 +76,7 @@ class Cache:
         try:
             with open(self._path(key), "r", encoding="utf-8") as fh:
                 return json.load(fh)
-        except (OSError, json.JSONDecodeError):
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError):
             return None
 
     def put(self, key, payload):

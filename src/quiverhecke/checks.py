@@ -14,7 +14,6 @@ F_j E_i tensor (`_fe_tensor`, free or cyclotomic), one E_i F_j corner
 from __future__ import annotations
 
 import time
-from fractions import Fraction
 from functools import cache, partial
 from itertools import product
 
@@ -209,7 +208,7 @@ def check_taug(datum, weight, beta, i, qspec=None):
     pq = bim.pq_poly()
     zero = (0,) * bim.N
     for nu in seqs_of(tuple(beta)):
-        E = {BasisMonomial((), zero, (i,) + nu): Fraction(1)}
+        E = {BasisMonomial((), zero, (i,) + nu): 1}
         lhs = bim.K1.nf(bim.apply_Q(bim.apply_P(E)))
         rhs = bim.K1.nf(bim.engine.multiply(E, bim.qp_poly(nu)))
         diff = _residual_terms(lhs, rhs)
@@ -217,7 +216,7 @@ def check_taug(datum, weight, beta, i, qspec=None):
             rep.fail(nu=list(nu), residual_terms=diff)
         else:
             rep.note(nu=list(nu), ok=True)
-        E = {BasisMonomial((), zero, nu + (i,)): Fraction(1)}
+        E = {BasisMonomial((), zero, nu + (i,)): 1}
         lhs = bim.K0.nf(bim.apply_P(bim.apply_Q(E)))
         rhs = bim.K0.nf(bim.engine.multiply(E, pq))
         diff = _residual_terms(lhs, rhs)
@@ -249,7 +248,7 @@ def check_exact(datum, weight, beta, i, qspec=None):
         sb = SubspaceBasis(keyfunc=BasisMonomial.sort_key)
         im_in_ker = True
         for m in src:
-            v = bim.K0.nf(bim.apply_P({m: Fraction(1)}))
+            v = bim.K0.nf(bim.apply_P({m: 1}))
             if bim.F.nf(v):
                 im_in_ker = False
             sb.add(v)
@@ -262,7 +261,7 @@ def check_exact(datum, weight, beta, i, qspec=None):
             continue
         sbp = SubspaceBasis(keyfunc=BasisMonomial.sort_key)
         for m in bim.K0.basis(d):
-            sbp.add(bim.F.nf({m: Fraction(1)}))
+            sbp.add(bim.F.nf({m: 1}))
         if sbp.rank != dimf:
             rep.fail(degree=d, lhs=sbp.rank, rhs=dimf,
                      identity="pi surjective")
@@ -397,7 +396,7 @@ def check_phi(datum, weight, beta, i, kmax=4, qspec=None):
     if not sub_zero:
         for m, d in bim.sub.basis():
             if d == 0 and not m.word and not any(m.exps):
-                unit[m] = Fraction(1)
+                unit[m] = 1
     prev = None
     prev_e = None
     for k in range(kmax + 1):

@@ -42,8 +42,6 @@ sequences, and its `corner` sums the block scans.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .cartan import Weight
 from .klr import (
     BasisMonomial,
@@ -120,7 +118,7 @@ def min_power_in_ideal(N: int, Np: int, qterms, wu: int, wv: int) -> int:
                     vec[key] = vec.get(key, 0) + t
             if vec:
                 sb.add(vec)
-        if sb.rank and sb.contains({(0, s): Fraction(1)}):
+        if sb.rank and sb.contains({(0, s): 1}):
             return s
     raise AssertionError("no v power found within the resultant bound")
 

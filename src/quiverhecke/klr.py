@@ -15,7 +15,6 @@ crossings than the product it came from.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from .cartan import CartanDatum
@@ -169,15 +168,15 @@ class KLR:
 
     def idempotent(self, seq) -> dict:
         seq = tuple(seq)
-        return {BasisMonomial((), self._zero_exps, seq): Fraction(1)}
+        return {BasisMonomial((), self._zero_exps, seq): 1}
 
     def gen_x(self, m: int, seq) -> dict:
         exps = list(self._zero_exps)
         exps[m] = 1
-        return {BasisMonomial((), tuple(exps), tuple(seq)): Fraction(1)}
+        return {BasisMonomial((), tuple(exps), tuple(seq)): 1}
 
     def gen_tau(self, k: int, seq) -> dict:
-        return {BasisMonomial((k,), self._zero_exps, tuple(seq)): Fraction(1)}
+        return {BasisMonomial((k,), self._zero_exps, tuple(seq)): 1}
 
     # ---- core rewriting ---------------------------------------------
 
@@ -363,13 +362,13 @@ class KLR:
 
         if seq[a] == seq[a + 1]:
             out = {}
-            _add(out, mono((), [(a + 1, 1)]), Fraction(1))
-            _add(out, mono((), [(a, 1)]), Fraction(-1))
-            _add(out, mono((a,), [(a, 2)]), Fraction(-1))
-            _add(out, mono((a,), [(a, 1), (a + 1, 1)]), Fraction(2))
-            _add(out, mono((a,), [(a + 1, 2)]), Fraction(-1))
+            _add(out, mono((), [(a + 1, 1)]), 1)
+            _add(out, mono((), [(a, 1)]), -1)
+            _add(out, mono((a,), [(a, 2)]), -1)
+            _add(out, mono((a,), [(a, 1), (a + 1, 1)]), 2)
+            _add(out, mono((a,), [(a + 1, 2)]), -1)
             return out
-        return {BasisMonomial((a,), zero, seq): Fraction(1)}
+        return {BasisMonomial((a,), zero, seq): 1}
 
     def intertwiner_g_all(self, a: int, seqs) -> dict:
         out = {}

@@ -1,7 +1,8 @@
 """Exact linear algebra over the rationals and over Laurent series fields.
 
 `SubspaceBasis` keeps an incrementally built reduced row echelon basis
-of a span of sparse Fraction vectors.  Vectors are dicts keyed by any
+of a span of sparse rational vectors, whose entries are ints where they
+are integral and Fractions elsewhere.  Vectors are dicts keyed by any
 hashable column labels; a key function fixes the column order, and with
 it the echelon form (hence normal forms of vectors modulo the span) is
 canonical, independent of insertion order.  `coords_in_span` solves
@@ -32,7 +33,21 @@ P = 2**61 - 1
 
 class SubspaceBasis:
     """Row space in reduced echelon form.  Row r has pivot column c when
-    pivots[c] == r, and pivots lists the rows in order."""
+    pivots[c] == r, and pivots lists the rows in order.
+
+    Every stored entry and every normal-form value is an int exactly when
+    it is integral, and a Fraction otherwise; a Fraction is made only
+    where a pivot other than 1 or -1 divides a row.  The answers are
+    those of an all-Fraction elimination:
+    - The reduced echelon form of a span under a fixed column order is
+      unique, whatever the entries' types.
+    - An int and a Fraction of equal value compare and hash equal, and
+      `+`, `-` and `*` on any mix of them are exact.
+    - The one operation that could leave Q is `/` on two ints, and the
+      one division here has the Fraction operand `Fraction(1)`.
+    So every row, pivot, rank and normal form is the same rational vector
+    as with Fraction entries throughout; only the Python type of an
+    integral entry differs."""
 
     def __init__(self, keyfunc=None):
         self.keyfunc = keyfunc if keyfunc is not None else (lambda c: c)
@@ -44,7 +59,7 @@ class SubspaceBasis:
         """The basis of the whole space on `cols`: one unit row per
         column, which is the reduced echelon form of any full-rank span."""
         sb = cls(keyfunc)
-        sb.rows = [{c: Fraction(1)} for c in cols]
+        sb.rows = [{c: 1} for c in cols]
         sb.pivots = {c: r for r, c in enumerate(cols)}
         return sb
 
@@ -53,8 +68,9 @@ class SubspaceBasis:
         return len(self.rows)
 
     def _reduce(self, vec):
-        """vec minus its projection onto the span."""
-        res = {c: Fraction(v) for c, v in vec.items() if v}
+        """vec minus its projection onto the span, with each integral
+        entry an int."""
+        res = {c: v for c, v in vec.items() if v}
         # One pass suffices: each basis row contains no pivot column of
         # any other row, so eliminating a pivot never reintroduces one.
         for col in list(res):
@@ -70,7 +86,7 @@ class SubspaceBasis:
                     res[c2] = v
                 else:
                     res.pop(c2, None)
-        return res
+        return _integral(res)
 
     def add(self, vec) -> bool:
         """Insert a generator; returns True when the rank grew."""
@@ -78,8 +94,14 @@ class SubspaceBasis:
         if not res:
             return False
         pivot = min(res, key=self.keyfunc)
-        inv = Fraction(1) / res[pivot]
-        row = {c: v * inv for c, v in res.items()}
+        p = res[pivot]
+        if p == 1:
+            row = res
+        elif p == -1:
+            row = {c: -v for c, v in res.items()}
+        else:
+            inv = Fraction(1) / p
+            row = _integral({c: v * inv for c, v in res.items()})
         # Back-substitute the new pivot out of existing rows.
         for other in self.rows:
             coef = other.get(pivot)
@@ -87,10 +109,12 @@ class SubspaceBasis:
                 continue
             for c2, v2 in row.items():
                 v = other.get(c2, 0) - coef * v2
-                if v:
+                if not v:
+                    other.pop(c2, None)
+                elif type(v) is int or v.denominator != 1:
                     other[c2] = v
                 else:
-                    other.pop(c2, None)
+                    other[c2] = v.numerator
         self.pivots[pivot] = len(self.rows)
         self.rows.append(row)
         return True
@@ -105,6 +129,15 @@ class SubspaceBasis:
 
     def pivot_columns(self):
         return set(self.pivots)
+
+
+def _integral(vec):
+    """vec, in place, with each Fraction entry of denominator 1 replaced
+    by its int numerator."""
+    for c, v in vec.items():
+        if type(v) is not int and v.denominator == 1:
+            vec[c] = v.numerator
+    return vec
 
 
 def coords_in_span(gens, targets, keyfunc=None):

@@ -10,8 +10,9 @@ into fields.  When every field factor is the rationals themselves the
 splitting is certified and the count is valid over any coefficient
 field containing the rationals.
 
-The linear algebra is Fraction arithmetic on `SubspaceBasis`, with
-nullspaces read off reduced echelon forms.  A center component splits
+The linear algebra is exact rational arithmetic on `SubspaceBasis`
+(ints where integral, Fractions elsewhere), with nullspaces read off
+reduced echelon forms.  A center component splits
 along the rational roots of the characteristic polynomial of a center
 element; only a factor of degree two or more with no rational root (a
 non-split center) goes to sympy's `factor_list`, imported there.  None
@@ -51,7 +52,7 @@ def _mult_table(alg: CycAlgebra):
     table = {}
     for a, ma in enumerate(basis):
         for b, mb in enumerate(basis):
-            prod = alg.nf(eng.multiply({ma: Fraction(1)}, {mb: Fraction(1)}))
+            prod = alg.nf(eng.multiply({ma: 1}, {mb: 1}))
             row = {}
             for m, c in prod.items():
                 row[index[m]] = c

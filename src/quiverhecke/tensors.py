@@ -18,8 +18,6 @@ front).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .klr import BasisMonomial, min_tau_degree, seqs_of
 from .laurent import LaurentPoly
 from .linalg import SubspaceBasis
@@ -40,16 +38,16 @@ def algebra_gens(datum, beta):
     gens = []
     for nu in seqs_of(beta):
         zero = (0,) * n
-        gens.append(({BasisMonomial((), zero, nu): Fraction(1)}, 0))
+        gens.append(({BasisMonomial((), zero, nu): 1}, 0))
         for p in range(n):
             exps = tuple(1 if t == p else 0 for t in range(n))
             gens.append((
-                {BasisMonomial((), exps, nu): Fraction(1)},
+                {BasisMonomial((), exps, nu): 1},
                 datum.form(nu[p], nu[p]),
             ))
         for l in range(n - 1):
             gens.append((
-                {BasisMonomial((l,), zero, nu): Fraction(1)},
+                {BasisMonomial((l,), zero, nu): 1},
                 -datum.form(nu[l], nu[l + 1]),
             ))
     return gens
@@ -103,7 +101,7 @@ class TruncationModule:
         return self.space.reduce(E)
 
     def act(self, m, gen_elt):
-        one = {m: Fraction(1)}
+        one = {m: 1}
         g = self.emb(gen_elt)
         if self.side == "right":
             return self.nf(self.space.engine.multiply(one, g))

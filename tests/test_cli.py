@@ -324,6 +324,28 @@ def test_cache_ignores_corrupt_entries(tmp_path):
     assert cache.get(key) is None
 
 
+@pytest.mark.parametrize("command", ["cyclotomic", "compare"])
+def test_cache_entry_that_is_not_utf8_is_a_miss(cfg_path, tmp_path, capsys,
+                                               command):
+    cache_dir = tmp_path / "cache"
+    assert run(capsys, command, "--config", cfg_path,
+               "--cache-dir", str(cache_dir))[0] == 0
+    names = sorted(os.listdir(cache_dir))
+    assert names
+    for name in names:
+        (cache_dir / name).write_bytes(b"\xff\xfe\x00garbage")
+    fresh = run(capsys, command, "--config", cfg_path, "--no-cache")
+    cached = run(capsys, command, "--config", cfg_path,
+                 "--cache-dir", str(cache_dir))
+    assert cached == fresh
+    assert fresh[0] == 0
+    # every entry was recomputed, overwritten and reads back
+    cache = Cache(str(cache_dir))
+    for name in names:
+        key = name.removesuffix(".json")
+        assert cache.get(key)["key"] == key
+
+
 def test_summary_keys_are_the_summary_fields():
     alg = CycAlgebra(build_cartan(("1", "2"), [[2, -1], [-1, 2]]),
                      Weight((1, 1)), (1, 1))

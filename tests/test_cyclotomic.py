@@ -619,7 +619,7 @@ def test_ideal_rows_are_integral_exactly_for_an_integral_qspec(qspec,
     assert (Fraction not in types) == integral
 
 
-def test_normal_forms_stay_fractions_with_an_integral_qspec():
+def test_normal_forms_are_int_exactly_where_integral():
     A = CycAlgebra(A2, Weight((1, 1)), (2, 1))
     assert all(type(c) is int for _, _, c in A.qspec.terms(0, 1))
     eng = A.engine
@@ -628,7 +628,10 @@ def test_normal_forms_stay_fractions_with_an_integral_qspec():
     for a in basis:
         for b in basis:
             nf = A.nf(eng.multiply({a: 1}, {b: 1}))
-            assert all(type(c) is Fraction for c in nf.values())
+            # exact values only, never a float, and an int iff integral
+            assert all(type(c) in (int, Fraction) for c in nf.values())
+            assert all((type(c) is int) == (c.denominator == 1)
+                       for c in nf.values())
             nonzero += bool(nf)
     assert nonzero
 

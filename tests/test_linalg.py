@@ -4,6 +4,7 @@ prime, and Laurent-entry ranks."""
 import random
 from fractions import Fraction
 
+import old_fraction_basis as frac
 import old_tracked_basis as old
 from quiverhecke.laurent import LaurentPoly
 from quiverhecke.linalg import (
@@ -127,6 +128,76 @@ def test_coords_in_span_matches_tracked_basis():
                 assert _combine(gens, coords) == {
                     c: v for c, v in target.items() if v}
     assert dependent > 300
+
+
+def _int_iff_integral(values):
+    return all(type(v) in (int, Fraction)
+               and (type(v) is int) == (v.denominator == 1) for v in values)
+
+
+def _mixed_family(rng, ncols, kind):
+    """Random vectors over ncols columns whose entries are ints, Fractions
+    (integral ones included) or both, as kind says, with zero vectors,
+    explicit zero entries and combinations of earlier vectors shuffled
+    in."""
+    def entry():
+        if kind == "int" or (kind == "mixed" and rng.random() < 0.5):
+            return rng.choice((1, -1, 1, -1, 2, -2, 3, 0))
+        return Fraction(rng.randrange(-3, 4), rng.choice((1, 1, 2, 3)))
+
+    gens = []
+    for _ in range(rng.randint(0, 8)):
+        roll = rng.random()
+        if roll < 0.1:
+            gens.append(rng.choice(({}, {rng.randrange(ncols): 0})))
+        elif roll < 0.3 and gens:
+            pick = rng.sample(range(len(gens)), min(len(gens), 2))
+            gens.append(_combine(gens, {k: entry() for k in pick}))
+        else:
+            gens.append({c: entry() for c in
+                         rng.sample(range(ncols), rng.randint(1, ncols))})
+    return gens
+
+
+def test_integer_echelon_form_matches_fraction_basis():
+    # the same rows, pivots, normal forms and coordinates as the
+    # all-Fraction elimination, with an int exactly where integral
+    rng = random.Random(1311)
+    keyfuncs = (None, lambda c: -c, lambda c: (c % 3, c))
+    pivot_values = {1: 0, -1: 0, "other": 0}
+    for trial in range(300):
+        ncols = rng.randint(1, 6)
+        kind = ("int", "fraction", "mixed")[trial % 3]
+        gens = _mixed_family(rng, ncols, kind)
+        keyfunc = keyfuncs[trial % len(keyfuncs)]
+        new, ref = SubspaceBasis(keyfunc), frac.SubspaceBasis(keyfunc)
+        for g in gens:
+            res = new.normal_form(g)
+            if res:
+                p = res[min(res, key=new.keyfunc)]
+                pivot_values[p if p in (1, -1) else "other"] += 1
+            assert new.add(g) == ref.add(g)
+            assert new.rank == ref.rank
+            assert list(new.pivots.items()) == list(ref.pivots.items())
+            assert new.rows == ref.rows
+            assert all(_int_iff_integral(row.values()) for row in new.rows)
+        targets = [{}, *({c: 1} for c in range(ncols)),
+                   {c: Fraction(1, 2) for c in range(ncols)}]
+        for _ in range(3):
+            inside = _combine(gens, {k: Fraction(rng.randrange(-3, 4),
+                                                 rng.choice((1, 2)))
+                                     for k in range(len(gens))})
+            targets.append(inside)
+            targets.append({**inside, ncols: rng.randrange(1, 4)})
+        for t in targets:
+            nf = new.normal_form(t)
+            assert nf == ref.normal_form(t)
+            assert _int_iff_integral(nf.values())
+            assert new.contains(t) == ref.contains(t)
+        got = coords_in_span(gens, targets, keyfunc)
+        assert got == frac.coords_in_span(gens, targets, keyfunc)
+        assert all(_int_iff_integral(c.values()) for c in got if c)
+    assert min(pivot_values.values()) > 50
 
 
 def test_coords_in_span_of_no_generators():
