@@ -76,7 +76,8 @@ class Cache:
         try:
             with open(self._path(key), "r", encoding="utf-8") as fh:
                 return json.load(fh)
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError):
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError,
+                RecursionError):
             return None
 
     def put(self, key, payload):

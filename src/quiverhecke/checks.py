@@ -279,9 +279,12 @@ def _fe_tensor(datum, beta, i, j, module_of, window=None) -> LaurentPoly:
     """Graded dims of A(beta - alpha_i + alpha_j) e(., j) tensored over
     A(beta - alpha_i) with e(., i) A(beta): the tensor presenting F_j E_i
     at beta.  module_of(beta, rows, cols, side, emb) cuts the modules out
-    of A, free or cyclotomic.  The window defaults to the sum of the two
-    factors' degree ranges, outside which a tensor of bounded factors
-    vanishes."""
+    of A, free or cyclotomic.  The smaller algebra acts through the right
+    strand embedding, which on cyclotomic quotients is well defined
+    because it maps the smaller ideal into the larger one (the statement
+    proved in `cyclotomic.unit_in_ideal`).  The window defaults to the
+    sum of the two factors' degree ranges, outside which a tensor of
+    bounded factors vanishes."""
     sub = _sub_beta(beta, i)
     if sub is None:
         return LaurentPoly.zero()

@@ -19,7 +19,9 @@ Schema:
 
 Each q_coeffs entry under key "a,b" is a list of terms [p, q, num, den]
 meaning (num/den) u^p v^q in Q_ab(u, v), with u attached to label a and
-v to label b.
+v to label b.  Labels may not contain "," or "|", which separate the
+labels in these keys and in the sequence and truncation names of the
+output.
 """
 
 from __future__ import annotations
@@ -80,6 +82,11 @@ def _parse_cartan(data) -> CartanDatum:
             "\"cartan.labels\" must be a nonempty list")
     _expect(all(isinstance(s, str) and s for s in labels),
             "\"cartan.labels\" entries must be nonempty strings")
+    # sequences are named by joining labels with "," and truncations by
+    # joining two names with "|", and q_coeffs keys are "a,b"
+    for lab in labels:
+        _expect("," not in lab and "|" not in lab,
+                f"\"cartan.labels\" entry {lab!r} contains \",\" or \"|\"")
     matrix = data["matrix"]
     _expect(isinstance(matrix, list)
             and all(isinstance(row, list) for row in matrix),
@@ -201,6 +208,7 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {err}") from None
     except UnicodeDecodeError as err:
         raise ConfigError(f"config {path} is not UTF-8: {err}") from None
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, RecursionError) as err:
+        # json.load recurses once per nesting level
         raise ConfigError(f"config {path} is not valid JSON: {err}") from None
     return parse_config(data)

@@ -26,9 +26,15 @@ exact and small:
   largest dot degree, past which it is certified to vanish (see
   `scan_until_vanishing`).  Every dimension is read from these scans.
 
-* A sequence with a zero nilpotency bound is dead.  Construction checks
-  once that each dead idempotent lies in the ideal; its blocks are then
-  full, and the normal form is plain `IdealSpace.reduce`.
+* Zeros are proved once.  A sequence with a zero nilpotency bound is
+  dead, and construction checks that each dead idempotent lies in the
+  ideal.  That check, and the one deciding whether the whole quotient
+  vanishes, go through `unit_in_ideal`: e(nu) is in the ideal when
+  e(nu[:-1]) is in the ideal of the smaller algebra, by the right strand
+  embedding, and is otherwise reduced in degree 0.  Each sequence so
+  certified is recorded on its space, and `IdealSpace.reduce` drops a
+  monomial with a certified left or right sequence without building its
+  block, which would be full: the ideal is two-sided.
 
 The paper's tower bound (`certified_cap`) is not part of the window.  It
 checks that the monic last-strand relation lies in the ideal and bounds
@@ -75,6 +81,7 @@ __all__ = [
     "IdealSpace",
     "free_space",
     "get_ideal_space",
+    "unit_in_ideal",
     "CycAlgebra",
 ]
 
@@ -187,6 +194,13 @@ class IdealSpace:
     one-sided denominators of the induction and restriction bimodules,
     and the empty family leaves R(beta) itself (see `free_space`), whose
     bases are block columns with no block built.
+
+    `certified` holds the sequences nu with e(nu) certified to lie in the
+    span by `unit_in_ideal`.  Only the shared full-family spaces of
+    `get_ideal_space` ever hold any: there the span is the two-sided
+    ideal, so e(nu) in it puts every monomial with nu as its left or
+    right sequence in it too.  A one-sided family would allow the right
+    side only, and the free space has no ideal at all.
     """
 
     def __init__(self, engine: KLR, weight: Weight, beta, chains=None):
@@ -198,6 +212,7 @@ class IdealSpace:
         self.chains = full_ideal_chains(self.n) if chains is None else tuple(chains)
         self._blocks = {}
         self._crossings = {}
+        self.certified = set()
 
     def transporter(self, src, dst):
         """All w in S_n with w . src == dst."""
@@ -312,13 +327,21 @@ class IdealSpace:
         return [m for m in cols if m not in pivots]
 
     def reduce(self, E: dict) -> dict:
-        """Canonical representative of E modulo the ideal."""
+        """Canonical representative of E modulo the ideal.
+
+        A monomial on a `certified` sequence, left or right, is dropped
+        with no block built.  Its block lies in the ideal, so the block's
+        echelon form is the identity and its normal form is zero, which
+        is what building the block would give."""
         if not self.chains:
             return {m: c for m, c in E.items() if c}
         eng = self.engine
+        cert = self.certified
         groups = {}
         for m, c in E.items():
             lam = left_seq(m)
+            if lam in cert or m.seq in cert:
+                continue
             d = eng.monomial_degree(m)
             groups.setdefault((lam, m.seq, d), {})[m] = c
         out = {}
@@ -350,6 +373,36 @@ def get_ideal_space(datum, weight, beta, qspec=None) -> IdealSpace:
         sp = IdealSpace(get_engine(datum, sum(beta), qspec), weight, beta)
         _ideal_spaces[key] = sp
     return sp
+
+
+def unit_in_ideal(datum, weight, nu, qspec=None) -> bool:
+    """Whether e(nu) lies in the cyclotomic ideal of R(beta), where beta
+    is the content of nu; a True answer is recorded in the `certified`
+    set of the shared space of `get_ideal_space`.
+
+    With len(nu) >= 2, write nu = (nu', j).  The right strand embedding
+    iota: R(beta - alpha_j) (x) R(alpha_j) -> R(beta), which adds the
+    strand j on the right, is a non-unital algebra map with
+    iota(e(nu') (x) e(j)) = e(nu).  It sends each generator x_1^L e(mu)
+    of the smaller ideal to the generator x_1^L e(mu, j) of this one,
+    since the first strand, which carries the dots, keeps its place.  So
+    iota maps the smaller ideal R X R into this ideal R' X' R', and
+    e(nu') in the smaller ideal gives e(nu) in this one.  Only the last
+    strand may be dropped: the left embedding adds its strand first and
+    moves the dots off the first strand, and indeed with A2 and
+    Lambda = (1, 0), e(1) is in the ideal while e(0, 1) is not.  When
+    the prefix gives no certificate, e(nu) is reduced in degree 0.
+    """
+    nu = tuple(nu)
+    beta = tuple(nu.count(i) for i in range(datum.rank))
+    space = get_ideal_space(datum, weight, beta, qspec)
+    if nu not in space.certified:
+        by_prefix = len(nu) >= 2 and unit_in_ideal(datum, weight, nu[:-1],
+                                                    qspec)
+        if not by_prefix and space.reduce(space.engine.idempotent(nu)):
+            return False
+        space.certified.add(nu)
+    return True
 
 
 _cert_memo = {}
@@ -493,7 +546,8 @@ class CycAlgebra:
         # Each dead idempotent must lie in the ideal; as the ideal is
         # two-sided, nf then drops every monomial on a dead sequence.
         for nu in self.space.seqs:
-            if nu not in self.alive and self.nf(self.engine.idempotent(nu)):
+            if nu not in self.alive and not unit_in_ideal(datum, weight, nu,
+                                                          qspec):
                 raise AssertionError(
                     "dead sequence monomial not in ideal; bounds are wrong"
                 )
@@ -501,7 +555,7 @@ class CycAlgebra:
         # which is a degree zero computation; a vanishing quotient skips
         # all higher degrees.
         self._zero = not self.alive or all(
-            not self.nf(self.engine.idempotent(nu)) for nu in self.alive
+            unit_in_ideal(datum, weight, nu, qspec) for nu in self.alive
         )
         if self._zero:
             self.dmin, self.dmax = 0, -1

@@ -506,3 +506,62 @@ def test_cache_write_failure_is_a_miss(tmp_path, cfg_path, capsys):
                        "--no-cache")
     assert cached == fresh
     assert sorted(os.listdir(str(tmp_path))) == ["blocker", "cfg.json"]
+
+
+# nesting deeper than the recursion limit makes json.load raise
+# RecursionError rather than JSONDecodeError
+DEEP_JSON = "[" * 100000 + "]" * 100000
+
+
+def test_deeply_nested_cache_entry_is_a_miss(cfg_path, tmp_path, capsys):
+    cache_dir = tmp_path / "cache"
+    assert run(capsys, "compare", "--config", cfg_path,
+               "--cache-dir", str(cache_dir))[0] == 0
+    names = sorted(os.listdir(cache_dir))
+    assert names
+    for name in names:
+        (cache_dir / name).write_text(DEEP_JSON)
+    fresh = run(capsys, "compare", "--config", cfg_path, "--no-cache")
+    cached = run(capsys, "compare", "--config", cfg_path,
+                 "--cache-dir", str(cache_dir))
+    assert fresh[0] == 0
+    assert cached[:2] == fresh[:2]
+    # every entry was recomputed and overwritten
+    cache = Cache(str(cache_dir))
+    for name in names:
+        key = name.removesuffix(".json")
+        assert cache.get(key)["key"] == key
+
+
+def test_deeply_nested_config_exit_two(tmp_path, capsys):
+    p = tmp_path / "deep.json"
+    p.write_text(DEEP_JSON)
+    rc, out, err = run(capsys, "compare", "--config", str(p))
+    assert rc == 2
+    assert "is not valid JSON" in err
+    assert "Traceback" not in err and out == ""
+
+
+def _a3_config(tmp_path, labels):
+    p = tmp_path / "a3.json"
+    p.write_text(json.dumps({
+        "cartan": {"labels": labels,
+                   "matrix": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]},
+        "lambda": {labels[0]: 1},
+        "beta": {lab: 1 for lab in labels},
+    }))
+    return str(p)
+
+
+@pytest.mark.parametrize("bad", ["a,b", "a|b"])
+def test_labels_with_a_name_separator_exit_two(tmp_path, capsys, bad):
+    # summary() names sequences "a,b" and truncations "name|name", so
+    # such a label would make two truncations share one name
+    rc, out, err = run(capsys, "compare", "--config",
+                       _a3_config(tmp_path, ["a", "b", bad]))
+    assert rc == 2
+    assert "config error" in err and repr(bad) in err
+    assert out == ""
+    rc, out, _ = run(capsys, "compare", "--config",
+                     _a3_config(tmp_path, ["a", "b", "c"]))
+    assert rc == 0 and out

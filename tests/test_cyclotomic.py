@@ -19,6 +19,7 @@ from quiverhecke.cyclotomic import (
     min_power_in_ideal,
     nilpotency_table,
     scan_until_vanishing,
+    unit_in_ideal,
 )
 from quiverhecke.klr import (
     BasisMonomial,
@@ -687,3 +688,124 @@ def test_scan_until_vanishing_needs_a_run_above_top():
     assert scan(top=3, step=4) == ({0: 1, 4: 1}, 8)
     # the window top still bounds the scan
     assert scan(top=8, step=2) == ({0: 1, 4: 1}, 10)
+
+
+# ---- idempotents certified through the right strand embedding --------
+
+
+def _sl2_enlarged_algebras():
+    """The algebras at beta + alpha_i that the sl2 suite reaches from
+    each of its betas: every beta one strand past the row's nmax."""
+    _, _, _, rows = checks.DESK["sl2"]
+    return [(datum, wt, beta) for datum, weights, nmax, _ in rows
+            for wt in weights
+            for beta in weighted_comps((1,) * datum.rank, nmax + 1)]
+
+
+def _certified_algebras():
+    """The desk algebras, the sl2 enlargements and the non-integral
+    table, each once, as pytest params named by labels, levels, beta
+    and table."""
+    algebras = ([(*a, None) for a in DESK_ALGEBRAS]
+                + [(*a, None) for a in _sl2_enlarged_algebras()]
+                + [(A2, Weight((1, 1)), (2, 1), A2_HALF)])
+    out = {}
+    for datum, wt, beta, qspec in algebras:
+        name = "{}-L{}-b{}-{}".format(
+            "".join(datum.labels), "".join(map(str, wt.levels)),
+            "".join(map(str, beta)), "std" if qspec is None else "half")
+        out.setdefault(name, pytest.param(datum, wt, beta, qspec, id=name))
+    return list(out.values())
+
+
+CERTIFIED_ALGEBRAS = _certified_algebras()
+
+
+def fresh_space(datum, wt, beta, qspec):
+    """A full-family space out of the shared registry: it certifies
+    nothing, so every normal form builds its block."""
+    return IdealSpace(get_engine(datum, sum(beta), qspec), wt, beta)
+
+
+@pytest.mark.parametrize("datum,wt,beta,qspec", CERTIFIED_ALGEBRAS)
+def test_unit_in_ideal_matches_a_fresh_reduction(datum, wt, beta, qspec):
+    fresh = fresh_space(datum, wt, beta, qspec)
+    for nu in seqs_of(beta):
+        want = not fresh.reduce(fresh.engine.idempotent(nu))
+        assert unit_in_ideal(datum, wt, nu, qspec) == want, nu
+    assert not fresh.certified
+    # every sequence in the ideal is now recorded on the shared space
+    space = get_ideal_space(datum, wt, beta, qspec)
+    assert space.certified == {nu for nu in seqs_of(beta)
+                               if unit_in_ideal(datum, wt, nu, qspec)}
+
+
+def test_only_the_last_strand_may_be_dropped():
+    # with Lambda = (1, 0), e(1) lies in the ideal (its level is 0) while
+    # e(0, 1) does not: the left embedding does not map the ideal into
+    # the ideal, since the cyclotomic generator sits on the first strand
+    wt = Weight((1, 0))
+    assert unit_in_ideal(A2, wt, (1,))
+    assert not unit_in_ideal(A2, wt, (0, 1))
+    fresh = fresh_space(A2, wt, (1, 1), std(A2))
+    assert fresh.reduce(fresh.engine.idempotent((0, 1)))
+    # the right embedding: e(1) in the ideal gives e(1, 0) in it
+    assert unit_in_ideal(A2, wt, (1, 0))
+    assert not fresh.reduce(fresh.engine.idempotent((1, 0)))
+
+
+def _random_element(space, rng, degrees):
+    """An element with a few monomials in one random degree of every
+    block of `space`, dead sequences included."""
+    E = {}
+    for lam in space.seqs:
+        for mu in space.seqs:
+            for d in rng.sample(degrees, 2):
+                cols = space.block_columns(lam, mu, d)
+                for m in rng.sample(cols, min(3, len(cols))):
+                    E[m] = rng.choice([-2, -1, 1, 3, Fraction(1, 2)])
+    return E
+
+
+@pytest.mark.parametrize("datum,wt,beta,qspec",
+                         [a for a in CERTIFIED_ALGEBRAS
+                          if sum(a.values[2]) <= 3])
+def test_reduce_with_certified_sequences_matches_a_fresh_space(datum, wt,
+                                                              beta, qspec):
+    A = CycAlgebra(datum, wt, beta, qspec)
+    fresh = fresh_space(datum, wt, beta, qspec)
+    # every dead sequence is certified by construction
+    assert set(seqs_of(beta)) - set(A.alive) <= A.space.certified
+    degrees = list(_quotient_degrees(A))
+    rng = random.Random(repr((beta, wt.levels)))
+    for _ in range(4):
+        E = _random_element(A.space, rng, degrees)
+        assert A.nf(E) == fresh.reduce(E)
+    assert not fresh.certified
+
+
+@pytest.mark.parametrize("datum,wt,beta", [
+    (A1, Weight((1,)), (3,)),
+    (A1, Weight((1,)), (4,)),
+    (A2, Weight((1, 0)), (4, 0)),
+], ids=["A1-L1-b3", "A1-L1-b4", "A2-L10-b40"])
+def test_zero_quotient_through_a_zero_prefix_builds_no_block(monkeypatch,
+                                                             datum, wt,
+                                                             beta):
+    # a registry of its own, so no other test has built these blocks
+    monkeypatch.setattr(cyclotomic, "_ideal_spaces", {})
+    A = CycAlgebra(datum, wt, beta)
+    space = A.space
+    assert A.alive and A.is_zero()
+    assert A.graded_dims() == {}
+    for nu in space.seqs:
+        for d in range(-12, 13, 2):
+            cols = space.block_columns(nu, nu, d)
+            assert A.nf({m: 1 for m in cols}) == {}
+        assert A.nf(A.engine.idempotent(nu)) == {}
+    # the zero was proved once, on two strands: no space above built a
+    # block, this one included
+    (nu,) = space.seqs
+    for k in range(2, len(nu) + 1):
+        sub = tuple(nu[:k].count(i) for i in range(datum.rank))
+        assert bool(get_ideal_space(datum, wt, sub)._blocks) == (k == 2)
