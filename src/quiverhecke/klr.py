@@ -19,7 +19,6 @@ from typing import NamedTuple
 
 from .cartan import CartanDatum
 from .perms import (
-    all_perms,
     apply_word,
     canonical_word,
     move_path,
@@ -125,11 +124,15 @@ def crossing_degree(datum, w, seq) -> int:
 
 def min_tau_degree(datum, beta) -> int:
     """Least crossing degree over all monomials of R(beta); a lower
-    bound for every column space of R(beta)."""
-    perms = all_perms(sum(beta))
-    return min(
-        crossing_degree(datum, w, seq) for seq in seqs_of(beta) for w in perms
-    )
+    bound for every column space of R(beta).
+
+    It is -sum_i C(beta_i, 2) (alpha_i|alpha_i).  Each pair of strands
+    adds -(alpha_a|alpha_b) when it crosses, and that is negative only
+    for equal colours, since off-diagonal forms are <= 0.  The sequence
+    grouped by colour, with each group reversed, crosses exactly the
+    equal-colour pairs and so attains the bound."""
+    return -sum(k * (k - 1) // 2 * datum.form(i, i)
+                for i, k in enumerate(beta))
 
 
 def left_seq(m) -> tuple:
@@ -208,7 +211,11 @@ class KLR:
         return out
 
     def tau_tau_e(self, wword: tuple, k: int, mu: tuple) -> dict:
-        """tau_w tau_k e(mu) in basis form; wword is canonical for w."""
+        """tau_w tau_k e(mu) in basis form; wword is canonical for w.
+
+        A step's correction is the element of its word before minus that
+        after, so the corrections along a `move_path` from u to target sum
+        to tau_u - tau_target, the same for every path."""
         key = (wword, k, mu)
         hit = self._ttmemo.get(key)
         if hit is not None:

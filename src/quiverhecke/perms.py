@@ -6,8 +6,8 @@ right as written: word (k1, k2) stands for s_{k1} * s_{k2}, and letters
 act on strand positions k, k+1 (0-based).
 
 Every permutation gets one canonical reduced word (lexicographically
-smallest), and the reduced-word graph (commutation and braid moves)
-supplies rewrite paths between arbitrary reduced words.
+smallest).  Any two reduced words of a permutation are joined by a chain
+of commutation and braid moves, built by Tits' word property.
 """
 
 from __future__ import annotations
@@ -148,53 +148,37 @@ def reduced_words(n: int, w: tuple):
     return frozenset(out)
 
 
-def _neighbors(word):
-    """Words one commutation or braid move away, with the move description.
-
-    Yields (other_word, pos, kind) where kind is "comm" for s_a s_b = s_b s_a
-    (|a - b| >= 2) and "braid" for s_k s_{k+1} s_k = s_{k+1} s_k s_{k+1},
-    and pos is the left index of the replaced block.
-    """
-    L = len(word)
-    for t in range(L - 1):
-        a, b = word[t], word[t + 1]
-        if abs(a - b) >= 2:
-            yield word[:t] + (b, a) + word[t + 2 :], t, "comm"
-    for t in range(L - 2):
-        a, b, c = word[t], word[t + 1], word[t + 2]
-        if a == c and abs(a - b) == 1:
-            yield word[:t] + (b, a, b) + word[t + 3 :], t, "braid"
-
-
 @lru_cache(maxsize=None)
 def move_path(n: int, src: tuple, dst: tuple):
-    """Shortest chain of commutation/braid moves from src to dst.
+    """Chain of commutation/braid moves from src to dst.
 
-    Both must be reduced words of the same permutation.  Returns a tuple of
-    (word_before, pos, kind) steps; applying each move at pos transforms
-    word_before into the next word, ending at dst.
+    Both must be reduced words of one permutation w, else ValueError.
+    Returns (word_before, pos, kind) steps; applying each move at pos
+    transforms word_before into the next word, ending at dst.
+
+    By Tits' word property (Bjorner-Brenti, Combinatorics of Coxeter Groups,
+    3.3): words with a common first letter take the path of their tails.
+    Otherwise the first letters s != t are both left descents of w, so
+    w = alt * rest, alt = s t s... and other = t s t... being the two words
+    of the longest element of <s, t>; the path runs src -> alt + rest, one
+    move to other + rest, then -> dst, each leg between words that share a
+    first letter.  Any path serves a rewrite: the corrections of its steps
+    (word before minus word after) sum to tau_src - tau_dst.
     """
+    w = word_to_perm(n, src)
+    if word_to_perm(n, dst) != w:
+        raise ValueError("words are not reduced words of the same permutation")
+    if len(src) != length(w) or len(dst) != length(w):
+        raise ValueError("words are not reduced")
     if src == dst:
         return ()
-    if word_to_perm(n, src) != word_to_perm(n, dst):
-        raise ValueError("words are not reduced words of the same permutation")
-    frontier = [src]
-    back = {src: None}
-    while frontier:
-        nxt = []
-        for cur in frontier:
-            for other, pos, kind in _neighbors(cur):
-                if other in back:
-                    continue
-                back[other] = (cur, pos, kind)
-                if other == dst:
-                    steps = []
-                    node = dst
-                    while back[node] is not None:
-                        prev, p, k = back[node]
-                        steps.append((prev, p, k))
-                        node = prev
-                    return tuple(reversed(steps))
-                nxt.append(other)
-        frontier = nxt
-    raise AssertionError("reduced word graph is connected; path must exist")
+    s, t = src[0], dst[0]
+    if s == t:
+        return tuple(((s,) + before, pos + 1, kind)
+                     for before, pos, kind in move_path(n, src[1:], dst[1:]))
+    m = 2 if abs(s - t) >= 2 else 3
+    alt, other = (s, t, s)[:m], (t, s, t)[:m]
+    rest = canonical_word(compose(word_to_perm(n, alt[::-1]), w))
+    return (move_path(n, src, alt + rest)
+            + ((alt + rest, 0, "comm" if m == 2 else "braid"),)
+            + move_path(n, other + rest, dst))

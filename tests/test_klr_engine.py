@@ -18,6 +18,8 @@ from quiverhecke.klr import (
     BasisMonomial,
     crossing_degree,
     get_engine,
+    min_tau_degree,
+    seqs_of,
     weighted_comps,
 )
 from quiverhecke.perms import all_perms, canonical_word
@@ -382,3 +384,32 @@ def test_beta_enumerations_read_the_memo():
                                  (2, 0)]
     assert list(reversed(weighted_comps((1, 1), 2))) == [(2, 0), (1, 1),
                                                          (0, 2)]
+
+
+def scanned_min_tau_degree(datum, beta) -> int:
+    """`klr.min_tau_degree` before its closed form, kept verbatim as a
+    reference."""
+    perms = all_perms(sum(beta))
+    return min(
+        crossing_degree(datum, w, seq) for seq in seqs_of(beta) for w in perms
+    )
+
+
+def test_min_tau_degree_closed_form_matches_the_scan():
+    data = [
+        build_cartan(("0",), [[2]]),
+        A2,
+        B2,
+        build_cartan(("s", "l"), [[2, -1], [-3, 2]]),  # G2
+        build_cartan(("0", "1"), [[2, -4], [-1, 2]]),  # A_2^(2)
+        build_cartan(("1", "2", "3"),
+                     [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]),  # A3
+        build_cartan(("1", "2"), [[2, 0], [0, 2]]),  # A1 x A1
+        A1AFF,
+    ]
+    cases = [(datum, beta) for datum in data
+             for beta in _betas_upto(datum.rank, 6)]
+    assert len(cases) == 259
+    for datum, beta in cases:
+        assert min_tau_degree(datum, beta) == scanned_min_tau_degree(
+            datum, beta)

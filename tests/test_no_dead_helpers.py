@@ -19,13 +19,14 @@ ALLOWED = {
     "run_all": "public API: exported by the package __init__",
     "dim_at": "public API: one degree of a quotient; the benchmark tracer "
               "wraps it by name",
-    "compose": "reference: the perms tests check word_to_perm against it",
     "simple": "reference: the perms tests check word_to_perm against "
               "products of simple transpositions",
     "is_reduced": "reference: the perms tests check reduced words by "
                   "length with it",
-    "reduced_words": "reference: the perms tests check canonical_word and "
-                     "move_path against every reduced word",
+    "reduced_words": "reference: the perms tests check canonical_word "
+                     "against every reduced word, and the move_path tests "
+                     "draw words from it to compare paths with the search "
+                     "in tests/old_move_path.py",
 }
 
 

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from quiverhecke.perms import (
     all_perms,
     apply_word,
@@ -110,3 +112,14 @@ def test_move_path_connects_reduced_words():
                 assert abs(a - b) == 1 and cur[pos + 2] == a
                 cur = cur[:pos] + (b, a, b) + cur[pos + 3 :]
         assert cur == dst
+
+
+def test_move_path_rejects_words_that_are_not_reduced():
+    with pytest.raises(ValueError):
+        move_path(2, (0, 0), ())
+    with pytest.raises(ValueError):
+        move_path(3, (0, 1, 0, 1), (1, 0))
+    with pytest.raises(ValueError):
+        move_path(3, (0, 0), (0, 0))
+    with pytest.raises(ValueError):
+        move_path(3, (0, 1), (1, 0))
