@@ -34,7 +34,10 @@ exact and small:
   embedding, and is otherwise reduced in degree 0.  Each sequence so
   certified is recorded on its space, and `IdealSpace.reduce` drops a
   monomial with a certified left or right sequence without building its
-  block, which would be full: the ideal is two-sided.
+  block, which would be full: the ideal is two-sided.  For the same
+  reason `CycAlgebra.block_dims` answers a block with a certified side
+  by {} and scans nothing.  A sequence proved outside the ideal is
+  recorded too, so no idempotent is reduced twice.
 
 The paper's tower bound (`certified_cap`) is not part of the window.  It
 checks that the monic last-strand relation lies in the ideal and bounds
@@ -196,11 +199,12 @@ class IdealSpace:
     bases are block columns with no block built.
 
     `certified` holds the sequences nu with e(nu) certified to lie in the
-    span by `unit_in_ideal`.  Only the shared full-family spaces of
-    `get_ideal_space` ever hold any: there the span is the two-sided
-    ideal, so e(nu) in it puts every monomial with nu as its left or
-    right sequence in it too.  A one-sided family would allow the right
-    side only, and the free space has no ideal at all.
+    span by `unit_in_ideal`, and `outside` those with e(nu) proved to lie
+    outside it.  Only the shared full-family spaces of `get_ideal_space`
+    ever hold any: there the span is the two-sided ideal, so e(nu) in it
+    puts every monomial with nu as its left or right sequence in it too.
+    A one-sided family would allow the right side only, and the free
+    space has no ideal at all.
     """
 
     def __init__(self, engine: KLR, weight: Weight, beta, chains=None):
@@ -213,6 +217,7 @@ class IdealSpace:
         self._blocks = {}
         self._crossings = {}
         self.certified = set()
+        self.outside = set()
 
     def transporter(self, src, dst):
         """All w in S_n with w . src == dst."""
@@ -377,8 +382,9 @@ def get_ideal_space(datum, weight, beta, qspec=None) -> IdealSpace:
 
 def unit_in_ideal(datum, weight, nu, qspec=None) -> bool:
     """Whether e(nu) lies in the cyclotomic ideal of R(beta), where beta
-    is the content of nu; a True answer is recorded in the `certified`
-    set of the shared space of `get_ideal_space`.
+    is the content of nu; the answer is recorded on the shared space of
+    `get_ideal_space`, a True one in its `certified` set and a False one
+    in its `outside` set.
 
     With len(nu) >= 2, write nu = (nu', j).  The right strand embedding
     iota: R(beta - alpha_j) (x) R(alpha_j) -> R(beta), which adds the
@@ -396,12 +402,15 @@ def unit_in_ideal(datum, weight, nu, qspec=None) -> bool:
     nu = tuple(nu)
     beta = tuple(nu.count(i) for i in range(datum.rank))
     space = get_ideal_space(datum, weight, beta, qspec)
-    if nu not in space.certified:
-        by_prefix = len(nu) >= 2 and unit_in_ideal(datum, weight, nu[:-1],
-                                                    qspec)
-        if not by_prefix and space.reduce(space.engine.idempotent(nu)):
-            return False
-        space.certified.add(nu)
+    if nu in space.certified:
+        return True
+    if nu in space.outside:
+        return False
+    by_prefix = len(nu) >= 2 and unit_in_ideal(datum, weight, nu[:-1], qspec)
+    if not by_prefix and space.reduce(space.engine.idempotent(nu)):
+        space.outside.add(nu)
+        return False
+    space.certified.add(nu)
     return True
 
 
@@ -564,18 +573,29 @@ class CycAlgebra:
 
     # -- dimensions and bases ------------------------------------------
 
-    def _block(self, lam, mu) -> dict:
+    def block_dims(self, lam, mu) -> dict:
         """{d: dim} of the alive block e(lam) R^Lambda(beta) e(mu), scanned
         once by `scan_until_vanishing` over the window from its least
         crossing degree, below which it has no columns, with its largest
-        crossing degree as `top` and largest dot degree on mu as `step`."""
+        crossing degree as `top` and largest dot degree on mu as `step`.
+
+        The answer is {}, with no block built, when e(lam) or e(mu) lies
+        in the ideal by `unit_in_ideal`.  A two-sided ideal holding e(lam)
+        holds e(lam) x e(mu) for every x, which is the whole block, so the
+        block is zero in every degree, as the scan would find; likewise
+        for e(mu)."""
         dims = self._dims.get((lam, mu))
         if dims is None:
-            taus = [tdeg for _, tdeg in self.space.crossings(mu, lam)]
-            step = max((self.datum.form(i, i) for i in mu), default=1)
-            dims = self._dims[(lam, mu)] = scan_until_vanishing(
-                lambda d: len(self.space.block_basis(lam, mu, d)),
-                max(min(taus), self.dmin), self.dmax, max(taus), step)
+            if any(unit_in_ideal(self.datum, self.weight, nu, self.qspec)
+                   for nu in (lam, mu)):
+                dims = {}
+            else:
+                taus = [tdeg for _, tdeg in self.space.crossings(mu, lam)]
+                step = max((self.datum.form(i, i) for i in mu), default=1)
+                dims = scan_until_vanishing(
+                    lambda d: len(self.space.block_basis(lam, mu, d)),
+                    max(min(taus), self.dmin), self.dmax, max(taus), step)
+            self._dims[(lam, mu)] = dims
         return dims
 
     def quotient_basis(self, d: int):
@@ -611,7 +631,7 @@ class CycAlgebra:
         total = LaurentPoly.zero()
         for lam in self._cut(rows):
             for mu in self._cut(cols):
-                total += LaurentPoly(self._block(lam, mu))
+                total += LaurentPoly(self.block_dims(lam, mu))
         return total
 
     def module(self, rows, cols, side=None, emb=None) -> TruncationModule:
@@ -619,7 +639,8 @@ class CycAlgebra:
         degrees where its own scan found it nonzero."""
         rows, cols = self._cut(rows), self._cut(cols)
         return TruncationModule(self.space, rows, cols, side, emb, {
-            (lam, mu): self._block(lam, mu) for lam in rows for mu in cols})
+            (lam, mu): self.block_dims(lam, mu)
+            for lam in rows for mu in cols})
 
     def nf(self, E: dict) -> dict:
         """Normal form modulo the ideal."""
@@ -638,7 +659,7 @@ class CycAlgebra:
         truncs = {}
         for mu in self.alive:
             for nu in self.alive:
-                t = self._block(mu, nu)
+                t = self.block_dims(mu, nu)
                 if t:
                     truncs[name(mu) + "|" + name(nu)] = LaurentPoly(t).to_json()
         return {

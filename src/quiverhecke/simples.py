@@ -29,6 +29,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 from .cyclotomic import CycAlgebra
+from .klr import BasisMonomial, left_seq
 from .linalg import SubspaceBasis, coords_in_span
 
 __all__ = ["SimpleCount", "count_simples", "split_center"]
@@ -45,18 +46,57 @@ class SimpleCount:
 
 def _mult_table(alg: CycAlgebra):
     """Ungraded basis and structure constants c[i][j] = coords of
-    b_i b_j."""
-    basis = [m for m, _ in alg.basis()]
+    b_i b_j, with only the products the quotient can keep computed.
+
+    Let b_a lie in the block (lam, mu) in degree d_a and b_b in the block
+    (mu', nu) in degree d_b.  Their product is zero, with no multiply and
+    no reduction, in two cases.  When mu != mu', the idempotents e(mu)
+    and e(mu') are orthogonal.  When the certified scan of the block
+    (lam, nu), `CycAlgebra.block_dims`, has no degree d_a + d_b, every
+    element of that block in that degree lies in the ideal: a side whose
+    idempotent lies in the ideal puts the whole block in it, below the
+    block's least crossing degree it has no columns, inside the scan the
+    degree was found zero, `scan_until_vanishing`'s induction covers the
+    degrees above its vanishing run, and the window covers those above
+    dmax.  The basis and every reported dimension rest on this same
+    certificate.  An empty product builds no block.
+
+    Every other product is formed as `KLR.multiply` forms it.  For
+    b_b = tau_w x^e e(nu), one rewrite chain b_a tau_w serves every
+    partner of b_a with the word w, which all share nu = w^-1 mu, and
+    x^e raises the dots of each term.  The product lies in the one block
+    (lam, nu, d_a + d_b), whose echelon form reduces it.
+    """
+    pairs = alg.basis()
+    basis = [m for m, _ in pairs]
     index = {m: k for k, m in enumerate(basis)}
     eng = alg.engine
-    table = {}
-    for a, ma in enumerate(basis):
-        for b, mb in enumerate(basis):
-            prod = alg.nf(eng.multiply({ma: 1}, {mb: 1}))
-            row = {}
-            for m, c in prod.items():
-                row[index[m]] = c
-            table[(a, b)] = row
+    space = alg.space
+    # the partners b_b of each left sequence, grouped by word and nu
+    partners = {}
+    for b, (mb, db) in enumerate(pairs):
+        partners.setdefault(left_seq(mb), {}).setdefault(
+            (mb.word, mb.seq), []).append((b, mb.exps, db))
+    dim = len(basis)
+    table = {(a, b): {} for a in range(dim) for b in range(dim)}
+    for a, (ma, da) in enumerate(pairs):
+        lam = left_seq(ma)
+        for (word, nu), group in partners.get(ma.seq, {}).items():
+            dims = alg.block_dims(lam, nu)
+            kept = [(b, exps, da + db) for b, exps, db in group
+                    if da + db in dims]
+            if not kept:
+                continue
+            chain = eng.right_mult_word({ma: 1}, word)
+            if not chain:
+                continue
+            for b, exps, d in kept:
+                prod = {BasisMonomial(
+                    m.word, tuple(x + y for x, y in zip(m.exps, exps)),
+                    m.seq): c for m, c in chain.items()}
+                _, sb = space.block(lam, nu, d)
+                table[(a, b)] = {index[m]: c
+                                 for m, c in sb.normal_form(prod).items()}
     return basis, table
 
 
@@ -87,7 +127,7 @@ def _nullspace(rows, ncols):
     for f in range(ncols):
         if f in sb.pivots:
             continue
-        v = {f: Fraction(1)}
+        v = {f: 1}
         for p, r in sb.pivots.items():
             c = sb.rows[r].get(f)
             if c:
@@ -215,6 +255,17 @@ def split_center(center_vecs, qmul):
 
 
 def count_simples(alg: CycAlgebra) -> SimpleCount:
+    """The simple modules of the quotient alg, with the grading
+    forgotten, counted over Q.
+
+    The structure constants of `_mult_table` give the trace form of the
+    regular representation, whose radical is the Jacobson radical J.  The
+    center of the semisimple quotient A/J splits (`split_center`) into
+    one field per block, and each block has one simple module.  `count`
+    is the number of fields and `split` whether each is Q itself, so that
+    the count holds over every field containing Q; `total_dim`,
+    `radical_dim` and `center_dim` are the dimensions of A, of J and of
+    the center of A/J.  A zero quotient has no simples."""
     if alg.is_zero():
         return SimpleCount(0, True, 0, 0, 0)
     basis, table = _mult_table(alg)
@@ -247,10 +298,10 @@ def count_simples(alg: CycAlgebra) -> SimpleCount:
     # are indexed by (j, k), their entries by a
     rows = []
     for j in range(sdim):
-        bj = {j: Fraction(1)}
+        bj = {j: 1}
         byk = {}
         for a in range(sdim):
-            za = {a: Fraction(1)}
+            za = {a: 1}
             diff = qmul(za, bj)
             for k, c in qmul(bj, za).items():
                 diff[k] = diff.get(k, 0) - c

@@ -734,10 +734,41 @@ def test_unit_in_ideal_matches_a_fresh_reduction(datum, wt, beta, qspec):
         want = not fresh.reduce(fresh.engine.idempotent(nu))
         assert unit_in_ideal(datum, wt, nu, qspec) == want, nu
     assert not fresh.certified
-    # every sequence in the ideal is now recorded on the shared space
+    # every sequence is now recorded on the shared space, on one side
     space = get_ideal_space(datum, wt, beta, qspec)
     assert space.certified == {nu for nu in seqs_of(beta)
                                if unit_in_ideal(datum, wt, nu, qspec)}
+    assert space.outside == set(seqs_of(beta)) - space.certified
+
+
+# small algebras with an alive sequence whose idempotent lies in the
+# ideal, so that `block_dims` answers some blocks with no scan
+SKIPPING_ALGEBRAS = [
+    (A2, Weight((1, 1)), (2, 1)),
+    (B2, Weight((1, 0)), (2, 1)),
+    (B2, Weight((1, 1)), (1, 2)),
+    (A1AFF, Weight((1, 0)), (2, 1)),
+    (A1AFF, Weight((1, 0)), (2, 2)),
+    (A1AFF, Weight((1, 1)), (1, 2)),
+]
+
+
+@pytest.mark.parametrize("datum,wt,beta", SKIPPING_ALGEBRAS)
+def test_block_dims_match_a_direct_scan(datum, wt, beta):
+    A = CycAlgebra(datum, wt, beta)
+    fresh = fresh_space(datum, wt, beta, A.qspec)
+    skipped = 0
+    for lam in A.alive:
+        for mu in A.alive:
+            taus = [tdeg for _, tdeg in fresh.crossings(mu, lam)]
+            step = max(datum.form(i, i) for i in mu)
+            want = scan_until_vanishing(
+                lambda d: len(fresh.block_basis(lam, mu, d)),
+                max(min(taus), A.dmin), A.dmax, max(taus), step)
+            assert A.block_dims(lam, mu) == want, (lam, mu)
+            skipped += lam in A.space.certified or mu in A.space.certified
+    assert skipped
+    assert not fresh.certified
 
 
 def test_only_the_last_strand_may_be_dropped():

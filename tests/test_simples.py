@@ -5,9 +5,11 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+import old_mult_table
 import old_tracked_basis as old
 from quiverhecke import simples
 from quiverhecke.cartan import Weight, build_cartan
@@ -27,6 +29,8 @@ from quiverhecke.uqmod import UqModule
 A1 = build_cartan(("0",), [[2]])
 A2 = build_cartan(("1", "2"), [[2, -1], [-1, 2]])
 A1AFF = build_cartan(("0", "1"), [[2, -2], [-2, 2]])
+B2 = build_cartan(("s", "l"), [[2, -2], [-1, 2]])
+G2 = build_cartan(("s", "l"), [[2, -1], [-3, 2]])
 
 FROZEN = [
     # datum, levels, beta, count, total, radical, center
@@ -152,6 +156,35 @@ def test_nullspace_matches_sympy(datum, levels, beta):
     ours_sb, theirs_sb = span(ours), span(theirs)
     assert ours_sb.rank == len(ours)
     assert ours_sb.rows == theirs_sb.rows
+
+
+def _table_algebras():
+    """Every nonzero quotient of 1 to 3 strands over the desk data, B2
+    and G2 at small weights, which hold two of the four dense-simples
+    algebras of the benchmark, and the other two, as pytest params named
+    by datum, levels and beta."""
+    data = {"A1": A1, "A2": A2, "A1AFF": A1AFF, "B2": B2, "G2": G2}
+    small = {"A1": [(1,), (2,), (3,)]}
+    algebras = [(name, lv, beta) for name, datum in data.items()
+                for lv in small.get(name, [(1, 0), (0, 1), (1, 1)])
+                for beta in product(range(4), repeat=datum.rank)
+                if 1 <= sum(beta) <= 3]
+    algebras += [("A1", (6,), (2,)), ("A1AFF", (2, 0), (2, 1))]
+    out = []
+    for name, lv, beta in algebras:
+        if not CycAlgebra(data[name], Weight(lv), beta).is_zero():
+            tag = "{}-L{}-b{}".format(name, "".join(map(str, lv)),
+                                      "".join(map(str, beta)))
+            out.append(pytest.param(data[name], lv, beta, id=tag))
+    return out
+
+
+@pytest.mark.parametrize("datum,levels,beta", _table_algebras())
+def test_mult_table_matches_every_product_reduced(datum, levels, beta):
+    # the old table multiplies and reduces every basis pair; the new one
+    # skips the products its certified block scans prove zero
+    alg = CycAlgebra(datum, Weight(levels), beta)
+    assert _mult_table(alg) == old_mult_table._mult_table(alg)
 
 
 def test_charpoly_and_factors():
