@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .cartan import CartanDatum, Weight
 from .cyclotomic import CycAlgebra, IdealSpace, free_space
-from .klr import BasisMonomial, get_engine, left_seq, min_tau_degree, seqs_of
+from .klr import BasisMonomial, left_seq, min_tau_degree, seqs_of
 from .linalg import coords_in_span
 from .qpolys import QSpec, poly_product
 from .tensors import TruncationModule
@@ -84,8 +84,6 @@ class Bimodules:
 
     def __init__(self, datum: CartanDatum, weight: Weight, beta, i: int,
                  qspec: QSpec = None):
-        if qspec is None:
-            qspec = QSpec.standard(datum)
         self.datum = datum
         self.weight = weight
         self.beta = tuple(beta)
@@ -95,10 +93,11 @@ class Bimodules:
         self.beta_hat = tuple(bh)
         self.n = sum(self.beta)
         self.N = self.n + 1
-        self.qspec = qspec
-        self.engine = get_engine(datum, self.N, qspec)
-        self.sub_engine = get_engine(datum, self.n, qspec)
         hat = CycAlgebra(datum, weight, self.beta_hat, qspec)
+        self.sub = CycAlgebra(datum, weight, self.beta, qspec)
+        self.qspec = hat.qspec
+        self.engine = hat.engine
+        self.sub_engine = self.sub.engine
         # up to the quotient bound plus one extra polynomial step
         pad = 2 * max(datum.form(j, j) for j in range(datum.rank))
         self.window = (min_tau_degree(datum, self.beta_hat),
@@ -116,9 +115,8 @@ class Bimodules:
         self.F = hat.module(rows, cols0)
         # the free R(beta) e(nu), nu ending in i, for phi_by_chase
         self.ends_in_i = TruncationModule(
-            free_space(datum, self.beta, qspec), seqs,
+            free_space(datum, self.beta, self.qspec), seqs,
             [nu for nu in seqs if nu[-1:] == (i,)])
-        self.sub = CycAlgebra(datum, weight, self.beta, qspec)
         self._g_cache = {}
 
     # ---- degree shifts ----------------------------------------------

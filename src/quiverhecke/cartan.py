@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 __all__ = ["CartanDatum", "Weight", "build_cartan"]
 
@@ -82,33 +82,13 @@ class Weight:
         return self.pair_beta(datum, beta) - bb // 2
 
 
-def _connected_components(matrix):
-    n = len(matrix)
-    seen = [False] * n
-    comps = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        queue = [start]
-        while queue:
-            i = queue.pop()
-            for j in range(n):
-                if j != i and not seen[j] and matrix[i][j] != 0:
-                    seen[j] = True
-                    comp.append(j)
-                    queue.append(j)
-        comps.append(sorted(comp))
-    return comps
-
-
 def build_cartan(labels, matrix) -> CartanDatum:
     """Validate a GCM and compute its minimal positive integer symmetrizer.
 
     Raises ValueError when the matrix is not a GCM or not symmetrizable.
-    The symmetrizer is normalized per connected component so the d_i in
-    each component are coprime positive integers.
+    The symmetrizer is found here, in one walk per connected component
+    from its least index, and normalized so the d_i in each component
+    are coprime positive integers.
     """
     labels = tuple(labels)
     n = len(labels)
@@ -128,39 +108,33 @@ def build_cartan(labels, matrix) -> CartanDatum:
             if (mat[i][j] == 0) != (mat[j][i] == 0):
                 raise ValueError(f"zero pattern asymmetric at ({i},{j})")
 
-    # Propagate d_j = d_i * a_ij / a_ji along edges of each component,
-    # then check consistency on every edge (this is where a cyclically
-    # non-symmetrizable matrix fails).
+    # Walk each component once from its least index, setting
+    # d_j = d_i * a_ij / a_ji on first reach.  Every edge is seen from
+    # both ends, so an edge that disagrees with a value already set is
+    # where a cyclically non-symmetrizable matrix fails.
     d = [None] * n
-    for comp in _connected_components(mat):
-        root = comp[0]
+    for root in range(n):
+        if d[root] is not None:
+            continue
         d[root] = Fraction(1)
+        comp = [root]
         queue = [root]
-        inside = set(comp)
-        visited = {root}
         while queue:
             i = queue.pop()
-            for j in inside:
+            for j in range(n):
                 if j == i or mat[i][j] == 0:
                     continue
-                ratio = Fraction(mat[i][j], mat[j][i])
-                if j in visited:
-                    if d[j] != d[i] * ratio:
-                        raise ValueError("Cartan matrix is not symmetrizable")
-                else:
-                    d[j] = d[i] * ratio
-                    visited.add(j)
+                dj = d[i] * Fraction(mat[i][j], mat[j][i])
+                if d[j] is None:
+                    d[j] = dj
+                    comp.append(j)
                     queue.append(j)
+                elif d[j] != dj:
+                    raise ValueError("Cartan matrix is not symmetrizable")
         # Scale the component to coprime positive integers.
-        denom_lcm = 1
-        for j in comp:
-            denom_lcm = denom_lcm * d[j].denominator // gcd(
-                denom_lcm, d[j].denominator
-            )
-        ints = [int(d[j] * denom_lcm) for j in comp]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
+        scale = lcm(*(d[j].denominator for j in comp))
+        ints = [int(d[j] * scale) for j in comp]
+        g = gcd(*ints)
         for j, v in zip(comp, ints):
             d[j] = v // g
 

@@ -92,9 +92,9 @@ def _add_beta(beta, j):
     return tuple(out)
 
 
-def _free_block_poly(datum, beta, rows, cols, window):
+def _free_block_poly(datum, beta, rows, cols, window, qspec=None):
     """Graded dims of e(rows) R(beta) e(cols) for the free algebra."""
-    return TruncationModule(free_space(datum, beta), rows,
+    return TruncationModule(free_space(datum, beta, qspec), rows,
                             cols).graded_dim_poly(window)
 
 
@@ -457,7 +457,7 @@ def check_convolution(datum, beta, i, j, degcap=6, qspec=None):
     shifted = _sub_beta(big, i)
     rows = [] if shifted is None else [s + (i,) for s in seqs_of(shifted)]
     corner = _free_block_poly(datum, big, rows,
-                              [s + (j,) for s in seqs_of(beta)], window)
+                              [s + (j,) for s in seqs_of(beta)], window, qspec)
     # the tensor side is compared after a degree shift, so compute it
     # one shift past the window at both ends
     pad = max(d_i, -datum.form(i, j))
@@ -476,7 +476,7 @@ def check_convolution(datum, beta, i, j, degcap=6, qspec=None):
     top = degcap + max(0, -twist)
     seqs = seqs_of(beta)
     base = _free_block_poly(datum, beta, seqs, seqs,
-                            (min_tau_degree(datum, beta), top))
+                            (min_tau_degree(datum, beta), top), qspec)
     span = (top - base.valuation()) // d_i + 2 if base.coeffs else 0
     tower = base * LaurentPoly({k * d_i: 1 for k in range(span)})
     if not _compare(rep, corner, fe.shift(-d_i) + tower, degrees,
@@ -486,7 +486,7 @@ def check_convolution(datum, beta, i, j, degcap=6, qspec=None):
     # form twist of the added strand against beta
     rows2 = {s + (i,) for s in seqs}
     cols2 = {(i,) + s for s in seqs}
-    corner2 = _free_block_poly(datum, big, rows2, cols2, window)
+    corner2 = _free_block_poly(datum, big, rows2, cols2, window, qspec)
     if sub is None:
         fe2 = LaurentPoly({})
     else:

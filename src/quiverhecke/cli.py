@@ -83,7 +83,8 @@ def cmd_basis(args):
     for beta in betas:
         lo = min_tau_degree(cfg.datum, beta)
         seqs = seqs_of(beta)
-        free = TruncationModule(free_space(cfg.datum, beta), seqs, seqs)
+        free = TruncationModule(free_space(cfg.datum, beta, cfg.qspec), seqs,
+                                seqs)
         out.append((beta, free.graded_dim_poly((lo, cap)).coeffs))
     if _want_json(cfg, args):
         _emit_json({

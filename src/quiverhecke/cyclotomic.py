@@ -70,7 +70,6 @@ from .perms import (
     canonical_word,
     word_to_perm,
 )
-from .qpolys import QSpec
 from .tensors import TruncationModule
 
 __all__ = [
@@ -79,6 +78,7 @@ __all__ = [
     "nilpotency_table",
     "alive_seqs",
     "certified_cap",
+    "top_chain_degree",
     "full_ideal_chains",
     "scan_until_vanishing",
     "IdealSpace",
@@ -370,13 +370,11 @@ _ideal_spaces = {}
 
 
 def get_ideal_space(datum, weight, beta, qspec=None) -> IdealSpace:
-    if qspec is None:
-        qspec = QSpec.standard(datum)
-    key = (datum, weight.levels, tuple(beta), qspec)
+    engine = get_engine(datum, sum(beta), qspec)
+    key = (engine, weight, tuple(beta))
     sp = _ideal_spaces.get(key)
     if sp is None:
-        sp = IdealSpace(get_engine(datum, sum(beta), qspec), weight, beta)
-        _ideal_spaces[key] = sp
+        sp = _ideal_spaces[key] = IdealSpace(engine, weight, beta)
     return sp
 
 
@@ -414,6 +412,22 @@ def unit_in_ideal(datum, weight, nu, qspec=None) -> bool:
     return True
 
 
+def top_chain_degree(datum, sub, i, m) -> int:
+    """Largest degree of tau_a ... tau_{n-2} x_{n-1}^{m-1} e(nu, i) over
+    the arrangements nu of `sub` and 0 <= a < n, where n = |sub| + 1: the
+    step up the tower that `certified_cap` adds to the cap of `sub`.
+
+    It is (m - 1)(alpha_i|alpha_i) - sum_{j != i} sub_j (alpha_j|alpha_i).
+    The chain's only inversions are (b, n-1) for a <= b <= n-2, so its
+    crossing degree is -sum_{b >= a} (alpha_{nu_b} | alpha_i).  A strand
+    of another colour adds >= 0 to it, since off-diagonal forms are <= 0,
+    and one of colour i adds -(alpha_i|alpha_i) < 0, so the largest puts
+    every strand of another colour after position a and none of colour i
+    there.  The arrangement with the other colours last attains it."""
+    return (m - 1) * datum.form(i, i) - sum(
+        k * datum.form(j, i) for j, k in enumerate(sub) if j != i)
+
+
 _cert_memo = {}
 
 
@@ -428,23 +442,16 @@ def certified_cap(datum, weight, beta, qspec=None):
     statement of the paper that the `categorification` suite checks; the
     degree window of `CycAlgebra` does not depend on it.
     """
-    if qspec is None:
-        qspec = QSpec.standard(datum)
-    beta = tuple(beta)
-    key = (datum, weight.levels, beta, qspec)
-    if key in _cert_memo:
-        return _cert_memo[key]
-    n = sum(beta)
-    if n == 0:
-        _cert_memo[key] = 0
-        return 0
     space = get_ideal_space(datum, weight, beta, qspec)
-    eng = space.engine
-    best = None
-    for i, k in enumerate(beta):
+    if space in _cert_memo:
+        return _cert_memo[space]
+    qspec = space.engine.qspec
+    n = space.n
+    best = None if n else 0
+    for i, k in enumerate(space.beta):
         if not k:
             continue
-        sub = list(beta)
+        sub = list(space.beta)
         sub[i] -= 1
         sub = tuple(sub)
         # the monic degree of the last-strand relation in its last variable
@@ -456,7 +463,7 @@ def certified_cap(datum, weight, beta, qspec=None):
                    qspec.strand_poly(weight.level(i), seq, n - 1).items()}
             if not space.contains(rel):
                 raise CertificationError(
-                    f"last-strand relation not in ideal: beta={beta}, "
+                    f"last-strand relation not in ideal: beta={space.beta}, "
                     f"tower={datum.labels[i]}, seq={nu}"
                 )
         if d_i <= 0:
@@ -464,22 +471,10 @@ def certified_cap(datum, weight, beta, qspec=None):
         subcap = certified_cap(datum, weight, sub, qspec)
         if subcap is None:
             continue
-        chain_best = None
-        for nu in seqs_of(sub):
-            sigma = nu + (i,)
-            for a in range(n):
-                word = tuple(range(a, n - 1))
-                exps = [0] * n
-                exps[n - 1] = d_i - 1
-                deg = eng.monomial_degree(
-                    BasisMonomial(word, tuple(exps), sigma)
-                )
-                if chain_best is None or deg > chain_best:
-                    chain_best = deg
-        cand = subcap + chain_best
+        cand = subcap + top_chain_degree(datum, sub, i, d_i)
         if best is None or cand > best:
             best = cand
-    _cert_memo[key] = best
+    _cert_memo[space] = best
     return best
 
 
@@ -530,15 +525,13 @@ class CycAlgebra:
     }
 
     def __init__(self, datum, weight, beta, qspec=None):
-        if qspec is None:
-            qspec = QSpec.standard(datum)
         self.datum = datum
         self.weight = weight
         self.beta = tuple(beta)
-        self.qspec = qspec
         self.n = sum(beta)
         self.space = get_ideal_space(datum, weight, self.beta, qspec)
         self.engine = self.space.engine
+        self.qspec = qspec = self.engine.qspec
         self.table = nilpotency_table(datum, weight, self.beta, qspec)
         self.alive = alive_seqs(self.beta, self.table)
         # The window: the least crossing degree of an alive sequence up to

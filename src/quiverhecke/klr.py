@@ -389,7 +389,11 @@ _engines = {}
 
 
 def get_engine(datum: CartanDatum, n: int, qspec: QSpec = None) -> KLR:
-    """Shared engines so rewrite memo tables are reused per (datum, n, Q)."""
+    """Shared engines so rewrite memo tables are reused per (datum, n, Q).
+
+    This is where `qspec=None` means the standard table: callers above
+    the engine pass their table through, absent or not, and read the
+    resolved one off `engine.qspec`."""
     if qspec is None:
         qspec = QSpec.standard(datum)
     key = (datum, n, qspec)

@@ -12,6 +12,7 @@ and of v^{-a_ji}) must be nonzero.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .cartan import CartanDatum
 
@@ -95,8 +96,11 @@ class QSpec:
                 )
 
     @classmethod
+    @cache
     def standard(cls, datum: CartanDatum) -> "QSpec":
-        """Q_ij(u, v) = u^{-a_ij} + v^{-a_ji} for all i != j."""
+        """Q_ij(u, v) = u^{-a_ij} + v^{-a_ji} for all i != j, built once
+        per datum.  `klr.get_engine` turns an absent table into this one;
+        everything above the engine reads the table off its engine."""
         table = {}
         for i in range(datum.rank):
             for j in range(i + 1, datum.rank):

@@ -1,7 +1,11 @@
 """Cartan data: symmetrizers, the bilinear form, and weights."""
 
+import itertools
+import random
+
 import pytest
 
+from old_cartan import build_cartan as old_build_cartan
 from quiverhecke.cartan import Weight, build_cartan
 
 
@@ -60,6 +64,71 @@ def test_rejects_bad_matrices():
         build_cartan(("1", "2"), [[2, -1], [0, 2]])  # zero pattern asymmetric
     with pytest.raises(ValueError):
         build_cartan(("1", "2"), [[2, -1], [-1, 2], [0, 0]])  # not square
+    with pytest.raises(ValueError, match="not symmetrizable"):
+        # d_0 = 2 d_1 and d_0 = d_2 along two edges, d_1 = d_2 on the third
+        build_cartan("abc", [[2, -1, -1], [-2, 2, -1], [-1, -1, 2]])
+
+
+@pytest.mark.parametrize("matrix, sym", [
+    # A1 x B2 and G2 x B2: each component is scaled on its own
+    ([[2, 0, 0], [0, 2, -2], [0, -1, 2]], (1, 1, 2)),
+    ([[2, -3, 0, 0], [-1, 2, 0, 0], [0, 0, 2, -1], [0, 0, -2, 2]],
+     (1, 3, 2, 1)),
+    # A_2^(2), B3 and C3
+    ([[2, -4], [-1, 2]], (1, 4)),
+    ([[2, -1, 0], [-1, 2, -2], [0, -1, 2]], (1, 1, 2)),
+    ([[2, -1, 0], [-1, 2, -1], [0, -2, 2]], (2, 2, 1)),
+])
+def test_symmetrizer_coprime_per_component(matrix, sym):
+    assert build_cartan(range(len(matrix)), matrix).sym == sym
+
+
+def _outcome(build, matrix):
+    """The datum `build` makes of matrix, or its ValueError message."""
+    try:
+        return build(range(len(matrix)), matrix)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _square(n, offdiag):
+    it = iter(offdiag)
+    return [[2 if i == j else next(it) for j in range(n)] for i in range(n)]
+
+
+def _sampled_matrix(rng, n):
+    """A rank-n matrix with a symmetric zero pattern: symmetrizable by a
+    drawn d for about half the draws, with free entries for the rest."""
+    d = [rng.choice((1, 2, 3)) for _ in range(n)]
+    sound = rng.random() < 0.5
+    mat = [[2] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        if rng.random() < 0.4:
+            mat[i][j] = mat[j][i] = 0
+        elif sound:
+            s = rng.choice((1, 2)) * d[i] * d[j]
+            mat[i][j], mat[j][i] = -s // d[i], -s // d[j]
+        else:
+            mat[i][j], mat[j][i] = rng.randint(-4, -1), rng.randint(-4, -1)
+    return mat
+
+
+def test_symmetrizer_matches_component_search():
+    # every rank <= 3 matrix with off-diagonal entries in {0, ..., -3},
+    # then a seeded sample at rank 4 and 5
+    matrices = [_square(n, offdiag) for n in (1, 2, 3)
+                for offdiag in itertools.product(range(0, -4, -1),
+                                                 repeat=n * (n - 1))]
+    rng = random.Random(17)
+    matrices += [_sampled_matrix(rng, rng.choice((4, 5)))
+                 for _ in range(2000)]
+    outcomes = set()
+    for mat in matrices:
+        new = _outcome(build_cartan, mat)
+        assert new == _outcome(old_build_cartan, mat), mat
+        outcomes.add(new if isinstance(new, str) else "datum")
+    # both the walk's raise and its scaling are reached
+    assert {"datum", "Cartan matrix is not symmetrizable"} <= outcomes
 
 
 def test_weight_level_and_pairing():

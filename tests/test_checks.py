@@ -7,7 +7,7 @@ from functools import partial
 import pytest
 
 import quiverhecke.checks as checks_mod
-from quiverhecke import cyclotomic
+from quiverhecke import cyclotomic, klr
 from quiverhecke.bimodules import Bimodules
 from quiverhecke.cartan import Weight, build_cartan
 from quiverhecke.checks import (
@@ -29,6 +29,7 @@ from quiverhecke.cyclotomic import CertificationError, CycAlgebra, IdealSpace
 from quiverhecke.klr import BasisMonomial, crossing_degree, weighted_comps
 from quiverhecke.laurent import LaurentPoly
 from quiverhecke.perms import canonical_word
+from quiverhecke.qpolys import QSpec
 
 A1 = build_cartan(("0",), [[2]])
 A2 = build_cartan(("1", "2"), [[2, -1], [-1, 2]])
@@ -103,6 +104,25 @@ def test_convolution_passes():
     assert rep.status == "pass"
     same = check_convolution(A1, (1,), 0, 0, degcap=6)
     assert same.status == "pass"
+
+
+def test_convolution_builds_every_algebra_on_the_given_table(monkeypatch):
+    # the free algebra's PBW basis does not depend on Q, so every A2
+    # instance passes on Q_12 = u + 2v; each engine it asks for must
+    # carry that table, the corners' included
+    given = QSpec(A2, {(0, 1): {(1, 0): 1, (0, 1): 2}})
+    tables = set()
+
+    def get_engine(datum, n, qspec=None):
+        eng = klr.get_engine(datum, n, qspec)
+        tables.add(eng.qspec)
+        return eng
+
+    monkeypatch.setattr(cyclotomic, "get_engine", get_engine)
+    for thunk in CHECKS["convolution"]():
+        if thunk.args[0] == A2:
+            assert thunk(qspec=given).status == "pass"
+    assert tables == {given}
 
 
 def test_categorification_passes():

@@ -8,7 +8,7 @@ import pytest
 
 from quiverhecke.cache import Cache, resolve_cache_dir, summary_key
 from quiverhecke.cartan import Weight, build_cartan
-from quiverhecke import cli
+from quiverhecke import cli, cyclotomic, klr
 from quiverhecke.cli import main
 from quiverhecke.config import load_config
 from quiverhecke.cyclotomic import CycAlgebra
@@ -43,6 +43,32 @@ def test_basis_tsv(cfg_path, capsys):
     assert lines[0] == "beta\tdegree\tdim"
     assert "1,1\t-2\t1" in lines
     assert "1,2\t1\t2" in lines
+
+
+def test_basis_builds_on_the_configured_table(cfg_path, tmp_path, capsys,
+                                              monkeypatch):
+    # the free algebra's basis does not depend on Q, so the output
+    # matches the standard table's, but every engine carries the given one
+    rc, standard, _ = run(capsys, "basis", "--config", cfg_path,
+                          "--degree-cap", "4")
+    assert rc == 0
+    p = tmp_path / "twisted.json"
+    p.write_text(json.dumps(
+        {**A2_CONFIG, "q_coeffs": {"1,2": [[1, 0, 1, 1], [0, 1, 2, 1]]}}))
+    given = load_config(str(p)).qspec
+    tables = set()
+
+    def get_engine(datum, n, qspec=None):
+        eng = klr.get_engine(datum, n, qspec)
+        tables.add(eng.qspec)
+        return eng
+
+    monkeypatch.setattr(cyclotomic, "get_engine", get_engine)
+    rc, twisted, _ = run(capsys, "basis", "--config", str(p),
+                         "--degree-cap", "4")
+    assert rc == 0
+    assert twisted == standard
+    assert tables == {given}
 
 
 def test_cyclotomic_tsv_and_cache_identity(cfg_path, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Cyclotomic quotients: nilpotency bounds, degree windows, graded
 dimensions against the highest weight module, ideal span identities."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -19,6 +20,7 @@ from quiverhecke.cyclotomic import (
     min_power_in_ideal,
     nilpotency_table,
     scan_until_vanishing,
+    top_chain_degree,
     unit_in_ideal,
 )
 from quiverhecke.klr import (
@@ -434,6 +436,20 @@ DESK_ALGEBRAS = NONZERO_DESK_ALGEBRAS + [ZERO_DESK_ALGEBRA]
 A2_HALF = QSpec(A2, {(0, 1): {(1, 0): 1, (0, 1): Fraction(1, 2)}})
 
 
+def test_absent_table_resolves_to_one_standard_table():
+    # the engine resolves an absent table; every algebra above reads it
+    wt, beta = Weight((1, 1)), (1, 1)
+    assert QSpec.standard(B2) is QSpec.standard(B2)
+    A = CycAlgebra(B2, wt, beta)
+    assert A.qspec is A.engine.qspec is QSpec.standard(B2)
+    assert A.space is get_ideal_space(B2, wt, beta, QSpec.standard(B2))
+    twisted = CycAlgebra(A2, wt, beta, A2_HALF)
+    assert twisted.qspec is twisted.engine.qspec is A2_HALF
+    assert twisted.space is not get_ideal_space(A2, wt, beta)
+    bim = Bimodules(A2, Weight((1, 0)), (1, 0), 1, A2_HALF)
+    assert bim.qspec is bim.engine.qspec is bim.sub_engine.qspec is A2_HALF
+
+
 @pytest.mark.parametrize("datum,wt,beta", DESK_ALGEBRAS)
 def test_early_exits_match_full_computation(datum, wt, beta):
     assert_early_exits_match(CycAlgebra(datum, wt, beta))
@@ -548,6 +564,57 @@ def test_tower_cap_between_top_degree_and_nilpotency_bound(datum, wt, beta):
     assert A.dmax == A.dmax_bound
     cap = certified_cap(datum, wt, beta)
     assert max(A.graded_dims()) <= cap <= A.dmax_bound
+
+
+def _chain_best_by_scan(eng, sub, i, d_i):
+    """The scan over arrangements and chain starts that `certified_cap`
+    made before `top_chain_degree`, kept verbatim."""
+    n = eng.n
+    chain_best = None
+    for nu in seqs_of(sub):
+        sigma = nu + (i,)
+        for a in range(n):
+            word = tuple(range(a, n - 1))
+            exps = [0] * n
+            exps[n - 1] = d_i - 1
+            deg = eng.monomial_degree(
+                BasisMonomial(word, tuple(exps), sigma)
+            )
+            if chain_best is None or deg > chain_best:
+                chain_best = deg
+    return chain_best
+
+
+def test_top_chain_degree_matches_the_scan():
+    # every (Lambda, beta, i) with levels <= 2 and up to 5 strands, 4 at
+    # rank 3, where the tower steps up: the monic degree is positive
+    data = [A1, A2, B2, A1AFF,
+            build_cartan("ab", [[2, -3], [-1, 2]]),  # G2
+            build_cartan("ab", [[2, -4], [-1, 2]]),  # A_2^(2)
+            build_cartan("abc", [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]),
+            build_cartan("abc", [[2, -1, 0], [-1, 2, -2], [0, -1, 2]])]
+    cases = 0
+    for datum in data:
+        rank = datum.rank
+        top = 5 if rank < 3 else 4
+        betas = [b for b in itertools.product(range(top + 1), repeat=rank)
+                 if 0 < sum(b) <= top]
+        for levels in itertools.product(range(3), repeat=rank):
+            wt = Weight(levels)
+            for beta in betas:
+                for i in range(rank):
+                    if not beta[i]:
+                        continue
+                    sub = list(beta)
+                    sub[i] -= 1
+                    m = wt.level_minus(datum, i, sub) + 2 * sub[i]
+                    if m <= 0:
+                        continue
+                    eng = get_engine(datum, sum(beta))
+                    assert (top_chain_degree(datum, sub, i, m)
+                            == _chain_best_by_scan(eng, sub, i, m))
+                    cases += 1
+    assert cases == 4018
 
 
 def test_zero_desk_algebra_is_zero(monkeypatch):

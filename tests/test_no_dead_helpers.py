@@ -2,7 +2,7 @@
 allowlist of public names and of references that tests compare against.
 The scan credits a def with any read of its name, so reading a
 parameter, attribute or method of the same name elsewhere in src/ hides
-a dead one."""
+a dead one.  Every name a src/ module imports is read in that module."""
 
 import ast
 from collections import Counter
@@ -87,3 +87,40 @@ def test_allowlist_holds_only_unreferenced_names():
     dead = {name for _, name in unreferenced_defs(SRC)}
     assert set(ALLOWED) <= dead
     assert all(reason for reason in ALLOWED.values())
+
+
+def unused_imports(root):
+    """(file, name) of each name that a module under root imports and
+    never reads.  The package __init__ re-exports what it imports, and
+    `from __future__` binds no name."""
+    out = []
+    for path in sorted(root.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names, _ = _reads(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if not names[bound]:
+                        out.append((path.name, bound))
+    return out
+
+
+def test_every_src_import_is_read():
+    assert unused_imports(SRC) == []
+
+
+def test_import_scan_catches_an_unused_import(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .mod import f\n")
+    (tmp_path / "mod.py").write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from .klr import get_engine, seqs_of as seqs\n"
+        "def f():\n"
+        "    return seqs\n")
+    assert unused_imports(tmp_path) == [("mod.py", "os"),
+                                        ("mod.py", "get_engine")]
