@@ -5,31 +5,40 @@ cyclotomic quotients R^Lambda(beta), and machine-checks the structural
 identities relating them (exact sequences of induction/restriction
 bimodules, sl2 commutation, and graded dimension formulas against the
 integrable highest weight module V(Lambda)).
+
+Importing the package loads none of its submodules.  Each exported name
+is imported from its submodule on first access (PEP 562), so a CLI
+process, which imports this package before `cli`, loads only the modules
+its command runs.
 """
 
-from .cartan import CartanDatum, Weight, build_cartan
-from .checks import CHECKS, run_all, run_check
-from .cyclotomic import CycAlgebra
-from .klr import KLR, BasisMonomial, get_engine
-from .laurent import LaurentPoly
-from .qpolys import QSpec
-from .uqmod import UqModule
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BasisMonomial",
-    "CHECKS",
-    "CartanDatum",
-    "CycAlgebra",
-    "KLR",
-    "LaurentPoly",
-    "QSpec",
-    "UqModule",
-    "Weight",
-    "build_cartan",
-    "get_engine",
-    "run_all",
-    "run_check",
-    "__version__",
-]
+# each exported name and the submodule that defines it
+_EXPORTS = {
+    "BasisMonomial": "klr",
+    "CHECKS": "checks",
+    "CartanDatum": "cartan",
+    "CycAlgebra": "cyclotomic",
+    "KLR": "klr",
+    "LaurentPoly": "laurent",
+    "QSpec": "qpolys",
+    "UqModule": "uqmod",
+    "Weight": "cartan",
+    "build_cartan": "cartan",
+    "get_engine": "klr",
+    "run_all": "checks",
+    "run_check": "checks",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value

@@ -12,6 +12,13 @@ Commands:
 Exit status is 0 on success, 1 when a check or comparison fails, and 2
 for configuration or usage errors.  All output is deterministic: two
 runs over the same inputs emit the same bytes apart from timing fields.
+
+Each command imports what it runs inside its own function, and the
+package `__init__` imports nothing, so a fresh process pays only for the
+modules its command uses: `cache stat` loads no algebra module, and
+`compare` and `cyclotomic` load neither the check suites nor the
+bimodule and simple-module layers.  Every call is its own process, so
+these imports are most of a short command's time.
 """
 
 from __future__ import annotations
@@ -22,13 +29,6 @@ import os
 import sys
 
 from .cache import Cache, resolve_cache_dir, summary_key
-from .checks import CHECKS, run_timed
-from .config import ConfigError, load_config
-from .cyclotomic import CycAlgebra, free_space
-from .klr import min_tau_degree, seqs_of
-from .laurent import LaurentPoly
-from .tensors import TruncationModule
-from .uqmod import UqModule
 
 __all__ = ["main"]
 
@@ -63,6 +63,8 @@ def _want_json(cfg, args) -> bool:
 
 
 def _load(args):
+    from .config import ConfigError, load_config
+
     if not args.config:
         raise ConfigError("this command needs --config FILE")
     return load_config(args.config)
@@ -72,6 +74,10 @@ def _load(args):
 
 
 def cmd_basis(args):
+    from .cyclotomic import free_space
+    from .klr import min_tau_degree, seqs_of
+    from .tensors import TruncationModule
+
     cfg = _load(args)
     betas = cfg.require_betas()
     cap = args.degree_cap
@@ -131,6 +137,8 @@ def _summary_for(cfg, beta, cache):
     with exactly the fields of CycAlgebra.summary(), each of its type;
     any other entry, such as a bare payload or one copied from another
     key, is recomputed and overwritten."""
+    from .cyclotomic import CycAlgebra
+
     key = summary_key(cfg.datum, cfg.qspec, cfg.weight, beta)
     if cache is not None:
         entry = cache.get(key)
@@ -154,6 +162,8 @@ def _open_cache(args):
 
 
 def cmd_cyclotomic(args):
+    from .laurent import LaurentPoly
+
     cfg = _load(args)
     cfg.require_weight()
     betas = cfg.require_betas()
@@ -176,6 +186,8 @@ def cmd_cyclotomic(args):
 
 
 def cmd_gram(args):
+    from .uqmod import UqModule
+
     cfg = _load(args)
     weight = cfg.require_weight()
     betas = cfg.require_betas()
@@ -213,6 +225,10 @@ def cmd_gram(args):
 
 
 def cmd_compare(args):
+    from .klr import seqs_of
+    from .laurent import LaurentPoly
+    from .uqmod import UqModule
+
     cfg = _load(args)
     weight = cfg.require_weight()
     betas = cfg.require_betas()
@@ -273,6 +289,8 @@ def cmd_compare(args):
 
 
 def _run_checks(names, jobs):
+    from .checks import CHECKS, run_timed
+
     thunks = [thunk for name in names for thunk in CHECKS[name]()]
     jobs = min(jobs, os.cpu_count() or 1, len(thunks))
     if jobs > 1:
@@ -288,6 +306,8 @@ def _inputs_str(inputs) -> str:
 
 
 def cmd_check(args):
+    from .checks import CHECKS
+
     if args.name == "all":
         names = sorted(CHECKS)
     elif args.name in CHECKS:
@@ -405,7 +425,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as err:
+    except Exception as err:
+        # config is imported only on this path; anything else propagates
+        from .config import ConfigError
+
+        if not isinstance(err, ConfigError):
+            raise
         sys.stderr.write(f"config error: {err}\n")
         return 2
 

@@ -112,13 +112,31 @@ def _pair_key(key):
     return (key[0], BasisMonomial.sort_key(key[1]), BasisMonomial.sort_key(key[2]))
 
 
-def tensor_dim(M, N, gens, d) -> int:
+def _act(acts, side, module, gi, gelt, m):
+    """module.act(m, gelt) for the generator gelt = gens[gi], memoized
+    in acts under (side, gi, m)."""
+    key = (side, gi, m)
+    hit = acts.get(key)
+    if hit is None:
+        hit = acts[key] = module.act(m, gelt)
+    return hit
+
+
+def tensor_dim(M, N, gens, d, acts=None) -> int:
     """Dimension of (M tensor_A N) in degree d, with A presented by the
     (element, degree) list gens.
 
     The M-degree scan runs from M's least degree up to the bound that N's
     least degree sets, and stops at M's top degree.
+
+    `acts` memoizes the module actions, so that `tensor_dim_poly`
+    computes each once across its window.  A memoized action is the one
+    a recomputation gives: act is nf(multiply(...)) for a fixed module,
+    generator and embedding, and the space's reduction is canonical, so
+    the relation rows are the same rows in the same order.
     """
+    if acts is None:
+        acts = {}
     nmin = N.min_degree
     npairs = 0
     for d1 in range(M.min_degree, min(d - nmin, M.max_degree) + 1):
@@ -128,7 +146,7 @@ def tensor_dim(M, N, gens, d) -> int:
     if not npairs:
         return 0
     sb = SubspaceBasis(keyfunc=_pair_key)
-    for (gelt, gdeg) in gens:
+    for gi, (gelt, gdeg) in enumerate(gens):
         # relations can involve m above the pair window when the
         # generator has negative degree; the image still lands inside
         top_g = min(d - nmin - gdeg, M.max_degree)
@@ -139,9 +157,9 @@ def tensor_dim(M, N, gens, d) -> int:
             nb = N.basis(d - d1 - gdeg)
             if not nb:
                 continue
-            gns = [N.act(nk, gelt) for nk in nb]
+            gns = [_act(acts, "N", N, gi, gelt, nk) for nk in nb]
             for m in mb:
-                mg = M.act(m, gelt)
+                mg = _act(acts, "M", M, gi, gelt, m)
                 for nk, gn in zip(nb, gns):
                     row = {}
                     for mm, c in mg.items():
@@ -157,5 +175,6 @@ def tensor_dim(M, N, gens, d) -> int:
 
 
 def tensor_dim_poly(M, N, gens, window) -> LaurentPoly:
-    return LaurentPoly({d: tensor_dim(M, N, gens, d)
+    acts = {}
+    return LaurentPoly({d: tensor_dim(M, N, gens, d, acts)
                         for d in range(window[0], window[1] + 1)})

@@ -2,15 +2,19 @@
 
 import json
 import os
+import subprocess
+import sys
 from functools import partial
+from importlib import import_module
 
 import pytest
 
+import quiverhecke
 from quiverhecke.cache import Cache, resolve_cache_dir, summary_key
 from quiverhecke.cartan import Weight, build_cartan
 from quiverhecke import cli, cyclotomic, klr
 from quiverhecke.cli import main
-from quiverhecke.config import load_config
+from quiverhecke.config import ConfigError, load_config
 from quiverhecke.cyclotomic import CycAlgebra
 from quiverhecke.qpolys import QSpec
 
@@ -591,3 +595,90 @@ def test_labels_with_a_name_separator_exit_two(tmp_path, capsys, bad):
     rc, out, _ = run(capsys, "compare", "--config",
                      _a3_config(tmp_path, ["a", "b", "c"]))
     assert rc == 0 and out
+
+
+# -- what a fresh process imports ----------------------------------------
+
+# the module sets below are the point of the package's lazy __init__ and
+# of cli.py importing per command: a short command pays for no more
+
+
+def _fresh_modules(code, *args):
+    """The quiverhecke modules loaded by a fresh interpreter after it
+    runs code (with args as sys.argv[1:])."""
+    src = os.path.dirname(os.path.dirname(quiverhecke.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code += ("\nimport json, sys\nprint(json.dumps(sorted(m for m in "
+             "sys.modules if m.split('.')[0] == 'quiverhecke')))\n")
+    proc = subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def _cli_modules(*argv):
+    """The quiverhecke modules a fresh CLI process loads to run argv."""
+    return _fresh_modules(
+        "import sys\n"
+        "import quiverhecke.cli\n"
+        "assert quiverhecke.cli.main(sys.argv[1:]) == 0\n", *argv)
+
+
+def test_package_import_loads_no_submodule():
+    assert _fresh_modules("import quiverhecke") == {"quiverhecke"}
+
+
+def test_cache_stat_loads_only_the_cache(tmp_path):
+    assert _cli_modules("cache", "stat", "--cache-dir", str(tmp_path)) == {
+        "quiverhecke", "quiverhecke.cli", "quiverhecke.cache"}
+
+
+@pytest.mark.parametrize("command", ["compare", "cyclotomic"])
+def test_quotient_commands_load_no_check_layer(cfg_path, tmp_path, command):
+    heavy = {"quiverhecke.checks", "quiverhecke.bimodules",
+             "quiverhecke.simples"}
+    argv = (command, "--config", cfg_path, "--cache-dir", str(tmp_path))
+    cold = _cli_modules(*argv)
+    assert "quiverhecke.cyclotomic" in cold and not cold & heavy
+    assert Cache(str(tmp_path)).stat()["entries"] == 6
+    warm = _cli_modules(*argv)
+    assert "quiverhecke.cyclotomic" in warm and not warm & heavy
+
+
+def test_lazy_names_are_the_exports():
+    assert quiverhecke.__all__ == [
+        "BasisMonomial", "CHECKS", "CartanDatum", "CycAlgebra", "KLR",
+        "LaurentPoly", "QSpec", "UqModule", "Weight", "build_cartan",
+        "get_engine", "run_all", "run_check", "__version__"]
+    exports = quiverhecke._EXPORTS
+    assert set(exports) == set(quiverhecke.__all__) - {"__version__"}
+    for name, module in exports.items():
+        owner = import_module(f"quiverhecke.{module}")
+        assert getattr(quiverhecke, name) is getattr(owner, name)
+    star = {}
+    exec("from quiverhecke import *", star)
+    assert set(star) - {"__builtins__"} == set(quiverhecke.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        quiverhecke.no_such_name
+
+
+def test_a_command_error_that_is_not_a_config_error_propagates(
+        monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("command blew up")
+
+    monkeypatch.setattr(cli, "cmd_cache", broken)
+    with pytest.raises(RuntimeError, match="command blew up"):
+        main(["cache", "stat"])
+    assert capsys.readouterr().err == ""
+
+
+def test_a_config_error_inside_a_command_exits_two(monkeypatch, capsys):
+    def broken(args):
+        raise ConfigError("no such thing")
+
+    monkeypatch.setattr(cli, "cmd_cache", broken)
+    rc, out, err = run(capsys, "cache", "stat")
+    assert (rc, out, err) == (2, "", "config error: no such thing\n")

@@ -2,6 +2,9 @@
 coequalizers, against cases with independently known answers; and the
 free module bases against a reference enumerator."""
 
+import old_tensor_dim as old
+
+from quiverhecke import checks
 from quiverhecke.cartan import Weight, build_cartan
 from quiverhecke.checks import DESK, _betas_upto
 from quiverhecke.cyclotomic import CycAlgebra, free_space
@@ -158,3 +161,38 @@ def test_relations_cut_the_plain_product():
     got = tensor_dim_poly(M, N, gens, (0, 4))
     assert got == alg.graded_dim_poly()
     assert got == LaurentPoly({0: 1, 2: 1})
+
+
+def test_shared_action_memo_matches_recomputation(monkeypatch):
+    # the F E tensors of the sl2, phi, exact and mixed desk instances, with
+    # the module actions memoized across the window and recomputed at
+    # every degree as in tests/old_tensor_dim.py; the memoized run calls
+    # act once per module, generator and monomial
+    calls = []
+    act = TruncationModule.act
+
+    def counted(module, m, gelt):
+        calls.append((id(module), id(gelt), m))
+        return act(module, m, gelt)
+
+    def both(M, N, gens, window):
+        calls.clear()
+        got = tensor_dim_poly(M, N, gens, window)
+        assert len(set(calls)) == len(calls)
+        assert got == old.tensor_dim_poly(M, N, gens, window)
+        seen.append(got)
+        return got
+
+    monkeypatch.setattr(TruncationModule, "act", counted)
+    monkeypatch.setattr(checks, "tensor_dim_poly", both)
+    seen = []
+    cases = set()
+    for suite in ("sl2", "phi", "exact", "mixed"):
+        for th in checks.CHECKS[suite]():
+            datum, weight, beta, i, *j = th.args
+            cases.add((datum, weight, beta, i, j[0] if j else i))
+    for datum, weight, beta, i, j in sorted(cases, key=repr):
+        checks._fe_tensor(datum, beta, i, j,
+                          checks._quotient_modules(datum, weight, None))
+    # 57 tensors reach tensor_dim_poly, 18 of them nonzero
+    assert (len(seen), sum(1 for got in seen if got.coeffs)) == (57, 18)
