@@ -25,9 +25,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cartan import CartanDatum, Weight
+from .cartan import CartanDatum, Weight, seqs_of
 from .cyclotomic import CycAlgebra, IdealSpace, free_space
-from .klr import BasisMonomial, left_seq, min_tau_degree, seqs_of
+from .klr import BasisMonomial, left_seq, min_tau_degree
 from .linalg import coords_in_span
 from .qpolys import QSpec, poly_product
 from .tensors import TruncationModule

@@ -12,11 +12,15 @@ miss; a hit and a recomputation produce identical output.
 The cache directory is resolved from, in order: an explicit argument
 (the --cache-dir flag), the QUIVERHECKE_CACHE_DIR environment variable,
 and a per-user default.
+
+This module imports no algebra code.  The command line checks an entry's
+payload against `cli.SUMMARY_TYPES`, kept there so that a hit imports no
+quotient code either.  `hashlib` is imported only to compute a key, so
+`cache stat` and `cache clear` do not load it.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import re
@@ -49,6 +53,8 @@ def resolve_cache_dir(explicit=None) -> str:
 
 def summary_key(datum, qspec, weight, beta) -> str:
     """Stable hex digest identifying one cyclotomic computation."""
+    import hashlib
+
     payload = {
         "schema": SCHEMA_VERSION,
         "engine": ENGINE_REVISION,

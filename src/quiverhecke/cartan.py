@@ -1,21 +1,28 @@
 """Symmetrizable Cartan data: generalized Cartan matrices, symmetrizers,
-the bilinear form on roots, and integral weights given by their levels.
+the bilinear form on roots, integral weights given by their levels, and
+the combinatorics of a root beta: its color sequences and the weighted
+compositions of a degree.
 
 Indices `i` throughout are 0-based positions into `labels`; user-facing
 label strings only appear at the CLI boundary.
+
+`CartanDatum` and `Weight` are immutable value types built on
+`collections.namedtuple`: they construct, print, hash and pickle by
+their fields.  Being tuples, they also compare equal to the plain tuple
+of their fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 
-__all__ = ["CartanDatum", "Weight", "build_cartan"]
+__all__ = ["CartanDatum", "Weight", "build_cartan", "seqs_of",
+           "weighted_comps"]
 
 
-@dataclass(frozen=True)
-class CartanDatum:
+class CartanDatum(namedtuple("CartanDatum", "labels matrix sym")):
     """A generalized Cartan matrix with a chosen minimal symmetrizer.
 
     `matrix` is the GCM as a tuple of tuples, `sym` the positive integers
@@ -23,9 +30,7 @@ class CartanDatum:
     is (alpha_i | alpha_j) = d_i * a_ij.
     """
 
-    labels: tuple
-    matrix: tuple
-    sym: tuple
+    __slots__ = ()
 
     @property
     def rank(self) -> int:
@@ -53,11 +58,10 @@ class CartanDatum:
         return self.labels.index(label)
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(namedtuple("Weight", "levels")):
     """Integral weight recorded by its levels <h_i, Lambda>."""
 
-    levels: tuple
+    __slots__ = ()
 
     def level(self, i: int) -> int:
         return self.levels[i]
@@ -80,6 +84,64 @@ class Weight:
         if bb % 2:
             raise ValueError("odd (beta|beta), symmetrizer inconsistent")
         return self.pair_beta(datum, beta) - bb // 2
+
+
+def seqs_of(beta):
+    """All color sequences with multiplicity vector beta, sorted.
+
+    beta is a tuple of multiplicities per label index; sequences are
+    tuples of label indices of length sum(beta).
+    """
+    pool = []
+    for i, k in enumerate(beta):
+        pool.extend([i] * k)
+    if not pool:
+        return ((),)
+    out = set()
+
+    def rec(prefix, remaining):
+        if not remaining:
+            out.add(tuple(prefix))
+            return
+        for i in sorted(set(remaining)):
+            rest = list(remaining)
+            rest.remove(i)
+            rec(prefix + [i], rest)
+
+    rec([], pool)
+    return tuple(sorted(out))
+
+
+_comps_memo = {}
+
+
+def weighted_comps(weights, total):
+    """Nonnegative integer tuples e with sum e_k * weights[k] == total, in
+    lexicographic order.  The answer is a tuple, memoized per
+    (tuple(weights), total) and shared by every caller."""
+    key = (tuple(weights), total)
+    hit = _comps_memo.get(key)
+    if hit is not None:
+        return hit
+    out = []
+    k = len(weights)
+
+    def rec(pos, rem, acc):
+        if pos == k:
+            if rem == 0:
+                out.append(tuple(acc))
+            return
+        w = weights[pos]
+        top = rem // w
+        for e in range(top + 1):
+            acc.append(e)
+            rec(pos + 1, rem - e * w, acc)
+            acc.pop()
+
+    if total >= 0:
+        rec(0, total, [])
+    hit = _comps_memo[key] = tuple(out)
+    return hit
 
 
 def build_cartan(labels, matrix) -> CartanDatum:

@@ -18,10 +18,10 @@ from functools import cache, partial
 from itertools import product
 
 from .bimodules import Bimodules, emb_elt_first, emb_elt_last
-from .cartan import Weight, build_cartan
+from .cartan import Weight, build_cartan, seqs_of, weighted_comps
 from .cyclotomic import (CertificationError, CycAlgebra, certified_cap,
                          free_space)
-from .klr import BasisMonomial, min_tau_degree, seqs_of, weighted_comps
+from .klr import BasisMonomial, min_tau_degree
 from .laurent import LaurentPoly
 from .linalg import SubspaceBasis
 from .perms import act_on_seq, all_perms, inversions

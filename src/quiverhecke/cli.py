@@ -15,10 +15,15 @@ runs over the same inputs emit the same bytes apart from timing fields.
 
 Each command imports what it runs inside its own function, and the
 package `__init__` imports nothing, so a fresh process pays only for the
-modules its command uses: `cache stat` loads no algebra module, and
-`compare` and `cyclotomic` load neither the check suites nor the
-bimodule and simple-module layers.  Every call is its own process, so
-these imports are most of a short command's time.
+modules its command uses.  `cache stat` loads `cli` and `cache` alone.
+`compare` and `cyclotomic` never load the check suites or the bimodule
+and simple-module layers, and on a warm cache hit they load no strand
+algebra either: the summary's type table, SUMMARY_TYPES, lives here, and
+the strand engine (`klr`, `perms`, `tensors`, `cyclotomic`) is imported
+only to compute a missing summary.  A warm `compare` loads `cli`,
+`cache`, `config`, `cartan`, `qpolys`, `uqmod`, `laurent` and `linalg`.
+Every call is its own process, so these imports are most of a short
+command's time.
 """
 
 from __future__ import annotations
@@ -74,8 +79,9 @@ def _load(args):
 
 
 def cmd_basis(args):
+    from .cartan import seqs_of
     from .cyclotomic import free_space
-    from .klr import min_tau_degree, seqs_of
+    from .klr import min_tau_degree
     from .tensors import TruncationModule
 
     cfg = _load(args)
@@ -117,6 +123,18 @@ def cmd_basis(args):
 # -- cyclotomic and compare --------------------------------------------
 
 
+# the fields of CycAlgebra.summary() in write order, with their JSON
+# types: [t] a list of t, {str: t} a dict of t, {int: t} one keyed by
+# integers.  Kept here, beside its one reader, so that a cache hit loads
+# no algebra module.
+SUMMARY_TYPES = {
+    "labels": [str], "levels": [int], "beta": [int], "window": [int],
+    "window_bound": int, "nilpotency": [{str: int}], "alive": [str],
+    "zero": bool, "graded_dim": {int: int}, "total_dim": int,
+    "truncations": {str: {int: int}},
+}
+
+
 def _typed(value, kind) -> bool:
     if isinstance(kind, list):
         return isinstance(value, list) and all(_typed(v, kind[0])
@@ -134,20 +152,20 @@ def _summary_for(cfg, beta, cache):
     """Fetch or compute the summary payload for one root space.  A cache
     entry is {"key": key, "summary": payload}.  It counts as a hit only
     when it carries the key it is stored under and its payload is a dict
-    with exactly the fields of CycAlgebra.summary(), each of its type;
-    any other entry, such as a bare payload or one copied from another
-    key, is recomputed and overwritten."""
-    from .cyclotomic import CycAlgebra
-
+    with exactly the fields of SUMMARY_TYPES, each of its type; any
+    other entry, such as a bare payload or one copied from another key,
+    is recomputed and overwritten.  Only a miss imports the quotient
+    code."""
     key = summary_key(cfg.datum, cfg.qspec, cfg.weight, beta)
     if cache is not None:
         entry = cache.get(key)
         hit = (entry.get("summary") if isinstance(entry, dict)
                and entry.get("key") == key else None)
-        types = CycAlgebra.SUMMARY_TYPES
-        if (isinstance(hit, dict) and set(hit) == set(types)
-                and all(_typed(hit[k], t) for k, t in types.items())):
+        if (isinstance(hit, dict) and set(hit) == set(SUMMARY_TYPES)
+                and all(_typed(hit[k], t) for k, t in SUMMARY_TYPES.items())):
             return hit
+    from .cyclotomic import CycAlgebra
+
     alg = CycAlgebra(cfg.datum, cfg.weight, beta, cfg.qspec)
     payload = alg.summary()
     if cache is not None:
@@ -225,7 +243,7 @@ def cmd_gram(args):
 
 
 def cmd_compare(args):
-    from .klr import seqs_of
+    from .cartan import seqs_of
     from .laurent import LaurentPoly
     from .uqmod import UqModule
 

@@ -27,11 +27,9 @@ output.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .cartan import CartanDatum, Weight, build_cartan
-from .klr import weighted_comps
+from .cartan import CartanDatum, Weight, build_cartan, weighted_comps
 from .qpolys import QSpec
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "load_config"]
@@ -44,16 +42,17 @@ class ConfigError(Exception):
     """Raised for any malformed or inconsistent configuration."""
 
 
-@dataclass
 class RunConfig:
     """Validated configuration ready for the command implementations."""
 
-    datum: CartanDatum
-    qspec: QSpec
-    weight: Weight
-    betas: tuple
-    degree_cap: int
-    output: str
+    def __init__(self, datum: CartanDatum, qspec: QSpec, weight: Weight,
+                 betas: tuple, degree_cap: int, output: str):
+        self.datum = datum
+        self.qspec = qspec
+        self.weight = weight
+        self.betas = betas
+        self.degree_cap = degree_cap
+        self.output = output
 
     def require_weight(self) -> Weight:
         if self.weight is None:

@@ -51,15 +51,13 @@ sequences, and its `corner` sums the block scans.
 
 from __future__ import annotations
 
-from .cartan import Weight
+from .cartan import Weight, seqs_of, weighted_comps
 from .klr import (
     BasisMonomial,
     KLR,
     crossing_degree,
     get_engine,
     left_seq,
-    seqs_of,
-    weighted_comps,
 )
 from .laurent import LaurentPoly
 from .linalg import SubspaceBasis, span_basis
@@ -515,15 +513,6 @@ def scan_until_vanishing(dim_of, dmin, dmax, top, step):
 class CycAlgebra:
     """The graded algebra R^Lambda(beta) over its degree window."""
 
-    # the fields of summary() in write order, with their JSON types: [t]
-    # a list of t, {str: t} a dict of t, {int: t} one keyed by integers
-    SUMMARY_TYPES = {
-        "labels": [str], "levels": [int], "beta": [int], "window": [int],
-        "window_bound": int, "nilpotency": [{str: int}], "alive": [str],
-        "zero": bool, "graded_dim": {int: int}, "total_dim": int,
-        "truncations": {str: {int: int}},
-    }
-
     def __init__(self, datum, weight, beta, qspec=None):
         self.datum = datum
         self.weight = weight
@@ -643,7 +632,9 @@ class CycAlgebra:
         return self._zero
 
     def summary(self) -> dict:
-        """JSON-ready description of the computed algebra."""
+        """JSON-ready description of the computed algebra.  Its fields,
+        in this order and with these types, are `cli.SUMMARY_TYPES`, which
+        a cached summary must match to be served."""
         dims = self.graded_dims()
 
         def name(seq):

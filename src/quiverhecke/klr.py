@@ -33,8 +33,6 @@ __all__ = [
     "get_engine",
     "left_seq",
     "min_tau_degree",
-    "seqs_of",
-    "weighted_comps",
 ]
 
 
@@ -47,64 +45,6 @@ class BasisMonomial(NamedTuple):
 
     def sort_key(self):
         return (self.seq, len(self.word), self.word, self.exps)
-
-
-def seqs_of(beta):
-    """All color sequences with multiplicity vector beta, sorted.
-
-    beta is a tuple of multiplicities per label index; sequences are
-    tuples of label indices of length sum(beta).
-    """
-    pool = []
-    for i, k in enumerate(beta):
-        pool.extend([i] * k)
-    if not pool:
-        return ((),)
-    out = set()
-
-    def rec(prefix, remaining):
-        if not remaining:
-            out.add(tuple(prefix))
-            return
-        for i in sorted(set(remaining)):
-            rest = list(remaining)
-            rest.remove(i)
-            rec(prefix + [i], rest)
-
-    rec([], pool)
-    return tuple(sorted(out))
-
-
-_comps_memo = {}
-
-
-def weighted_comps(weights, total):
-    """Nonnegative integer tuples e with sum e_k * weights[k] == total, in
-    lexicographic order.  The answer is a tuple, memoized per
-    (tuple(weights), total) and shared by every caller."""
-    key = (tuple(weights), total)
-    hit = _comps_memo.get(key)
-    if hit is not None:
-        return hit
-    out = []
-    k = len(weights)
-
-    def rec(pos, rem, acc):
-        if pos == k:
-            if rem == 0:
-                out.append(tuple(acc))
-            return
-        w = weights[pos]
-        top = rem // w
-        for e in range(top + 1):
-            acc.append(e)
-            rec(pos + 1, rem - e * w, acc)
-            acc.pop()
-
-    if total >= 0:
-        rec(0, total, [])
-    hit = _comps_memo[key] = tuple(out)
-    return hit
 
 
 def crossing_degree(datum, w, seq) -> int:

@@ -24,7 +24,7 @@ a semisimple multiplication map do not depend on how they are found.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import isqrt, lcm
 
@@ -35,13 +35,11 @@ from .linalg import SubspaceBasis, coords_in_span
 __all__ = ["SimpleCount", "count_simples", "split_center"]
 
 
-@dataclass
-class SimpleCount:
-    count: int
-    split: bool
-    total_dim: int
-    radical_dim: int
-    center_dim: int
+class SimpleCount(namedtuple("SimpleCount",
+                              "count split total_dim radical_dim center_dim")):
+    """What `count_simples` finds; its fields are described there."""
+
+    __slots__ = ()
 
 
 def _mult_table(alg: CycAlgebra):

@@ -18,7 +18,8 @@ front).
 
 from __future__ import annotations
 
-from .klr import BasisMonomial, min_tau_degree, seqs_of
+from .cartan import seqs_of
+from .klr import BasisMonomial, min_tau_degree
 from .laurent import LaurentPoly
 from .linalg import SubspaceBasis
 

@@ -6,7 +6,10 @@ Everything here is independent of the strand algebras: raising operators
 act by the weight-string formula, the contravariant form is evaluated
 recursively, and weight space dimensions come from exact ranks of Gram
 matrices over Q(q).  This gives dimension predictions that the quotient
-construction elsewhere in the package is tested against.
+construction elsewhere in the package is tested against.  The module
+imports none of the strand code (`klr`, `perms`, `tensors`,
+`cyclotomic`): the color sequences of a root come from `cartan`, so the
+oracle is an independent check, and a warm `compare` loads no engine.
 
 Convention note: in a monomial f_{nu_1} ... f_{nu_n} v the first entry
 of nu is the outermost lowering operator.  Matching a length-n sequence
@@ -16,10 +19,9 @@ order, so the dimension prediction reverses its sequence arguments.
 
 from __future__ import annotations
 
-from .cartan import CartanDatum, Weight
+from .cartan import CartanDatum, Weight, seqs_of
 from .laurent import LaurentPoly, qint
 from .linalg import laurent_rank
-from .klr import seqs_of
 
 __all__ = ["UqModule"]
 

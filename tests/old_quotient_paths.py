@@ -14,6 +14,7 @@ this module."""
 
 from fractions import Fraction
 
+from quiverhecke.cartan import seqs_of
 from quiverhecke.cyclotomic import (
     alive_seqs,
     get_ideal_space,
@@ -24,7 +25,6 @@ from quiverhecke.klr import (
     BasisMonomial,
     crossing_degree,
     min_tau_degree,
-    seqs_of,
 )
 from quiverhecke.laurent import LaurentPoly
 from quiverhecke.perms import all_perms, apply_word

@@ -12,10 +12,10 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from quiverhecke.cartan import Weight, build_cartan
+from quiverhecke.cartan import Weight, build_cartan, seqs_of
 from quiverhecke.checks import check_pbw, run_check
 from quiverhecke.cyclotomic import CycAlgebra
-from quiverhecke.klr import BasisMonomial, get_engine, seqs_of
+from quiverhecke.klr import BasisMonomial, get_engine
 from quiverhecke.perms import all_perms, canonical_word
 
 A1 = build_cartan(("0",), [[2]])

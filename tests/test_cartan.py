@@ -1,4 +1,5 @@
-"""Cartan data: symmetrizers, the bilinear form, and weights."""
+"""Cartan data: symmetrizers, the bilinear form, weights, and the
+weighted compositions of a degree."""
 
 import itertools
 import random
@@ -6,7 +7,7 @@ import random
 import pytest
 
 from old_cartan import build_cartan as old_build_cartan
-from quiverhecke.cartan import Weight, build_cartan
+from quiverhecke.cartan import Weight, build_cartan, weighted_comps
 
 
 def test_a2_form():
@@ -160,3 +161,39 @@ def test_weight_level_minus_beta():
     assert rho.level_minus(b2, 0, (1, 1)) == 1 - 2 + 2
     assert rho.level_minus(b2, 1, (1, 1)) == 1 + 1 - 2
     assert rho.level_minus(b2, 1, (2, 0)) == 1 + 2
+
+
+def recursive_weighted_comps(weights, total):
+    """`weighted_comps` before its memo, kept verbatim as a reference."""
+    out = []
+    k = len(weights)
+
+    def rec(pos, rem, acc):
+        if pos == k:
+            if rem == 0:
+                out.append(tuple(acc))
+            return
+        w = weights[pos]
+        top = rem // w
+        for e in range(top + 1):
+            acc.append(e)
+            rec(pos + 1, rem - e * w, acc)
+            acc.pop()
+
+    if total >= 0:
+        rec(0, total, [])
+    return out
+
+
+@pytest.mark.parametrize("weights", [(2,), (2, 2, 4), (4, 2, 6), (1, 1),
+                                     (2, 2, 2, 2), ()])
+def test_weighted_comps_memo_matches_the_recursion(weights):
+    for total in range(-1, 15):
+        want = recursive_weighted_comps(weights, total)
+        for arg in (weights, list(weights)):
+            got = weighted_comps(arg, total)
+            assert type(got) is tuple
+            assert list(got) == want
+        # a list and a tuple of the same weights share one memo entry
+        assert weighted_comps(list(weights), total) is weighted_comps(
+            weights, total)

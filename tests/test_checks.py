@@ -9,7 +9,7 @@ import pytest
 import quiverhecke.checks as checks_mod
 from quiverhecke import cyclotomic, klr
 from quiverhecke.bimodules import Bimodules
-from quiverhecke.cartan import Weight, build_cartan
+from quiverhecke.cartan import Weight, build_cartan, weighted_comps
 from quiverhecke.checks import (
     CHECKS,
     Report,
@@ -26,7 +26,7 @@ from quiverhecke.checks import (
     run_timed,
 )
 from quiverhecke.cyclotomic import CertificationError, CycAlgebra, IdealSpace
-from quiverhecke.klr import BasisMonomial, crossing_degree, weighted_comps
+from quiverhecke.klr import BasisMonomial, crossing_degree
 from quiverhecke.laurent import LaurentPoly
 from quiverhecke.perms import canonical_word
 from quiverhecke.qpolys import QSpec

@@ -379,7 +379,9 @@ def test_cache_entry_that_is_not_utf8_is_a_miss(cfg_path, tmp_path, capsys,
 def test_summary_keys_are_the_summary_fields():
     alg = CycAlgebra(build_cartan(("1", "2"), [[2, -1], [-1, 2]]),
                      Weight((1, 1)), (1, 1))
-    assert tuple(alg.summary()) == tuple(CycAlgebra.SUMMARY_TYPES)
+    # the table lives in cli.py and the summary in cyclotomic.py: both
+    # name the same fields in the same order
+    assert tuple(alg.summary()) == tuple(cli.SUMMARY_TYPES)
 
 
 # a full summary as schema 1 wrote it, with its window_certified field
@@ -415,7 +417,7 @@ def test_wrong_shaped_cache_entry_is_a_miss(cfg_path, tmp_path, capsys,
         for key in keys:
             assert cache.get(key)["key"] == key
             assert (set(cache.get(key)["summary"])
-                    == set(CycAlgebra.SUMMARY_TYPES))
+                    == set(cli.SUMMARY_TYPES))
 
 
 def test_summary_types_cover_the_summary_fields():
@@ -423,9 +425,9 @@ def test_summary_types_cover_the_summary_fields():
     alg = CycAlgebra(build_cartan(("1", "2"), [[2, -1], [-1, 2]]),
                      Weight((1, 1)), (1, 1))
     summary = alg.summary()
-    assert set(summary) == set(CycAlgebra.SUMMARY_TYPES)
+    assert set(summary) == set(cli.SUMMARY_TYPES)
     assert all(cli._typed(summary[k], t)
-               for k, t in CycAlgebra.SUMMARY_TYPES.items())
+               for k, t in cli.SUMMARY_TYPES.items())
 
 
 # one field of a well-keyed summary given a value of the wrong type
@@ -599,31 +601,43 @@ def test_labels_with_a_name_separator_exit_two(tmp_path, capsys, bad):
 
 # -- what a fresh process imports ----------------------------------------
 
-# the module sets below are the point of the package's lazy __init__ and
-# of cli.py importing per command: a short command pays for no more
+# the module sets below are the point of the package's lazy __init__, of
+# cli.py importing per command, and of keeping the summary table in cli.py:
+# a short command pays for no more
+
+# the strand engine, which a cached summary does not need
+ENGINE = {"quiverhecke.klr", "quiverhecke.perms", "quiverhecke.tensors",
+          "quiverhecke.cyclotomic"}
+
+RUN_CLI = ("import sys\n"
+           "import quiverhecke.cli\n"
+           "assert quiverhecke.cli.main(sys.argv[1:]) == 0\n")
 
 
-def _fresh_modules(code, *args):
-    """The quiverhecke modules loaded by a fresh interpreter after it
-    runs code (with args as sys.argv[1:])."""
+def _loaded(code, *args):
+    """Every module loaded by a fresh interpreter after it runs code (with
+    args as sys.argv[1:])."""
     src = os.path.dirname(os.path.dirname(quiverhecke.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    code += ("\nimport json, sys\nprint(json.dumps(sorted(m for m in "
-             "sys.modules if m.split('.')[0] == 'quiverhecke')))\n")
+    code += "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
     proc = subprocess.run([sys.executable, "-c", code, *args],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
+def _fresh_modules(code, *args):
+    """The quiverhecke modules loaded by a fresh interpreter after it
+    runs code."""
+    return {m for m in _loaded(code, *args)
+            if m.split(".")[0] == "quiverhecke"}
+
+
 def _cli_modules(*argv):
     """The quiverhecke modules a fresh CLI process loads to run argv."""
-    return _fresh_modules(
-        "import sys\n"
-        "import quiverhecke.cli\n"
-        "assert quiverhecke.cli.main(sys.argv[1:]) == 0\n", *argv)
+    return _fresh_modules(RUN_CLI, *argv)
 
 
 def test_package_import_loads_no_submodule():
@@ -635,6 +649,14 @@ def test_cache_stat_loads_only_the_cache(tmp_path):
         "quiverhecke", "quiverhecke.cli", "quiverhecke.cache"}
 
 
+def test_cache_stat_loads_no_hashlib(tmp_path):
+    # a key is hashed only when one is computed; stat computes none
+    bare = _loaded("")
+    assert "hashlib" not in bare
+    stat = _loaded(RUN_CLI, "cache", "stat", "--cache-dir", str(tmp_path))
+    assert "hashlib" not in stat - bare
+
+
 @pytest.mark.parametrize("command", ["compare", "cyclotomic"])
 def test_quotient_commands_load_no_check_layer(cfg_path, tmp_path, command):
     heavy = {"quiverhecke.checks", "quiverhecke.bimodules",
@@ -643,8 +665,29 @@ def test_quotient_commands_load_no_check_layer(cfg_path, tmp_path, command):
     cold = _cli_modules(*argv)
     assert "quiverhecke.cyclotomic" in cold and not cold & heavy
     assert Cache(str(tmp_path)).stat()["entries"] == 6
+    # every summary is a hit, so no strand algebra is loaded
     warm = _cli_modules(*argv)
-    assert "quiverhecke.cyclotomic" in warm and not warm & heavy
+    assert not warm & (heavy | ENGINE)
+
+
+def test_the_oracle_loads_no_strand_engine():
+    # V(Lambda) predicts what the quotients are checked against, so it
+    # must not be computed with the code under test
+    loaded = _fresh_modules("import quiverhecke.uqmod")
+    assert "quiverhecke.uqmod" in loaded and not loaded & ENGINE
+
+
+@pytest.mark.parametrize("argv", [
+    ("basis", "--degree-cap", "2"), ("cyclotomic",), ("gram",), ("compare",),
+    ("check", "pbw"), ("cache", "stat"), ("cache", "clear")],
+    ids=["basis", "cyclotomic", "gram", "compare", "check", "cache-stat",
+         "cache-clear"])
+def test_no_command_loads_dataclasses(cfg_path, tmp_path, argv):
+    bare = _loaded("")
+    assert "dataclasses" not in bare
+    loaded = _loaded(RUN_CLI, *argv, "--config", cfg_path,
+                     "--cache-dir", str(tmp_path))
+    assert "dataclasses" not in loaded - bare
 
 
 def test_lazy_names_are_the_exports():

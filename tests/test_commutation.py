@@ -15,9 +15,10 @@ import pytest
 
 from quiverhecke import checks
 from quiverhecke.bimodules import emb_elt_last
+from quiverhecke.cartan import seqs_of
 from quiverhecke.checks import DESK, Report, _add_beta, _betas_upto, _sub_beta
 from quiverhecke.cyclotomic import CycAlgebra, scan_until_vanishing
-from quiverhecke.klr import crossing_degree, seqs_of
+from quiverhecke.klr import crossing_degree
 from quiverhecke.laurent import LaurentPoly
 from quiverhecke.tensors import TruncationModule, algebra_gens, tensor_dim
 

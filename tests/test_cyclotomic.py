@@ -10,7 +10,7 @@ import pytest
 
 from quiverhecke import checks, cyclotomic
 from quiverhecke.bimodules import Bimodules
-from quiverhecke.cartan import Weight, build_cartan
+from quiverhecke.cartan import Weight, build_cartan, seqs_of, weighted_comps
 from quiverhecke.cyclotomic import (
     CycAlgebra,
     IdealSpace,
@@ -29,8 +29,6 @@ from quiverhecke.klr import (
     get_engine,
     left_seq,
     min_tau_degree,
-    seqs_of,
-    weighted_comps,
 )
 from quiverhecke.laurent import LaurentPoly
 from quiverhecke.linalg import SubspaceBasis

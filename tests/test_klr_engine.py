@@ -12,15 +12,13 @@ from fractions import Fraction
 
 import pytest
 
-from quiverhecke.cartan import build_cartan
+from quiverhecke.cartan import build_cartan, seqs_of, weighted_comps
 from quiverhecke.checks import _betas_upto
 from quiverhecke.klr import (
     BasisMonomial,
     crossing_degree,
     get_engine,
     min_tau_degree,
-    seqs_of,
-    weighted_comps,
 )
 from quiverhecke.perms import all_perms, canonical_word
 from quiverhecke.qpolys import QSpec
@@ -341,42 +339,6 @@ def test_crossing_degree_sums_simple_crossings(datum):
                 total -= datum.form(cur[k], cur[k + 1])
                 cur = cur[:k] + (cur[k + 1], cur[k]) + cur[k + 2:]
             assert crossing_degree(datum, w, seq) == total
-
-
-def recursive_weighted_comps(weights, total):
-    """`klr.weighted_comps` before its memo, kept verbatim as a reference."""
-    out = []
-    k = len(weights)
-
-    def rec(pos, rem, acc):
-        if pos == k:
-            if rem == 0:
-                out.append(tuple(acc))
-            return
-        w = weights[pos]
-        top = rem // w
-        for e in range(top + 1):
-            acc.append(e)
-            rec(pos + 1, rem - e * w, acc)
-            acc.pop()
-
-    if total >= 0:
-        rec(0, total, [])
-    return out
-
-
-@pytest.mark.parametrize("weights", [(2,), (2, 2, 4), (4, 2, 6), (1, 1),
-                                     (2, 2, 2, 2), ()])
-def test_weighted_comps_memo_matches_the_recursion(weights):
-    for total in range(-1, 15):
-        want = recursive_weighted_comps(weights, total)
-        for arg in (weights, list(weights)):
-            got = weighted_comps(arg, total)
-            assert type(got) is tuple
-            assert list(got) == want
-        # a list and a tuple of the same weights share one memo entry
-        assert weighted_comps(list(weights), total) is weighted_comps(
-            weights, total)
 
 
 def test_beta_enumerations_read_the_memo():

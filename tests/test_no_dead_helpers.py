@@ -117,9 +117,9 @@ def test_import_scan_catches_an_unused_import(tmp_path):
     (tmp_path / "mod.py").write_text(
         "from __future__ import annotations\n"
         "import os.path\n"
-        "from .klr import get_engine, seqs_of as seqs\n"
+        "from .cartan import build_cartan, seqs_of as seqs\n"
         "def f():\n"
         "    return seqs\n")
     assert unused_imports(tmp_path) == [("__init__.py", "f"),
                                         ("mod.py", "os"),
-                                        ("mod.py", "get_engine")]
+                                        ("mod.py", "build_cartan")]

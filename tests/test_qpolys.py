@@ -11,8 +11,8 @@ from types import SimpleNamespace
 import pytest
 
 from quiverhecke.bimodules import Bimodules
-from quiverhecke.cartan import Weight, build_cartan
-from quiverhecke.klr import BasisMonomial, seqs_of
+from quiverhecke.cartan import Weight, build_cartan, seqs_of
+from quiverhecke.klr import BasisMonomial
 from quiverhecke.qpolys import QSpec
 
 A2 = build_cartan(("1", "2"), [[2, -1], [-1, 2]])

@@ -5,7 +5,7 @@ free module bases against a reference enumerator."""
 import old_tensor_dim as old
 
 from quiverhecke import checks
-from quiverhecke.cartan import Weight, build_cartan
+from quiverhecke.cartan import Weight, build_cartan, seqs_of, weighted_comps
 from quiverhecke.checks import DESK, _betas_upto
 from quiverhecke.cyclotomic import CycAlgebra, free_space
 from quiverhecke.klr import (
@@ -13,8 +13,6 @@ from quiverhecke.klr import (
     crossing_degree,
     left_seq,
     min_tau_degree,
-    seqs_of,
-    weighted_comps,
 )
 from quiverhecke.laurent import LaurentPoly
 from quiverhecke.perms import all_perms, canonical_word
