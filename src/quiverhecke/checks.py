@@ -36,16 +36,39 @@ __all__ = [
 ]
 
 
+def _render_inputs(args) -> dict:
+    """A check's bound arguments as report inputs: the datum as its
+    labels, the weight as its levels, a table as `QSpec.describe()` (left
+    out when it is None), tuples as lists, and every other value as is."""
+    inputs = {}
+    for key, val in args.items():
+        if key == "datum":
+            key, val = "labels", list(val.labels)
+        elif key == "weight":
+            key, val = "levels", list(val.levels)
+        elif key == "qspec":
+            if val is None:
+                continue
+            val = val.describe()
+        elif isinstance(val, tuple):
+            val = list(val)
+        inputs[key] = val
+    return inputs
+
+
 class Report:
     """Outcome of one check instance.
 
-    witness holds small rows of scalars and strings; fail_degree is the
-    first degree at which a comparison broke, when that makes sense.
+    inputs are the check's arguments, defaults included, rendered by
+    `_render_inputs`: a suite passes its `locals()` as its first
+    statement, and an error row the arguments its thunk binds.  witness
+    holds small rows of scalars and strings; fail_degree is the first
+    degree at which a comparison broke, when that makes sense.
     """
 
-    def __init__(self, name, inputs):
+    def __init__(self, name, args):
         self.name = name
-        self.inputs = inputs
+        self.inputs = _render_inputs(args)
         self.status = "pass"
         self.witness = []
         self.fail_degree = None
@@ -146,9 +169,7 @@ def _gen_fn_blocks(datum, beta, window):
 def check_pbw(datum, beta, degcap=10):
     """Monomial counts against the generating function, block by block
     and in total, and the two-block factorization, through degcap."""
-    rep = Report("pbw", {
-        "labels": list(datum.labels), "beta": list(beta), "degcap": degcap,
-    })
+    rep = Report("pbw", locals())
     beta = tuple(beta)
     n = sum(beta)
     lo = min_tau_degree(datum, beta)
@@ -200,10 +221,7 @@ def check_taug(datum, weight, beta, i, qspec=None):
     Q act as explicit polynomials: Q after P on each column e(i, nu) of
     K1 as qp_poly(nu), and P after Q on each column e(nu, i) of K0 as
     pq_poly.  Only the first adds a row on a pass."""
-    rep = Report("taug", {
-        "labels": list(datum.labels), "levels": list(weight.levels),
-        "beta": list(beta), "i": int(i),
-    })
+    rep = Report("taug", locals())
     bim = Bimodules(datum, weight, beta, i, qspec=qspec)
     pq = bim.pq_poly()
     zero = (0,) * bim.N
@@ -228,10 +246,7 @@ def check_taug(datum, weight, beta, i, qspec=None):
 def check_exact(datum, weight, beta, i, qspec=None):
     """P injective, pi surjective, image of P equals kernel of pi, and
     the graded dimension identity, degree by degree over the window."""
-    rep = Report("exact", {
-        "labels": list(datum.labels), "levels": list(weight.levels),
-        "beta": list(beta), "i": int(i),
-    })
+    rep = Report("exact", locals())
     bim = Bimodules(datum, weight, beta, i, qspec=qspec)
     rep.inputs["window"] = list(bim.window)
     lo, hi = bim.window
@@ -343,10 +358,7 @@ def _sl2_sides(datum, weight, beta, i, qspec):
 def check_sl2(datum, weight, beta, i, qspec=None):
     """The commutation identity between adding and removing a strand of
     color i on the cyclotomic quotient at beta."""
-    rep = Report("sl2", {
-        "labels": list(datum.labels), "levels": list(weight.levels),
-        "beta": list(beta), "i": int(i),
-    })
+    rep = Report("sl2", locals())
     a, ef, base, predicted, fe = _sl2_sides(datum, weight, beta, i, qspec)
     rep.inputs["pairing"] = a
     if predicted.coeffs and min(predicted.coeffs.values()) < 0:
@@ -362,10 +374,7 @@ def check_sl2(datum, weight, beta, i, qspec=None):
 def check_mixed(datum, weight, beta, i, j, qspec=None):
     """For distinct colors, the corner of the enlarged quotient matches
     the tensor up to the off-diagonal form twist."""
-    rep = Report("mixed", {
-        "labels": list(datum.labels), "levels": list(weight.levels),
-        "beta": list(beta), "i": int(i), "j": int(j),
-    })
+    rep = Report("mixed", locals())
     if i == j:
         rep.status = "skip"
         rep.note(reason="colors must differ")
@@ -386,10 +395,7 @@ def check_phi(datum, weight, beta, i, kmax=4, qspec=None):
     """The endomorphism coefficients phi_k: both computations agree and
     satisfy vanishing, monicity, the recursion, and the triangular
     start."""
-    rep = Report("phi", {
-        "labels": list(datum.labels), "levels": list(weight.levels),
-        "beta": list(beta), "i": int(i), "kmax": kmax,
-    })
+    rep = Report("phi", locals())
     bim = Bimodules(datum, weight, beta, i, qspec=qspec)
     lvl = bim.level_pairing
     ginv = bim.gamma_inverse()
@@ -443,10 +449,7 @@ def check_phi(datum, weight, beta, i, kmax=4, qspec=None):
 
 def check_convolution(datum, beta, i, j, degcap=6, qspec=None):
     """Free strand algebra convolution identities through degcap."""
-    rep = Report("convolution", {
-        "labels": list(datum.labels), "beta": list(beta),
-        "i": int(i), "j": int(j), "degcap": degcap,
-    })
+    rep = Report("convolution", locals())
     beta = tuple(beta)
     d_i = datum.form(i, i)
     sub = _sub_beta(beta, i)
@@ -509,10 +512,7 @@ def check_categorification(datum, weight, nmax, qspec=None):
     values, simple counts against weight multiplicities (up to three
     strands), and the ungraded commutator count, over all beta with at
     most nmax strands."""
-    rep = Report("categorification", {
-        "labels": list(datum.labels), "levels": list(weight.levels),
-        "nmax": int(nmax),
-    })
+    rep = Report("categorification", locals())
     mod = UqModule(datum, weight)
     for beta in _betas_upto(datum.rank, nmax):
         alg = CycAlgebra(datum, weight, beta, qspec)
@@ -577,45 +577,46 @@ _L10, _L11 = Weight((1, 0)), Weight((1, 1))
 _I = ((0,), (1,))
 _IJ = ((0, 1), (1, 0))
 
-# suite: (check, fixed keywords, least strand count of a beta, rows).
-# A row is (datum, weights, nmax, tails): one instance per weight, per
-# beta of at most nmax strands, per tail of trailing arguments, in that
-# order.  weights None passes no weight and nmax None no beta, so the
+# suite: (check, least strand count of a beta, rows).  Each check runs
+# with its own defaults (degcap, kmax), which its report renders.  A row
+# is (datum, weights, nmax, tails): one instance per weight, per beta of
+# at most nmax strands, per tail of trailing arguments, in that order.
+# weights None passes no weight and nmax None no beta, so the
 # categorification rows carry their own nmax as the tail.
 DESK = {
-    "categorification": (check_categorification, {}, 0, [
+    "categorification": (check_categorification, 0, [
         (A1, (_L1, _L2), None, ((3,),)),
         (A2, (_L10,), None, ((3,),)),
         (A1AFF, (_L10,), None, ((2,),)),
     ]),
-    "convolution": (check_convolution, {"degcap": 6}, 0, [
+    "convolution": (check_convolution, 0, [
         (A1, None, 2, ((0, 0),)),
         (A2, None, 2, ((0, 0), (0, 1), (1, 0), (1, 1))),
     ]),
-    "exact": (check_exact, {}, 0, [
+    "exact": (check_exact, 0, [
         (A1, (_L1, _L2), 2, ((0,),)),
         (A2, (_L10,), 2, _I),
     ]),
-    "mixed": (check_mixed, {}, 0, [
+    "mixed": (check_mixed, 0, [
         (A2, (_L10, _L11), 2, _IJ),
         (A1AFF, (_L10,), 2, _IJ),
     ]),
-    "pbw": (check_pbw, {"degcap": 10}, 1, [
+    "pbw": (check_pbw, 1, [
         (A1, None, 3, ((),)),
         (A2, None, 3, ((),)),
         (A1AFF, None, 3, ((),)),
     ]),
-    "phi": (check_phi, {"kmax": 4}, 0, [
+    "phi": (check_phi, 0, [
         (A1, (_L1, _L2, _L3), 2, ((0,),)),
         (A2, (_L10, _L11), 2, _I),
         (A1AFF, (_L10,), 1, _I),
     ]),
-    "sl2": (check_sl2, {}, 0, [
+    "sl2": (check_sl2, 0, [
         (A1, (_L1, _L2, _L3), 3, ((0,),)),
         (A2, (_L10, _L11), 3, _I),
         (A1AFF, (_L10,), 2, _I),
     ]),
-    "taug": (check_taug, {}, 0, [
+    "taug": (check_taug, 0, [
         (A1, (_L1, _L2), 2, ((0,),)),
         (A2, (_L10,), 2, _I),
     ]),
@@ -624,13 +625,13 @@ DESK = {
 
 def _instances(suite) -> list:
     """The instances of one suite as picklable thunks, in desk order."""
-    check, fixed, nmin, rows = DESK[suite]
+    check, nmin, rows = DESK[suite]
     out = []
     for datum, weights, nmax, tails in rows:
         wts = [()] if weights is None else [(w,) for w in weights]
         betas = [()] if nmax is None else [
             (b,) for b in _betas_upto(datum.rank, nmax) if sum(b) >= nmin]
-        out.extend(partial(check, datum, *w, *b, *tail, **fixed)
+        out.extend(partial(check, datum, *w, *b, *tail)
                    for w, b, tail in product(wts, betas, tails))
     return out
 
@@ -640,18 +641,16 @@ CHECKS = {suite: partial(_instances, suite) for suite in DESK}
 
 def _error_report(thunk, exc) -> Report:
     """The `error` report of an instance that raised: its check's name
-    and arguments, with the exception type and message as the witness."""
+    and arguments (positional, keyword and default, bound as a call
+    binds them), with the exception type and message as the witness."""
     func = getattr(thunk, "func", thunk)
-    args = dict(zip(func.__code__.co_varnames, getattr(thunk, "args", ())))
+    names = func.__code__.co_varnames[:func.__code__.co_argcount]
+    defaults = func.__defaults__ or ()
+    args = dict(zip(names, getattr(thunk, "args", ())))
+    for name, val in zip(names[len(names) - len(defaults):], defaults):
+        args.setdefault(name, val)
     args.update(getattr(thunk, "keywords", {}))
-    inputs = {}
-    for key, val in args.items():
-        if key == "datum":
-            key, val = "labels", list(val.labels)
-        elif key == "weight":
-            key, val = "levels", list(val.levels)
-        inputs[key] = list(val) if isinstance(val, tuple) else val
-    rep = Report(func.__name__.removeprefix("check_"), inputs)
+    rep = Report(func.__name__.removeprefix("check_"), args)
     rep.status = "error"
     rep.witness.append({"kind": "error", "type": type(exc).__name__,
                         "message": str(exc)})

@@ -21,7 +21,7 @@ and simple-module layers, and on a warm cache hit they load no strand
 algebra either: the summary's type table, SUMMARY_TYPES, lives here, and
 the strand engine (`klr`, `perms`, `tensors`, `cyclotomic`) is imported
 only to compute a missing summary.  A warm `compare` loads `cli`,
-`cache`, `config`, `cartan`, `qpolys`, `uqmod`, `laurent` and `linalg`.
+`cache`, `config`, `cartan`, `qpolys`, `uqmod` and `laurent`.
 Every call is its own process, so these imports are most of a short
 command's time.
 """

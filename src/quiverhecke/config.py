@@ -140,32 +140,24 @@ def _parse_qspec(data, datum) -> QSpec:
         raise ConfigError(f"bad q_coeffs: {err}") from None
 
 
-def _parse_weight(data, datum):
-    if data is None:
-        return None
-    _expect(isinstance(data, dict), "\"lambda\" must be an object")
-    levels = [0] * datum.rank
-    for lab, lvl in data.items():
-        _expect(lab in datum.labels, f"unknown label {lab!r} in lambda")
-        _expect(isinstance(lvl, int) and not isinstance(lvl, bool)
-                and lvl >= 0,
-                f"lambda[{lab!r}] must be a nonnegative integer")
-        levels[datum.index_of(lab)] = lvl
-    return Weight(tuple(levels))
+def _parse_counts(data, datum, key) -> tuple:
+    """A label-to-count object (`lambda` or `beta`) as a tuple in label
+    order; absent labels count 0."""
+    _expect(isinstance(data, dict), f"\"{key}\" must be an object")
+    counts = [0] * datum.rank
+    for lab, k in data.items():
+        _expect(lab in datum.labels, f"unknown label {lab!r} in {key}")
+        _expect(isinstance(k, int) and not isinstance(k, bool) and k >= 0,
+                f"{key}[{lab!r}] must be a nonnegative integer")
+        counts[datum.index_of(lab)] = k
+    return tuple(counts)
 
 
 def _parse_betas(beta, nmax, datum):
     _expect(beta is None or nmax is None,
             "give \"beta\" or \"nmax\", not both")
     if beta is not None:
-        _expect(isinstance(beta, dict), "\"beta\" must be an object")
-        counts = [0] * datum.rank
-        for lab, k in beta.items():
-            _expect(lab in datum.labels, f"unknown label {lab!r} in beta")
-            _expect(isinstance(k, int) and not isinstance(k, bool) and k >= 0,
-                    f"beta[{lab!r}] must be a nonnegative integer")
-            counts[datum.index_of(lab)] = k
-        return (tuple(counts),)
+        return (_parse_counts(beta, datum, "beta"),)
     if nmax is not None:
         _expect(isinstance(nmax, int) and not isinstance(nmax, bool)
                 and nmax >= 0,
@@ -185,7 +177,9 @@ def parse_config(data) -> RunConfig:
     _expect("cartan" in data, "config needs a \"cartan\" entry")
     datum = _parse_cartan(data["cartan"])
     qspec = _parse_qspec(data.get("q_coeffs"), datum)
-    weight = _parse_weight(data.get("lambda"), datum)
+    weight = data.get("lambda")
+    if weight is not None:
+        weight = Weight(_parse_counts(weight, datum, "lambda"))
     betas = _parse_betas(data.get("beta"), data.get("nmax"), datum)
     cap = data.get("degree_cap")
     if cap is not None:

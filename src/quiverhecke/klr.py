@@ -136,18 +136,12 @@ class KLR:
                 # x^a tau_k = tau_k x^{s_k a} + d_k(x^a) on equal colors,
                 # with d_k f = (s_k f - f)/(x_k - x_{k+1}).
                 p, q = m.exps[k], m.exps[k + 1]
-                if p > q:
-                    for t in range(p - q):
-                        b = list(m.exps)
-                        b[k] = q + t
-                        b[k + 1] = p - 1 - t
-                        _add(out, BasisMonomial(m.word, tuple(b), m.seq), -c)
-                elif q > p:
-                    for t in range(q - p):
-                        b = list(m.exps)
-                        b[k] = p + t
-                        b[k + 1] = q - 1 - t
-                        _add(out, BasisMonomial(m.word, tuple(b), m.seq), c)
+                lo, hi, sc = (q, p, -c) if p > q else (p, q, c)
+                for t in range(hi - lo):
+                    b = list(m.exps)
+                    b[k] = lo + t
+                    b[k + 1] = hi - 1 - t
+                    _add(out, BasisMonomial(m.word, tuple(b), m.seq), sc)
         return out
 
     def tau_tau_e(self, wword: tuple, k: int, mu: tuple) -> dict:

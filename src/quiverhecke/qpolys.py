@@ -46,16 +46,19 @@ def _exact(c):
 class QSpec:
     """Immutable table of Q_ij coefficients over a fixed Cartan datum."""
 
-    __slots__ = ("datum", "_table", "_key")
+    __slots__ = ("datum", "_table", "_key", "_terms")
 
     def __init__(self, datum: CartanDatum, table):
         """`table` maps ordered pairs (i, j) with i < j to a dict
         {(p, q): Fraction} of coefficients of u^p v^q in Q_ij.  An
         integral coefficient is stored as an int, so that with an
         integral table every coefficient the rewriting engine makes is
-        an int; the others stay Fractions."""
+        an int; the others stay Fractions.  `terms` of every ordered pair
+        is built here, so that the engine reads either orientation with
+        one lookup."""
         self.datum = datum
         clean = {}
+        self._terms = {}
         n = datum.rank
         for i in range(n):
             for j in range(i + 1, n):
@@ -67,6 +70,9 @@ class QSpec:
                 }
                 self._validate_pair(i, j, terms)
                 clean[(i, j)] = terms
+                ordered = sorted(terms.items())
+                self._terms[(i, j)] = tuple((p, q, c) for (p, q), c in ordered)
+                self._terms[(j, i)] = tuple((q, p, c) for (p, q), c in ordered)
         self._table = clean
         self._key = tuple(
             (i, j, tuple(sorted(terms.items())))
@@ -112,16 +118,10 @@ class QSpec:
         return cls(datum, table)
 
     def terms(self, i: int, j: int):
-        """Q_ij(u, v) as a tuple of (p, q, coeff); empty when i == j."""
-        if i == j:
-            return ()
-        if i < j:
-            return tuple(
-                (p, q, c) for (p, q), c in sorted(self._table[(i, j)].items())
-            )
-        return tuple(
-            (q, p, c) for (p, q), c in sorted(self._table[(j, i)].items())
-        )
+        """Q_ij(u, v) as a tuple of (p, q, coeff); empty when i == j.
+        For i > j these are the sorted terms of Q_ji with u and v
+        swapped, in that order."""
+        return self._terms.get((i, j), ())
 
     def strand_poly(self, level: int, seq, pos: int) -> dict:
         """x_pos^level * prod over b with seq_b != seq_pos of
@@ -139,9 +139,8 @@ class QSpec:
         """The coefficient of u^{-a_ij} in Q_ij (a unit by construction)."""
         if i == j:
             raise ValueError("Q_ii is zero")
-        if i < j:
-            return self._table[(i, j)][(-self.datum.a(i, j), 0)]
-        return self._table[(j, i)][(0, -self.datum.a(i, j))]
+        top = -self.datum.a(i, j)
+        return next(c for p, q, c in self._terms[(i, j)] if (p, q) == (top, 0))
 
     def __eq__(self, other):
         if not isinstance(other, QSpec):

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from .cartan import CartanDatum, Weight, seqs_of
 from .laurent import LaurentPoly, qint
-from .linalg import laurent_rank
 
 __all__ = ["UqModule"]
 
@@ -92,6 +91,9 @@ class UqModule:
 
     def weight_dim(self, beta) -> int:
         """dim of the weight space V(Lambda)_{Lambda - beta}."""
+        # imported here, so that a warm `compare` loads no linalg
+        from .linalg import laurent_rank
+
         _, mat = self.gram_matrix(beta)
         return laurent_rank(mat)
 

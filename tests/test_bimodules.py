@@ -3,6 +3,7 @@ them, their composite multipliers, and the coefficient polynomials
 phi_k extracted by two independent routes."""
 
 from fractions import Fraction
+from inspect import signature
 
 import old_tracked_basis as old
 from quiverhecke import bimodules
@@ -190,12 +191,12 @@ def test_phi_by_chase_matches_tracked_basis(monkeypatch):
     # many generators that phi_by_chase offers add no rank, so psi and
     # e_psi depend on which coordinates are read off: over the phi desk
     # they must be those of the tracked basis that coords_in_span replaced
-    _, fixed, nmin, rows = DESK["phi"]
+    check, nmin, rows = DESK["phi"]
     bims = [Bimodules(datum, weight, beta, *tail)
             for datum, weights, nmax, tails in rows for weight in weights
             for beta in _betas_upto(datum.rank, nmax) if sum(beta) >= nmin
             for tail in tails]
-    ks = range(fixed["kmax"] + 1)
+    ks = range(signature(check).parameters["kmax"].default + 1)
 
     def chase():
         return [(phi, {(a, b): c for a, b, c in psi}, e_psi)

@@ -201,6 +201,46 @@ def test_a_broken_dead_sequence_bound_reports_an_error(monkeypatch):
     assert [w["type"] for w in rep.witness] == ["AssertionError"]
 
 
+# the keys a suite adds to its inputs after building its report
+ADDED_INPUTS = {"exact": {"window"}, "sl2": {"pairing"}, "phi": {"pairing"}}
+
+
+def test_an_error_row_renders_the_inputs_of_the_pass_report():
+    # one renderer: the error row of every desk thunk binds the same
+    # arguments, defaults included, as its suite's report
+    for name in sorted(CHECKS):
+        for thunk in CHECKS[name]():
+            got = thunk().inputs
+            err = checks_mod._error_report(thunk, ValueError("x")).inputs
+            assert got.keys() - err.keys() == ADDED_INPUTS.get(name, set())
+            assert {k: v for k, v in got.items() if k in err} == err
+
+
+# Q_12(u, v) = u + 2v: not the standard table, and not symmetric in u, v
+A2_TWISTED = QSpec(A2, {(0, 1): {(1, 0): 1, (0, 1): 2}})
+
+
+def test_a_table_reaches_pass_and_error_reports(monkeypatch):
+    thunk = partial(check_taug, A2, Weight((1, 0)), (1, 0), 0,
+                    qspec=A2_TWISTED)
+    rep = thunk()
+    assert rep.status == "pass"
+    assert rep.inputs["qspec"] == A2_TWISTED.describe()
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("no bimodules")
+
+    monkeypatch.setattr(checks_mod, "Bimodules", broken)
+    err = run_timed(thunk)
+    assert err.status == "error"
+    row = json.loads(json.dumps(err.to_json()))
+    assert row["inputs"]["qspec"] == A2_TWISTED.describe()
+    assert row["inputs"] == rep.inputs
+    # with no table, none is rendered
+    assert "qspec" not in run_timed(partial(check_taug, A2, Weight((1, 0)),
+                                            (1, 0), 0)).inputs
+
+
 def test_compare_fails_at_the_first_differing_degree():
     rep = Report("x", {})
     lhs = LaurentPoly({0: 1, 1: 2, 2: 3})

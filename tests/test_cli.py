@@ -665,9 +665,11 @@ def test_quotient_commands_load_no_check_layer(cfg_path, tmp_path, command):
     cold = _cli_modules(*argv)
     assert "quiverhecke.cyclotomic" in cold and not cold & heavy
     assert Cache(str(tmp_path)).stat()["entries"] == 6
-    # every summary is a hit, so no strand algebra is loaded
+    # every summary is a hit, so no strand algebra is loaded, and the
+    # oracle needs no elimination to predict a corner
     warm = _cli_modules(*argv)
     assert not warm & (heavy | ENGINE)
+    assert "quiverhecke.linalg" not in warm
 
 
 def test_the_oracle_loads_no_strand_engine():

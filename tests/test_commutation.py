@@ -122,7 +122,7 @@ def desk_instances(suite, nmax=2):
     """(datum, weight, beta, i, j) of each desk instance of an sl2 or
     mixed suite with at most nmax strands; sl2 has j = i."""
     out = []
-    for datum, weights, top, tails in DESK[suite][3]:
+    for datum, weights, top, tails in DESK[suite][2]:
         for weight in weights:
             for beta in _betas_upto(datum.rank, min(top, nmax)):
                 for tail in tails:

@@ -761,7 +761,7 @@ def test_scan_until_vanishing_needs_a_run_above_top():
 def _sl2_enlarged_algebras():
     """The algebras at beta + alpha_i that the sl2 suite reaches from
     each of its betas: every beta one strand past the row's nmax."""
-    _, _, _, rows = checks.DESK["sl2"]
+    _, _, rows = checks.DESK["sl2"]
     return [(datum, wt, beta) for datum, weights, nmax, _ in rows
             for wt in weights
             for beta in weighted_comps((1,) * datum.rank, nmax + 1)]

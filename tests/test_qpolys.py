@@ -221,3 +221,23 @@ def test_strand_poly_coefficients_are_exact():
     assert half == {(1, 0): 1, (0, 1): Fraction(1, 2)}
     assert all(type(c) is int
                for c in QSpec.standard(B2).strand_poly(2, (1, 0, 0), 0).values())
+
+
+@pytest.mark.parametrize("datum,table,want", [
+    # Q_12(u, v) = u + 2v on A2, Q_sl(u, v) = u^2 + 3v on B2
+    (A2, {(1, 0): 1, (0, 1): 2}, ((0, 1, 2), (1, 0, 1))),
+    (B2, {(2, 0): 1, (0, 1): 3}, ((0, 1, 3), (2, 0, 1))),
+], ids=["A2", "B2"])
+def test_terms_and_unit_coeff_read_both_orientations(datum, table, want):
+    # a table not symmetric in u and v: Q_21(u, v) = Q_12(v, u) lists the
+    # sorted terms of Q_12 with the exponents swapped, in the same order
+    qs = QSpec(datum, {(0, 1): table})
+    assert qs.terms(0, 1) == want
+    assert qs.terms(1, 0) == tuple((q, p, c) for p, q, c in want)
+    assert qs.terms(0, 0) == qs.terms(1, 1) == ()
+    # the coefficient of u^{-a_ij} in Q_ij, once from each side
+    assert qs.unit_coeff(0, 1) == table[(-datum.a(0, 1), 0)]
+    assert qs.unit_coeff(1, 0) == table[(0, -datum.a(1, 0))]
+    assert (qs.unit_coeff(0, 1), qs.unit_coeff(1, 0)) != (1, 1)
+    with pytest.raises(ValueError, match="Q_ii is zero"):
+        qs.unit_coeff(1, 1)

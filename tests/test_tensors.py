@@ -67,7 +67,7 @@ def quotient_module(alg, side, seqs, emb=ident):
                             {(lam, mu): dims for lam in rows for mu in cols})
 
 
-DESK_DATA = sorted({row[0] for _, _, _, rows in DESK.values()
+DESK_DATA = sorted({row[0] for _, _, rows in DESK.values()
                     for row in rows}, key=lambda datum: datum.labels)
 
 

@@ -29,7 +29,7 @@ def _desk():
     """The distinct data and weights of the desk, then B2 and its
     fundamental weights and rho."""
     data, weights = [], []
-    for _, _, _, rows in DESK.values():
+    for _, _, rows in DESK.values():
         for datum, wts, _, _ in rows:
             data.append(datum)
             weights.extend(wts or ())
