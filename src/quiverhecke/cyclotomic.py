@@ -234,14 +234,26 @@ class IdealSpace:
         return hit
 
     def block_columns(self, lam, mu, d):
-        """Degree-d basis monomials of e(lam) R(beta) e(mu), sorted."""
-        datum = self.engine.datum
-        weights = [datum.form(i, i) for i in mu]
-        cols = []
-        for word, tdeg in self.crossings(mu, lam):
-            for exps in weighted_comps(weights, d - tdeg):
-                cols.append(BasisMonomial(word, exps, mu))
-        cols.sort(key=BasisMonomial.sort_key)
+        """Degree-d basis monomials of e(lam) R(beta) e(mu), sorted.
+
+        The list depends only on the engine's datum and strand count, so
+        it is memoized on the engine under (lam, mu, d), and every space
+        over that engine, free, cyclotomic or one-sided, reads the same
+        list.  Callers must treat it as read-only: the free space's
+        `block_basis` hands it out as it is, and `TruncationModule.basis`
+        copies it."""
+        memo = self.engine.column_memo
+        key = (lam, mu, d)
+        cols = memo.get(key)
+        if cols is None:
+            datum = self.engine.datum
+            weights = [datum.form(i, i) for i in mu]
+            cols = []
+            for word, tdeg in self.crossings(mu, lam):
+                for exps in weighted_comps(weights, d - tdeg):
+                    cols.append(BasisMonomial(word, exps, mu))
+            cols.sort(key=BasisMonomial.sort_key)
+            memo[key] = cols
         return cols
 
     def block(self, lam, mu, d):
@@ -312,10 +324,10 @@ class IdealSpace:
             left, L, chain, gdeg = self.chain_factor(idx, mu)
             tail = {chain: 1}
             for b in self.block_columns(lam, left, d - gdeg):
-                exps = list(b.exps)
-                exps[xpos] += L
+                exps = b.exps
+                raised = exps[:xpos] + (exps[xpos] + L,) + exps[xpos + 1:]
                 row = eng.multiply(
-                    {BasisMonomial(b.word, tuple(exps), left): 1}, tail)
+                    {BasisMonomial(b.word, raised, left): 1}, tail)
                 if row:
                     assert row.keys() <= colset, "ideal row escaped its block"
                     yield row

@@ -15,6 +15,7 @@ crossings than the product it came from.
 
 from __future__ import annotations
 
+from operator import add
 from typing import NamedTuple
 
 from .cartan import CartanDatum
@@ -106,6 +107,9 @@ class KLR:
         self.qspec = qspec
         self._zero_exps = (0,) * n
         self._ttmemo = {}
+        # sorted block columns by (lam, mu, d), filled and read only by
+        # `cyclotomic.IdealSpace.block_columns`
+        self.column_memo = {}
 
     # ---- generators -------------------------------------------------
 
@@ -124,24 +128,51 @@ class KLR:
     # ---- core rewriting ---------------------------------------------
 
     def right_mult_tau(self, E: dict, k: int) -> dict:
-        """E * tau_k in basis form."""
+        """E * tau_k in basis form.
+
+        Each monomial is made by `tuple.__new__(BasisMonomial, ...)`,
+        which skips the namedtuple's Python-level constructor and gives a
+        value equal to, and hashing like, `BasisMonomial(...)`.  Terms are
+        accumulated in the order of the plain loop over E and over each
+        `tau_tau_e` product, with `_add`'s rule inlined (a sum of zero
+        drops its key), so the dict has the same items in the same
+        order."""
         out = {}
+        get = out.get
+        pop = out.pop
+        tte = self.tau_tau_e
+        new = tuple.__new__
+        k1 = k + 1
+        k2 = k + 2
         for m, c in E.items():
-            sk_seq = _swap(m.seq, k)
-            sk_exps = _swap(m.exps, k)
-            for m2, c2 in self.tau_tau_e(m.word, k, sk_seq).items():
-                bumped = tuple(a + b for a, b in zip(m2.exps, sk_exps))
-                _add(out, BasisMonomial(m2.word, bumped, m2.seq), c * c2)
-            if m.seq[k] == m.seq[k + 1]:
+            word, exps, seq = m
+            sk_seq = seq[:k] + (seq[k1], seq[k]) + seq[k2:]
+            sk_exps = exps[:k] + (exps[k1], exps[k]) + exps[k2:]
+            for m2, c2 in tte(word, k, sk_seq).items():
+                key = new(BasisMonomial,
+                          (m2[0], tuple(map(add, m2[1], sk_exps)), m2[2]))
+                v = get(key)
+                v = c * c2 if v is None else v + c * c2
+                if v:
+                    out[key] = v
+                else:
+                    pop(key, None)
+            if seq[k] == seq[k1]:
                 # x^a tau_k = tau_k x^{s_k a} + d_k(x^a) on equal colors,
                 # with d_k f = (s_k f - f)/(x_k - x_{k+1}).
-                p, q = m.exps[k], m.exps[k + 1]
+                p, q = exps[k], exps[k1]
                 lo, hi, sc = (q, p, -c) if p > q else (p, q, c)
+                head = exps[:k]
+                tail = exps[k2:]
                 for t in range(hi - lo):
-                    b = list(m.exps)
-                    b[k] = lo + t
-                    b[k + 1] = hi - 1 - t
-                    _add(out, BasisMonomial(m.word, tuple(b), m.seq), sc)
+                    key = new(BasisMonomial,
+                              (word, head + (lo + t, hi - 1 - t) + tail, seq))
+                    v = get(key)
+                    v = sc if v is None else v + sc
+                    if v:
+                        out[key] = v
+                    else:
+                        pop(key, None)
         return out
 
     def tau_tau_e(self, wword: tuple, k: int, mu: tuple) -> dict:
@@ -251,17 +282,39 @@ class KLR:
         return E
 
     def multiply(self, A: dict, B: dict) -> dict:
+        """A * B in basis form: for each term tau_w x^a e(mu) of B, the
+        terms of A on its left sequence w . mu, times tau_w letter by
+        letter, times x^a.
+
+        As in `right_mult_tau`, monomials come from `tuple.__new__` and
+        accumulate in the plain loop's order.  A term of B with no dots
+        leaves each product monomial as it is, x^0 being the identity,
+        so its bump is skipped: every chain tau_0 ... tau_{a-1} e(mu) of
+        an ideal row is such a term."""
         out = {}
+        get = out.get
+        pop = out.pop
+        rmt = self.right_mult_tau
+        new = tuple.__new__
         for m2, c2 in B.items():
             lam = left_seq(m2)
-            E = {m1: c1 for m1, c1 in A.items() if m1.seq == lam}
+            E = {m1: c1 for m1, c1 in A.items() if m1[2] == lam}
             if not E:
                 continue
-            for k in m2.word:
-                E = self.right_mult_tau(E, k)
+            for k in m2[0]:
+                E = rmt(E, k)
+            exps2 = m2[1]
+            dotted = any(exps2)
             for m, c in E.items():
-                bumped = tuple(a + b for a, b in zip(m.exps, m2.exps))
-                _add(out, BasisMonomial(m.word, bumped, m.seq), c * c2)
+                key = (new(BasisMonomial,
+                           (m[0], tuple(map(add, m[1], exps2)), m[2]))
+                       if dotted else m)
+                v = get(key)
+                v = c * c2 if v is None else v + c * c2
+                if v:
+                    out[key] = v
+                else:
+                    pop(key, None)
         return out
 
     # ---- degrees ----------------------------------------------------

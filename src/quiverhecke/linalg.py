@@ -203,9 +203,11 @@ class RankModP:
             v %= P
             if v:
                 res[index[c]] = v
+        get = res.get
+        pop = res.pop
         while res:
             k = min(res)
-            v = res.pop(k)
+            v = pop(k)
             row = rows.get(k)
             if row is None:
                 inv = pow(v, -1, P)
@@ -214,11 +216,11 @@ class RankModP:
             # Each stored row has only columns above its pivot k, so the
             # least column of res keeps growing.
             for c, x in row.items():
-                y = (res.get(c, 0) - v * x) % P
+                y = (get(c, 0) - v * x) % P
                 if y:
                     res[c] = y
                 else:
-                    res.pop(c, None)
+                    pop(c, None)
         return False
 
 

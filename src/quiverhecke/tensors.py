@@ -109,10 +109,6 @@ class TruncationModule:
         return self.nf(self.space.engine.multiply(g, one))
 
 
-def _pair_key(key):
-    return (key[0], BasisMonomial.sort_key(key[1]), BasisMonomial.sort_key(key[2]))
-
-
 def _act(acts, side, module, gi, gelt, m):
     """module.act(m, gelt) for the generator gelt = gens[gi], memoized
     in acts under (side, gi, m)."""
@@ -130,6 +126,19 @@ def tensor_dim(M, N, gens, d, acts=None) -> int:
     The M-degree scan runs from M's least degree up to the bound that N's
     least degree sets, and stops at M's top degree.
 
+    The pairs (d1, m, n), with m in M.basis(d1) and n in N.basis(d - d1),
+    are numbered once, in the order of that scan; as both bases are
+    sorted by `BasisMonomial.sort_key`, which determines a monomial, that
+    is the order of (d1, sort key of m, sort key of n).  The relations
+    are eliminated on these numbers.  The rank of a set of rows does not
+    depend on how its columns are labelled or ordered, so npairs - rank
+    is the dimension.  Every relation key is a numbered pair, so a
+    lookup that misses is a bug and raises: the term (m', n) of
+    (m.g) (x) n has m' in M.basis(d1 + g's degree) and n in
+    N.basis(d - d1 - g's degree), both nonempty and inside the scan, and
+    the term (m, n') of m (x) (g.n) has n' in N.basis(d - d1), nonempty,
+    with d1 inside the scan.
+
     `acts` memoizes the module actions, so that `tensor_dim_poly`
     computes each once across its window.  A memoized action is the one
     a recomputation gives: act is nf(multiply(...)) for a fixed module,
@@ -139,14 +148,17 @@ def tensor_dim(M, N, gens, d, acts=None) -> int:
     if acts is None:
         acts = {}
     nmin = N.min_degree
-    npairs = 0
+    index = {}
     for d1 in range(M.min_degree, min(d - nmin, M.max_degree) + 1):
         mb = M.basis(d1)
         if mb:
-            npairs += len(mb) * len(N.basis(d - d1))
-    if not npairs:
+            nb = N.basis(d - d1)
+            for m in mb:
+                for nk in nb:
+                    index[(d1, m, nk)] = len(index)
+    if not index:
         return 0
-    sb = SubspaceBasis(keyfunc=_pair_key)
+    sb = SubspaceBasis()
     for gi, (gelt, gdeg) in enumerate(gens):
         # relations can involve m above the pair window when the
         # generator has negative degree; the image still lands inside
@@ -164,15 +176,15 @@ def tensor_dim(M, N, gens, d, acts=None) -> int:
                 for nk, gn in zip(nb, gns):
                     row = {}
                     for mm, c in mg.items():
-                        key = (d1 + gdeg, mm, nk)
+                        key = index[(d1 + gdeg, mm, nk)]
                         row[key] = row.get(key, 0) + c
                     for nn, c in gn.items():
-                        key = (d1, m, nn)
+                        key = index[(d1, m, nn)]
                         row[key] = row.get(key, 0) - c
                     row = {k: c for k, c in row.items() if c}
                     if row:
                         sb.add(row)
-    return npairs - sb.rank
+    return len(index) - sb.rank
 
 
 def tensor_dim_poly(M, N, gens, window) -> LaurentPoly:

@@ -4,7 +4,7 @@
 rename would crash a traced benchmark run or leave a layer reading zero.
 This runs one traced suite in a fresh interpreter, the way
 `perfbench/run.py --trace 1` does, and checks that the hot layers were
-seen."""
+seen and that blocks and their rows were counted."""
 
 import json
 import os
@@ -24,12 +24,16 @@ tracer = Tracer()
 tracer.install()
 from quiverhecke import checks
 statuses = [r.status for r in checks.run_check("taug")]
-totals = tracer.snapshot()["totals"]
-print(json.dumps({"statuses": statuses, "totals": totals}))
+snap = tracer.snapshot()
+print(json.dumps({"statuses": statuses, "totals": snap["totals"],
+                  "counts": snap["counts"]}))
 """ % str(ROOT / "perfbench")
 
 LAYERS = ("klr.multiply", "cyclotomic.IdealSpace.block",
           "linalg.SubspaceBasis.add")
+# blocks built and the ideal rows they built through KLR.multiply: a row
+# kernel that bypassed multiply would leave the row layer reading 0
+COUNTS = ("block.built", "block.rows_built")
 
 
 def test_a_traced_suite_passes_and_sees_the_hot_layers():
@@ -45,3 +49,5 @@ def test_a_traced_suite_passes_and_sees_the_hot_layers():
     for name in LAYERS:
         calls, busy_s, _ = out["totals"][name]
         assert calls > 0 and busy_s > 0, name
+    for name in COUNTS:
+        assert out["counts"].get(name, 0) > 0, name

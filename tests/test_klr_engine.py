@@ -11,10 +11,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from old_klr_kernel import OldKLR
 
 from quiverhecke.cartan import build_cartan, seqs_of, weighted_comps
 from quiverhecke.checks import _betas_upto
 from quiverhecke.klr import (
+    KLR,
     BasisMonomial,
     crossing_degree,
     get_engine,
@@ -375,3 +377,58 @@ def test_min_tau_degree_closed_form_matches_the_scan():
     for datum, beta in cases:
         assert min_tau_degree(datum, beta) == scanned_min_tau_degree(
             datum, beta)
+
+
+# Q_12(u, v) = u + 2v: not the standard table, and not symmetric in u, v
+A2_U2V = QSpec(A2, {(0, 1): {(1, 0): 1, (0, 1): 2}})
+
+KERNEL_CASES = [
+    pytest.param(build_cartan(("0",), [[2]]), None, (4,), id="A1"),
+    pytest.param(A2, None, (2, 2), id="A2"),
+    pytest.param(A1AFF, None, (2, 2), id="A1aff"),
+    pytest.param(B2, None, (2, 2), id="B2"),
+    pytest.param(A2, A2_U2V, (2, 2), id="A2-Q12=u+2v"),
+]
+
+
+def random_basis_element(rng, n, all_seqs, perms, terms, k, sign):
+    """A sum of `terms` random basis monomials tau_w x^a e(nu), each
+    joined by the one with a_k and a_{k+1} swapped times `sign`, with
+    coefficients from a small set that includes a non-integer.  The
+    pairs make products cancel terms: every kernel then drops a key and
+    may put it back at the end."""
+    out = {}
+    for _ in range(terms):
+        word = canonical_word(rng.choice(perms))
+        a = tuple(rng.randrange(3) for _ in range(n))
+        nu = rng.choice(all_seqs)
+        c = rng.choice([-2, -1, 1, 2, 3, Fraction(1, 2)])
+        out[BasisMonomial(word, a, nu)] = c
+        swapped = a[:k] + (a[k + 1], a[k]) + a[k + 2:]
+        out[BasisMonomial(word, swapped, nu)] = sign * c
+    return out
+
+
+@pytest.mark.parametrize("datum,qspec,beta", KERNEL_CASES)
+def test_kernels_match_the_old_kernels_term_for_term(datum, qspec, beta):
+    # each engine is fresh, so every rewrite the old one memoizes goes
+    # through the kernels of tests/old_klr_kernel.py; the products agree
+    # as ordered lists of terms, not only as dicts
+    n = sum(beta)
+    new, old = KLR(datum, n, qspec), OldKLR(datum, n, qspec)
+    rng = random.Random(2101)
+    all_seqs = seqs_of(beta)
+    perms = all_perms(n)
+    for _ in range(40):
+        k = rng.randrange(n - 1)
+        a = random_basis_element(rng, n, all_seqs, perms, 6, k, 1)
+        b = random_basis_element(rng, n, all_seqs, perms, 3, k, -1)
+        got = new.right_mult_tau(a, k)
+        assert list(got.items()) == list(old.right_mult_tau(a, k).items())
+        got = new.multiply(a, b)
+        assert list(got.items()) == list(old.multiply(a, b).items())
+        # a dotless right factor, as the chain of an ideal row is
+        chain = {BasisMonomial(tuple(range(k + 1)), (0,) * n,
+                               rng.choice(all_seqs)): 1}
+        got = new.multiply(a, chain)
+        assert list(got.items()) == list(old.multiply(a, chain).items())

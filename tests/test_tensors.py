@@ -161,18 +161,12 @@ def test_relations_cut_the_plain_product():
     assert got == LaurentPoly({0: 1, 2: 1})
 
 
-def test_shared_action_memo_matches_recomputation(monkeypatch):
-    # the F E tensors of the sl2, phi, exact and mixed desk instances, with
-    # the module actions memoized across the window and recomputed at
-    # every degree as in tests/old_tensor_dim.py; the memoized run calls
-    # act once per module, generator and monomial
-    calls = []
-    act = TruncationModule.act
-
-    def counted(module, m, gelt):
-        calls.append((id(module), id(gelt), m))
-        return act(module, m, gelt)
-
+def compared_with_the_reference(calls, seen):
+    """tensor_dim_poly, checked against tests/old_tensor_dim.py, which
+    recomputes the module actions at every degree and keys its relations
+    by (degree, sort key, sort key); the act calls one run makes go to
+    `calls`, cleared first, and each result to `seen`.  The memoized run
+    calls act once per module, generator and monomial."""
     def both(M, N, gens, window):
         calls.clear()
         got = tensor_dim_poly(M, N, gens, window)
@@ -180,17 +174,52 @@ def test_shared_action_memo_matches_recomputation(monkeypatch):
         assert got == old.tensor_dim_poly(M, N, gens, window)
         seen.append(got)
         return got
+    return both
+
+
+def counting_acts(monkeypatch):
+    """The list that each TruncationModule.act call appends its
+    (module, generator, monomial) to."""
+    calls = []
+    act = TruncationModule.act
+
+    def counted(module, m, gelt):
+        calls.append((id(module), id(gelt), m))
+        return act(module, m, gelt)
 
     monkeypatch.setattr(TruncationModule, "act", counted)
-    monkeypatch.setattr(checks, "tensor_dim_poly", both)
+    return calls
+
+
+def test_shared_action_memo_matches_recomputation(monkeypatch):
+    # the F E tensors of the sl2, phi, exact and mixed desk instances, with
+    # the module actions memoized across the window and recomputed at
+    # every degree as in tests/old_tensor_dim.py
     seen = []
+    monkeypatch.setattr(checks, "tensor_dim_poly", compared_with_the_reference(
+        counting_acts(monkeypatch), seen))
     cases = set()
     for suite in ("sl2", "phi", "exact", "mixed"):
         for th in checks.CHECKS[suite]():
             datum, weight, beta, i, *j = th.args
             cases.add((datum, weight, beta, i, j[0] if j else i))
+    assert (checks.A1, Weight((3,)), (3,), 0, 0) in cases
     for datum, weight, beta, i, j in sorted(cases, key=repr):
         checks._fe_tensor(datum, beta, i, j,
                           checks._quotient_modules(datum, weight, None))
     # 57 tensors reach tensor_dim_poly, 18 of them nonzero
     assert (len(seen), sum(1 for got in seen if got.coeffs)) == (57, 18)
+
+
+def test_suite_tensors_match_the_reference(monkeypatch):
+    # every tensor the convolution and categorification suites take:
+    # free modules with no top degree, the front strand embedding of the
+    # shifted tower, and the sl2 sides of every quotient up to the desk's
+    # strand counts
+    seen = []
+    monkeypatch.setattr(checks, "tensor_dim_poly", compared_with_the_reference(
+        counting_acts(monkeypatch), seen))
+    for suite in ("convolution", "categorification"):
+        assert {r.status for r in checks.run_check(suite)} == {"pass"}
+    # 46 tensors reach tensor_dim_poly, 29 of them nonzero
+    assert (len(seen), sum(1 for got in seen if got.coeffs)) == (46, 29)
