@@ -39,6 +39,18 @@ exact and small:
   by {} and scans nothing.  A sequence proved outside the ideal is
   recorded too, so no idempotent is reduced twice.
 
+* Per-key data is computed once.  Checks build the same quotient many
+  times, so what depends only on a key is memoized where the key lives.
+  The engine keeps each crossing degree under (word, seq), a function of
+  its datum, strand count and that pair (`KLR.tau_degree`), and
+  `klr.left_seq` keeps w . seq under (word, seq).  The shared space of
+  `get_ideal_space` keeps the nilpotency table, a function of (datum,
+  weight, beta, qspec), each sequence's window bounds, and each block's
+  basis, a function of its block, which the space already memoizes.
+  Each `CycAlgebra` keeps only its block scans, and its construction
+  reruns the checks on its sequences, which are memo lookups once the
+  space has answered them.
+
 The paper's tower bound (`certified_cap`) is not part of the window.  It
 checks that the monic last-strand relation lies in the ideal and bounds
 the top degree by recursion down the tower; the `categorification`
@@ -61,13 +73,7 @@ from .klr import (
 )
 from .laurent import LaurentPoly
 from .linalg import SubspaceBasis, span_basis
-from .perms import (
-    act_on_seq,
-    all_perms,
-    apply_word,
-    canonical_word,
-    word_to_perm,
-)
+from .perms import act_on_seq, all_perms, canonical_word
 from .tensors import TruncationModule
 
 __all__ = [
@@ -203,6 +209,15 @@ class IdealSpace:
     puts every monomial with nu as its left or right sequence in it too.
     A one-sided family would allow the right side only, and the free
     space has no ideal at all.
+
+    A space also memoizes what its quotient needs per key, each a
+    function of its key alone, so a stored value is the one a
+    recomputation gives: the nilpotency table (`nilpotency`), a function
+    of (datum, weight, beta, qspec); each sequence's window bounds
+    (`seq_window`), of the table, the datum and the sequence; and each
+    block's non-pivot columns (`block_basis`), of the block, which
+    `_blocks` already memoizes.  Every `CycAlgebra` over the space reads
+    them.
     """
 
     def __init__(self, engine: KLR, weight: Weight, beta, chains=None):
@@ -213,9 +228,37 @@ class IdealSpace:
         self.seqs = seqs_of(beta)
         self.chains = full_ideal_chains(self.n) if chains is None else tuple(chains)
         self._blocks = {}
+        self._bases = {}
         self._crossings = {}
+        self._table = None
+        self._seq_windows = {}
         self.certified = set()
         self.outside = set()
+
+    def nilpotency(self):
+        """`nilpotency_table` of this space's datum, weight, beta and
+        table, computed on the first call."""
+        if self._table is None:
+            eng = self.engine
+            self._table = nilpotency_table(eng.datum, self.weight, self.beta,
+                                           eng.qspec)
+        return self._table
+
+    def seq_window(self, nu):
+        """(least, largest) degree a monomial on the right sequence nu can
+        have below the nilpotency bounds: the least crossing degree of any
+        w on nu, and the largest plus the largest polynomial part,
+        sum over positions of (N_pos(nu_pos) - 1)(alpha|alpha).
+        Memoized per nu."""
+        hit = self._seq_windows.get(nu)
+        if hit is None:
+            datum = self.engine.datum
+            table = self.nilpotency()
+            taus = [crossing_degree(datum, w, nu) for w in all_perms(self.n)]
+            poly = sum((table[pos][i] - 1) * datum.form(i, i)
+                       for pos, i in enumerate(nu))
+            hit = self._seq_windows[nu] = (min(taus), max(taus) + poly)
+        return hit
 
     def transporter(self, src, dst):
         """All w in S_n with w . src == dst."""
@@ -295,13 +338,12 @@ class IdealSpace:
         A chain word (0..a-1) or (1..a) is the only reduced word of its
         permutation, so the monomial is canonical."""
         xpos, word = self.chains[idx]
-        datum = self.engine.datum
-        left = apply_word(word, mu)
+        eng = self.engine
+        chain = BasisMonomial(word, (0,) * self.n, mu)
+        left = left_seq(chain)
         c = left[xpos]
         L = self.weight.level(c)
-        chain = BasisMonomial(word, (0,) * self.n, mu)
-        deg = L * datum.form(c, c) + crossing_degree(
-            datum, word_to_perm(self.n, word), mu)
+        deg = L * eng.datum.form(c, c) + eng.tau_degree(word, mu)
         return left, L, chain, deg
 
     def _ideal_rows(self, lam, mu, d, colset):
@@ -334,12 +376,23 @@ class IdealSpace:
 
     def block_basis(self, lam, mu, d):
         """Non-pivot columns of block (lam, mu, d): a basis of the block
-        modulo the span."""
+        modulo the span.
+
+        The list is memoized under (lam, mu, d).  It is read off the
+        block's columns and echelon form, which `block` memoizes under
+        the same key, so a stored list is the one a recomputation gives.
+        The free space hands out `block_columns` itself.  Either way the
+        list is shared by every caller, so callers must treat it as
+        read-only; `TruncationModule.basis` copies it."""
         if not self.chains:
             return self.block_columns(lam, mu, d)
-        cols, sb = self.block(lam, mu, d)
-        pivots = sb.pivot_columns()
-        return [m for m in cols if m not in pivots]
+        key = (lam, mu, d)
+        hit = self._bases.get(key)
+        if hit is None:
+            cols, sb = self.block(lam, mu, d)
+            pivots = sb.pivot_columns()
+            hit = self._bases[key] = [m for m in cols if m not in pivots]
+        return hit
 
     def reduce(self, E: dict) -> dict:
         """Canonical representative of E modulo the ideal.
@@ -523,28 +576,42 @@ def scan_until_vanishing(dim_of, dmin, dmax, top, step):
 
 
 class CycAlgebra:
-    """The graded algebra R^Lambda(beta) over its degree window."""
+    """The graded algebra R^Lambda(beta) over its degree window.
+
+    The state of a quotient is split by what it depends on.  Its shared
+    space (`get_ideal_space`) holds the nilpotency table, each
+    sequence's window bounds, the blocks, their bases and the certified
+    and outside sequences, all functions of the key (datum, weight,
+    beta, qspec) and the block, so every instance on that key reads the
+    same values.  Each instance keeps its alive sequences, its window,
+    its block scans `_dims` and its basis module.  So each instance
+    scans its blocks through the space's `block_basis` as it finds it, a
+    wrapped or replaced one included, and never reads a scan that
+    another instance made.
+
+    Construction still calls `alive_seqs` and still checks that every
+    dead idempotent lies in the ideal and whether the unit does.  After
+    the first construction on a key these checks are memo lookups in
+    `unit_in_ideal`, and because they run each time, an alive set
+    changed later, by a patched or wrong bound, is still caught.
+    """
 
     def __init__(self, datum, weight, beta, qspec=None):
         self.datum = datum
         self.weight = weight
         self.beta = tuple(beta)
         self.n = sum(beta)
-        self.space = get_ideal_space(datum, weight, self.beta, qspec)
-        self.engine = self.space.engine
+        self.space = space = get_ideal_space(datum, weight, self.beta, qspec)
+        self.engine = space.engine
         self.qspec = qspec = self.engine.qspec
-        self.table = nilpotency_table(datum, weight, self.beta, qspec)
+        self.table = space.nilpotency()
         self.alive = alive_seqs(self.beta, self.table)
         # The window: the least crossing degree of an alive sequence up to
         # the largest plus the largest polynomial part the nilpotency
         # bounds allow; (0, -1) when every sequence is dead.
-        perms = all_perms(self.n)
-        taus = [[crossing_degree(datum, w, nu) for w in perms]
-                for nu in self.alive]
-        polys = [sum((self.table[pos][i] - 1) * datum.form(i, i)
-                     for pos, i in enumerate(nu)) for nu in self.alive]
-        self.dmin = min((min(t) for t in taus), default=0)
-        self.dmax = max((max(t) + p for t, p in zip(taus, polys)), default=-1)
+        bounds = [space.seq_window(nu) for nu in self.alive]
+        self.dmin = min((lo for lo, _ in bounds), default=0)
+        self.dmax = max((hi for _, hi in bounds), default=-1)
         self.dmax_bound = self.dmax
         # Each dead idempotent must lie in the ideal; as the ideal is
         # two-sided, nf then drops every monomial on a dead sequence.

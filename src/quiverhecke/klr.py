@@ -76,9 +76,24 @@ def min_tau_degree(datum, beta) -> int:
                 for i, k in enumerate(beta))
 
 
+_left_seqs = {}
+
+
 def left_seq(m) -> tuple:
-    """Left color sequence w . seq of the basis monomial tau_w x^a e(seq)."""
-    return apply_word(m.word, m.seq) if m.word else m.seq
+    """Left color sequence w . seq of the basis monomial tau_w x^a e(seq).
+
+    It is `apply_word(word, seq)`, a function of (word, seq) alone, so it
+    is memoized under that pair for the life of the process: the pairs
+    are bounded by (words of S_n) x (sequences) over the strand counts
+    used, and the same few recur on every product and normal form."""
+    word = m[0]
+    if not word:
+        return m[2]
+    key = (word, m[2])
+    hit = _left_seqs.get(key)
+    if hit is None:
+        hit = _left_seqs[key] = apply_word(word, m[2])
+    return hit
 
 
 def _swap(t, k):
@@ -107,6 +122,8 @@ class KLR:
         self.qspec = qspec
         self._zero_exps = (0,) * n
         self._ttmemo = {}
+        # crossing degrees of tau_word e(seq) by (word, seq); see `tau_degree`
+        self._tau_degrees = {}
         # sorted block columns by (lam, mu, d), filled and read only by
         # `cyclotomic.IdealSpace.block_columns`
         self.column_memo = {}
@@ -319,6 +336,19 @@ class KLR:
 
     # ---- degrees ----------------------------------------------------
 
+    def tau_degree(self, word, seq) -> int:
+        """Degree of tau_word e(seq), memoized under (word, seq).
+
+        It is `crossing_degree(datum, word_to_perm(n, word), seq)`, which
+        depends on the engine's datum and strand count and on (word, seq)
+        alone, so a stored value is the one a recomputation gives."""
+        key = (word, seq)
+        hit = self._tau_degrees.get(key)
+        if hit is None:
+            hit = self._tau_degrees[key] = crossing_degree(
+                self.datum, word_to_perm(self.n, word), seq)
+        return hit
+
     def monomial_degree(self, m: BasisMonomial) -> int:
         d = self.datum
         deg = 0
@@ -326,7 +356,7 @@ class KLR:
             if a:
                 deg += a * d.form(m.seq[pos], m.seq[pos])
         if m.word:
-            deg += crossing_degree(d, word_to_perm(self.n, m.word), m.seq)
+            deg += self.tau_degree(m.word, m.seq)
         return deg
 
     def element_degree(self, E: dict):

@@ -84,6 +84,9 @@ class TruncationModule:
         self._basis = {}
 
     def basis(self, d):
+        """Degree-d basis: the blocks' bases copied into one list of this
+        module's own, sorted.  The space's block lists are shared and
+        never handed out, so changing the list changes no other module."""
         hit = self._basis.get(d)
         if hit is None:
             hit = []

@@ -1,8 +1,8 @@
 """The quotient paths that `CycAlgebra` replaced, kept verbatim as
 references for the differential tests: the ideal rows as products with
 the expanded generator, `IdealSpace.generator` (without its memo) and
-`IdealSpace._ideal_rows`, the window functions
-`degree_cap`, `_table_window` and `default_window`, the basis listings
+`IdealSpace._ideal_rows`, the window functions `degree_cap`,
+`_table_window`, `alive_window` and `default_window`, the basis listings
 `IdealSpace.quotient_basis`, `CycAlgebra.quotient_basis`,
 `CycAlgebra.dim_at` (without its memo) and
 `Bimodules._sub_quotient_basis`, the F module built at every degree and
@@ -98,6 +98,19 @@ def _table_window(datum, table, alive):
         dmin = min(dmin, min(taus))
         dmax = max(dmax, max(taus) + poly)
     return (dmin, dmax)
+
+
+def alive_window(datum, n, table, alive):
+    """(dmin, dmax) as `CycAlgebra.__init__` computed it on n strands
+    from the table and the alive sequences, before the per-sequence
+    bounds moved onto the space (`IdealSpace.seq_window`)."""
+    perms = all_perms(n)
+    taus = [[crossing_degree(datum, w, nu) for w in perms] for nu in alive]
+    polys = [sum((table[pos][i] - 1) * datum.form(i, i)
+                 for pos, i in enumerate(nu)) for nu in alive]
+    dmin = min((min(t) for t in taus), default=0)
+    dmax = max((max(t) + p for t, p in zip(taus, polys)), default=-1)
+    return dmin, dmax
 
 
 def default_window(datum, weight, beta_hat, qspec=None):

@@ -16,6 +16,7 @@ from quiverhecke.cyclotomic import (
     IdealSpace,
     alive_seqs,
     certified_cap,
+    free_space,
     get_ideal_space,
     min_power_in_ideal,
     nilpotency_table,
@@ -40,9 +41,10 @@ from quiverhecke.perms import (
     word_to_perm,
 )
 from quiverhecke.qpolys import QSpec
+from quiverhecke.tensors import TruncationModule
 from quiverhecke.uqmod import UqModule
 
-from old_quotient_paths import degree_cap
+from old_quotient_paths import alive_window, degree_cap
 from old_quotient_paths import generator as old_generator
 from old_quotient_paths import ideal_rows as old_ideal_rows
 
@@ -834,6 +836,62 @@ def test_block_dims_match_a_direct_scan(datum, wt, beta):
             skipped += lam in A.space.certified or mu in A.space.certified
     assert skipped
     assert not fresh.certified
+
+
+@pytest.mark.parametrize("datum,wt,beta", NONZERO_DESK_ALGEBRAS)
+def test_rebuilt_quotients_read_memos_equal_to_a_fresh_computation(
+        monkeypatch, datum, wt, beta):
+    # twice on the warm registry, the second build reading the space's
+    # memos, and once on a registry of its own
+    warm = [CycAlgebra(datum, wt, beta) for _ in range(2)]
+    assert warm[0].space is warm[1].space
+    monkeypatch.setattr(cyclotomic, "_ideal_spaces", {})
+    cold = CycAlgebra(datum, wt, beta)
+    assert cold.space is not warm[0].space
+    table = nilpotency_table(datum, wt, beta, std(datum))
+    alive = alive_seqs(beta, table)
+    window = alive_window(datum, sum(beta), table, alive)
+    summary = cold.summary()
+    for A in warm + [cold]:
+        assert A.table == table
+        assert A.alive == alive
+        assert (A.dmin, A.dmax) == window
+        assert A.summary() == summary
+    # every memoized basis, on either space, against a fresh space's
+    fresh = fresh_space(datum, wt, beta, std(datum))
+    for space in (warm[0].space, cold.space):
+        assert space._bases
+        for key, basis in space._bases.items():
+            assert basis == fresh.block_basis(*key), key
+            assert basis is space.block_basis(*key)
+
+
+def test_a_mutated_basis_leaves_later_answers_unchanged():
+    # block bases are shared lists; a module copies them into its own
+    A = CycAlgebra(A2, Weight((1, 1)), (2, 1))
+    want = {d: list(A.quotient_basis(d)) for d in A.graded_dims()}
+    blocks = {key: list(b) for key, b in A.space._bases.items()}
+    for d in want:
+        A.quotient_basis(d).clear()
+        A.module(A.alive, A.alive).basis(d).append("junk")
+    B = CycAlgebra(A2, Weight((1, 1)), (2, 1))
+    assert B.space is A.space
+    for d, basis in want.items():
+        assert basis
+        assert B.quotient_basis(d) == basis
+        assert A.module(A.alive, A.alive).basis(d) == basis
+    for key, basis in blocks.items():
+        assert A.space.block_basis(*key) == basis
+    # the free space hands out the engine's column lists themselves
+    free = free_space(A2, (2, 1))
+    seqs = seqs_of((2, 1))
+    cols = {d: list(TruncationModule(free, seqs, seqs).basis(d))
+            for d in range(-2, 5)}
+    for d in cols:
+        TruncationModule(free, seqs, seqs).basis(d).clear()
+    for d, basis in cols.items():
+        assert TruncationModule(free, seqs, seqs).basis(d) == basis
+    assert any(cols.values())
 
 
 def test_only_the_last_strand_may_be_dropped():

@@ -15,14 +15,21 @@ from old_klr_kernel import OldKLR
 
 from quiverhecke.cartan import build_cartan, seqs_of, weighted_comps
 from quiverhecke.checks import _betas_upto
+from quiverhecke.cyclotomic import IdealSpace
 from quiverhecke.klr import (
     KLR,
     BasisMonomial,
     crossing_degree,
     get_engine,
+    left_seq,
     min_tau_degree,
 )
-from quiverhecke.perms import all_perms, canonical_word
+from quiverhecke.perms import (
+    all_perms,
+    apply_word,
+    canonical_word,
+    word_to_perm,
+)
 from quiverhecke.qpolys import QSpec
 
 A2 = build_cartan(("1", "2"), [[2, -1], [-1, 2]])
@@ -432,3 +439,32 @@ def test_kernels_match_the_old_kernels_term_for_term(datum, qspec, beta):
                                rng.choice(all_seqs)): 1}
         got = new.multiply(a, chain)
         assert list(got.items()) == list(old.multiply(a, chain).items())
+
+
+@pytest.mark.parametrize("datum,qspec", CASES)
+def test_memoized_left_seq_and_tau_degree_match_a_recomputation(datum,
+                                                                 qspec):
+    # every monomial of every block column list of the 3-strand betas,
+    # on a fresh engine so that each crossing degree is first computed
+    # here; the second lookup reads the memo
+    n = 3
+    eng = KLR(datum, n, qspec)
+    cases = 0
+    for beta in _betas_upto(datum.rank, n):
+        if sum(beta) != n:
+            continue
+        space = IdealSpace(eng, None, beta, ())
+        low = min_tau_degree(datum, beta)
+        for lam in space.seqs:
+            for mu in space.seqs:
+                for d in range(low, low + 12):
+                    for m in space.block_columns(lam, mu, d):
+                        want_left = apply_word(m.word, m.seq)
+                        want_deg = crossing_degree(
+                            datum, word_to_perm(n, m.word), m.seq)
+                        for _ in range(2):
+                            assert left_seq(m) == want_left == lam
+                            assert eng.tau_degree(m.word, m.seq) == want_deg
+                        assert eng.monomial_degree(m) == d
+                        cases += 1
+    assert cases == {A2: 1804, B2: 691, A1AFF: 1386}[datum]
