@@ -31,13 +31,19 @@ exact and small:
   ideal.  That check, and the one deciding whether the whole quotient
   vanishes, go through `unit_in_ideal`: e(nu) is in the ideal when
   e(nu[:-1]) is in the ideal of the smaller algebra, by the right strand
-  embedding, and is otherwise reduced in degree 0.  Each sequence so
-  certified is recorded on its space, and `IdealSpace.reduce` drops a
-  monomial with a certified left or right sequence without building its
-  block, which would be full: the ideal is two-sided.  For the same
-  reason `CycAlgebra.block_dims` answers a block with a certified side
-  by {} and scans nothing.  A sequence proved outside the ideal is
-  recorded too, so no idempotent is reduced twice.
+  embedding, and otherwise exactly when tau_{w_Y} e(nu) is, where w_Y
+  reverses each run of adjacent equal colours (the nilHecke algebra of
+  a run is a matrix algebra over its symmetric polynomials).  That
+  element is reduced in its own block of (nu, nu), in degree
+  -sum over runs of m(m - 1)/2 (alpha_i|alpha_i); on a single colour
+  this is the lowest block, of one column.
+  Each sequence so certified is recorded on its space, and
+  `IdealSpace.reduce` drops a monomial with a certified left or right
+  sequence without building its block, which would be full: the ideal
+  is two-sided.  For the same reason `CycAlgebra.block_dims` answers a
+  block with a certified side by {} and scans nothing.  A sequence
+  proved outside the ideal is recorded too, so no idempotent is reduced
+  twice.
 
 * Per-key data is computed once.  Checks build the same quotient many
   times, so what depends only on a key is memoized where the key lives.
@@ -89,6 +95,7 @@ __all__ = [
     "free_space",
     "get_ideal_space",
     "unit_in_ideal",
+    "run_reversal",
     "CycAlgebra",
 ]
 
@@ -457,8 +464,36 @@ def unit_in_ideal(datum, weight, nu, qspec=None) -> bool:
     e(nu') in the smaller ideal gives e(nu) in this one.  Only the last
     strand may be dropped: the left embedding adds its strand first and
     moves the dots off the first strand, and indeed with A2 and
-    Lambda = (1, 0), e(1) is in the ideal while e(0, 1) is not.  When
-    the prefix gives no certificate, e(nu) is reduced in degree 0.
+    Lambda = (1, 0), e(1) is in the ideal while e(0, 1) is not.
+
+    When the prefix gives no certificate, tau_{w_Y} e(nu) is reduced in
+    place of e(nu), w_Y being `run_reversal(nu)`: e(nu) lies in the ideal
+    I exactly when tau_{w_Y} e(nu) does.  One way holds as I is
+    two-sided.  For the other, take a maximal run of m adjacent strands
+    of colour i.  On e(nu) its dots and crossings satisfy the nilHecke
+    relations: tau_k^2 e(nu) = Q_ii e(nu) = 0, a dot slides past tau_k
+    up to +-e(nu), and the braid relation holds with no correction term,
+    which needs nu_k == nu_{k+2} != nu_{k+1}.  So the nilHecke algebra
+    NH_m maps to e(nu) R(beta) e(nu) by a unital algebra map, and the
+    maps of different runs commute, their strands and crossings being
+    disjoint.  In NH_m, 1 = sum_a x^a tau_{w0} g_a, the g_a being the
+    dual basis of the Artin monomials x^a under (f, g) -> d_{w0}(f g)
+    (Khovanov-Lauda, Represent. Theory 13 (2009), 2.2).  The product
+    over the runs puts e(nu) in R tau_{w_Y} e(nu) R, which lies in I
+    when tau_{w_Y} e(nu) does.  The runs must be adjacent: over
+    non-adjacent positions the crossings of a colour pass strands of
+    other colours and the relations above fail, and reversing the colour
+    class {0, 2} of nu = (1, 0, 1) wrongly puts e(nu) in the ideal for
+    A2 and Lambda = (0, 2).
+
+    tau_{w_Y} e(nu) is built by the engine.  Its canonical word has
+    letters inside the runs only, so each rewrite of the product is a
+    commutation or a braid move inside a run, whose correction is a
+    multiple of Q_ii = 0, and the product is the one monomial
+    tau_{w_Y} e(nu).  It lies in the block (nu, nu) of degree
+    -sum over runs of m(m - 1)/2 (alpha_i|alpha_i), one column on a
+    single colour, and that block is eliminated exactly like any other,
+    so a False answer is certified too.
     """
     nu = tuple(nu)
     beta = tuple(nu.count(i) for i in range(datum.rank))
@@ -468,11 +503,28 @@ def unit_in_ideal(datum, weight, nu, qspec=None) -> bool:
     if nu in space.outside:
         return False
     by_prefix = len(nu) >= 2 and unit_in_ideal(datum, weight, nu[:-1], qspec)
-    if not by_prefix and space.reduce(space.engine.idempotent(nu)):
-        space.outside.add(nu)
-        return False
+    if not by_prefix:
+        eng = space.engine
+        tau_wy = eng.right_mult_word(eng.idempotent(nu),
+                                     canonical_word(run_reversal(nu)))
+        if space.reduce(tau_wy):
+            space.outside.add(nu)
+            return False
     space.certified.add(nu)
     return True
+
+
+def run_reversal(nu) -> tuple:
+    """One-line form of w_Y, which reverses each maximal run of adjacent
+    equal colours of nu: the longest element of the parabolic subgroup
+    generated by the s_k with nu_k == nu_{k+1}."""
+    w = []
+    start = 0
+    for k in range(1, len(nu) + 1):
+        if k == len(nu) or nu[k] != nu[start]:
+            w.extend(range(k - 1, start - 1, -1))
+            start = k
+    return tuple(w)
 
 
 def top_chain_degree(datum, sub, i, m) -> int:
@@ -622,8 +674,8 @@ class CycAlgebra:
                     "dead sequence monomial not in ideal; bounds are wrong"
                 )
         # The quotient vanishes exactly when the unit lies in the ideal,
-        # which is a degree zero computation; a vanishing quotient skips
-        # all higher degrees.
+        # which `unit_in_ideal` decides in the block of each tau_{w_Y}
+        # e(nu); a vanishing quotient skips every degree.
         self._zero = not self.alive or all(
             unit_in_ideal(datum, weight, nu, qspec) for nu in self.alive
         )

@@ -808,6 +808,111 @@ def test_unit_in_ideal_matches_a_fresh_reduction(datum, wt, beta, qspec):
     assert space.outside == set(seqs_of(beta)) - space.certified
 
 
+# ---- idempotents certified in the block of tau_{w_Y} e(nu) -------------
+
+G2 = build_cartan(("a", "b"), [[2, -3], [-1, 2]])
+A22 = build_cartan(("a", "b"), [[2, -4], [-1, 2]])  # A_2^(2)
+# Q_12(u, v) = u + 2v: not the standard table, and not symmetric in u, v
+A2_U2V = QSpec(A2, {(0, 1): {(1, 0): 1, (0, 1): 2}})
+
+
+def _run_reversal_cases():
+    """(datum, Lambda, beta, qspec): A1 at levels up to 3 on up to 4
+    strands, and each rank-2 datum, A2 with Q_12 = u + 2v among them, at
+    levels summing to at most 2 on up to 3 strands."""
+    cases = [(A1, Weight((L,)), (n,), None)
+             for L in range(4) for n in range(1, 5)]
+    levels = [lv for lv in itertools.product(range(3), repeat=2)
+              if sum(lv) <= 2]
+    for datum, qspec in [(A2, None), (A1AFF, None), (B2, None), (G2, None),
+                         (A22, None), (A2, A2_U2V)]:
+        cases += [(datum, Weight(lv), beta, qspec) for lv in levels
+                  for n in range(1, 4) for beta in weighted_comps((1, 1), n)]
+    return cases
+
+
+def test_unit_in_ideal_matches_a_degree_zero_reduction(monkeypatch):
+    # a registry of its own, so every answer is certified here, not read
+    # from a memo another test left
+    monkeypatch.setattr(cyclotomic, "_ideal_spaces", {})
+    by_block = 0
+    for datum, wt, beta, qspec in _run_reversal_cases():
+        fresh = fresh_space(datum, wt, beta, qspec)
+        for nu in seqs_of(beta):
+            want = not fresh.reduce(fresh.engine.idempotent(nu))
+            got = unit_in_ideal(datum, wt, nu, qspec)
+            assert got == want, (datum.labels, wt.levels, nu, qspec)
+            by_block += want and not (
+                len(nu) >= 2 and unit_in_ideal(datum, wt, nu[:-1], qspec))
+    # some answers had no prefix certificate, the case under test
+    assert by_block
+    # the colour class {0, 2} of (1, 0, 1) is not a run
+    assert not unit_in_ideal(A2, Weight((0, 2)), (1, 0, 1))
+
+
+def _runs(nu):
+    """(start, length) of each maximal run of adjacent equal colours."""
+    out, start = [], 0
+    for _, group in itertools.groupby(nu):
+        m = len(list(group))
+        out.append((start, m))
+        start += m
+    return out
+
+
+def _dot_exponents(n, runs, bound):
+    """Every exps on n strands with exps[start + k] <= bound(m, k) on
+    each run (start, m) and no dots elsewhere."""
+    ranges = [range(1)] * n
+    for start, m in runs:
+        for k in range(m):
+            ranges[start + k] = range(bound(m, k) + 1)
+    return itertools.product(*ranges)
+
+
+@pytest.mark.parametrize("datum,nu", [
+    (A1, (0, 0)),
+    (A1, (0, 0, 0)),
+    (A1, (0, 0, 0, 0)),
+    (B2, (0, 0, 0)),
+    (B2, (1, 1, 1)),
+    (B2, (1, 0, 0, 1)),
+], ids=["A1-2", "A1-3", "A1-4", "B2-sss", "B2-lll", "B2-lssl"])
+def test_the_idempotent_lies_in_the_span_of_x_tau_w_y_x(datum, nu):
+    n = len(nu)
+    runs = _runs(nu)
+    w = [0] * n
+    for start, m in runs:
+        for k in range(m):
+            w[start + k] = start + m - 1 - k
+    assert cyclotomic.run_reversal(nu) == tuple(w)
+    word = canonical_word(tuple(w))
+    eng = get_engine(datum, n)
+    tau_wy = eng.right_mult_word(eng.idempotent(nu), word)
+    assert tau_wy == {BasisMonomial(word, (0,) * n, nu): 1}
+    # x^a tau_{w_Y} x^b e(nu), a below the staircase (m-1, ..., 0) and b
+    # below the reversed staircase on every run
+    span = SubspaceBasis(BasisMonomial.sort_key)
+    for a in _dot_exponents(n, runs, lambda m, k: m - 1 - k):
+        left = eng.multiply({BasisMonomial((), a, nu): 1}, tau_wy)
+        for b in _dot_exponents(n, runs, lambda m, k: k):
+            span.add(eng.multiply(left, {BasisMonomial((), b, nu): 1}))
+    assert span.contains(eng.idempotent(nu))
+
+
+def test_a_zero_one_strand_past_the_top_builds_one_column(monkeypatch):
+    # a registry of its own, so the blocks are the ones this build makes
+    monkeypatch.setattr(cyclotomic, "_ideal_spaces", {})
+    A = CycAlgebra(A1, Weight((4,)), (5,))
+    assert A.is_zero()
+    nu = (0,) * 5
+    ((key, (cols, sb)),) = A.space._blocks.items()
+    assert key == (nu, nu, -20)
+    assert cols == [BasisMonomial(canonical_word((4, 3, 2, 1, 0)), (0,) * 5,
+                                  nu)]
+    assert sb.rank == 1
+
+
 # small algebras with an alive sequence whose idempotent lies in the
 # ideal, so that `block_dims` answers some blocks with no scan
 SKIPPING_ALGEBRAS = [
