@@ -12,8 +12,12 @@ denominators of K0 and K1 are restricted chain families, and that such a
 family spans the intended one-sided ideal follows from the coset
 decomposition of the embedded subalgebra, which the test suite checks
 bilinearly on small cases.  On one strand both families are empty, and
-K0 and K1 are free column spaces.  F is the corner R^Lambda(beta+alpha_i)
-e(beta, i), a `CycAlgebra.module` built in its nonzero degrees only.
+K0 and K1 are free column spaces.  Each dead idempotent e(nu) of
+R^Lambda(beta) is recorded on their spaces as (nu, i) and (i, nu): every
+block of K0 on e(nu, i), and of K1 on e(i, nu), lies in its denominator
+and is never eliminated (proof in `Bimodules`).  F is the corner
+R^Lambda(beta+alpha_i) e(beta, i), a `CycAlgebra.module` built in its
+nonzero degrees only.
 
 On top of the modules sit the comparison maps P, pi, Q and the phi
 endomorphism coefficients computed two independent ways (a linear solve
@@ -26,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cartan import CartanDatum, Weight, seqs_of
-from .cyclotomic import CycAlgebra, IdealSpace, free_space
+from .cyclotomic import CycAlgebra, IdealSpace, free_space, unit_in_ideal
 from .klr import BasisMonomial, left_seq, min_tau_degree
 from .linalg import coords_in_span
 from .qpolys import QSpec, poly_product
@@ -80,6 +84,21 @@ class Bimodules:
 
     Raw map methods return ambient strand algebra elements; callers
     normalize with the target module's nf.
+
+    The dead idempotents of R^Lambda(beta) are carried into K0 and K1.
+    `first_strand_chains(n + 1)` is `full_ideal_chains(n)` pushed through
+    the right strand embedding iota, which adds the strand i on the
+    right, so K0's denominator is the left ideal L = R(beta + alpha_i)
+    iota(I_beta), I_beta being the cyclotomic ideal of R(beta).  When
+    `unit_in_ideal` puts e(nu) in I_beta, e(nu, i) = iota(e(nu)) lies in
+    L, and as L is a left ideal so does every block with right sequence
+    (nu, i): its echelon form is the identity, its basis is empty and its
+    normal forms are zero, which is what building it gives.  So
+    construction records (nu, i) as certified on K0's space, which then
+    builds no rows for those blocks.  K1 is the same through the left
+    embedding, which adds i on the left: `shifted_strand_chains(n + 1)`
+    is `full_ideal_chains(n)` shifted up one strand, and (i, nu) is
+    recorded on K1's space.
     """
 
     def __init__(self, datum: CartanDatum, weight: Weight, beta, i: int,
@@ -113,6 +132,12 @@ class Bimodules:
             self.engine, weight, self.beta_hat, shifted_strand_chains(self.N)),
             rows, cols1)
         self.F = hat.module(rows, cols0)
+        # e(nu) in the ideal of R(beta) puts the K0 columns on (nu, i) and
+        # the K1 columns on (i, nu) in their denominators (class docstring)
+        for nu in seqs:
+            if unit_in_ideal(datum, weight, nu, qspec):
+                self.K0.space.certified.add(nu + (i,))
+                self.K1.space.certified.add((i,) + nu)
         # the free R(beta) e(nu), nu ending in i, for phi_by_chase
         self.ends_in_i = TruncationModule(
             free_space(datum, self.beta, self.qspec), seqs,

@@ -43,7 +43,9 @@ exact and small:
   is two-sided.  For the same reason `CycAlgebra.block_dims` answers a
   block with a certified side by {} and scans nothing.  A sequence
   proved outside the ideal is recorded too, so no idempotent is reduced
-  twice.
+  twice.  The same certificates reach the one-sided denominators of
+  `bimodules`, which are left ideals: there only a certified right
+  sequence puts a block in the span (`IdealSpace.certified_block`).
 
 * Per-key data is computed once.  Checks build the same quotient many
   times, so what depends only on a key is memoized where the key lives.
@@ -210,12 +212,18 @@ class IdealSpace:
     bases are block columns with no block built.
 
     `certified` holds the sequences nu with e(nu) certified to lie in the
-    span by `unit_in_ideal`, and `outside` those with e(nu) proved to lie
-    outside it.  Only the shared full-family spaces of `get_ideal_space`
-    ever hold any: there the span is the two-sided ideal, so e(nu) in it
-    puts every monomial with nu as its left or right sequence in it too.
-    A one-sided family would allow the right side only, and the free
-    space has no ideal at all.
+    span, and `outside` those with e(nu) proved to lie outside it.  The
+    shared full-family spaces of `get_ideal_space` hold both, filled by
+    `unit_in_ideal`; the one-sided spaces of K0 and K1 hold certified
+    sequences only, filled by `bimodules.Bimodules`; the free space has
+    no ideal and holds none.  The span is a left ideal, so e(nu) in it
+    puts every monomial with right sequence nu in it too, and the block
+    (lam, nu, d) is full.  On the full family the span is the two-sided
+    ideal, and a certified left sequence puts its block in the span as
+    well; a one-sided family never reads the left side.  Whether a block
+    lies in the span by a certificate is `certified_block`, and a
+    certified block is never eliminated: `reduce` drops its monomials,
+    `block_basis` is [] and `block` is the identity.
 
     A space also memoizes what its quotient needs per key, each a
     function of its key alone, so a stored value is the one a
@@ -233,10 +241,11 @@ class IdealSpace:
         self.beta = tuple(beta)
         self.n = sum(beta)
         self.seqs = seqs_of(beta)
-        self.chains = full_ideal_chains(self.n) if chains is None else tuple(chains)
+        full = full_ideal_chains(self.n)
+        self.chains = full if chains is None else tuple(chains)
+        self._two_sided = self.chains == full
         self._blocks = {}
         self._bases = {}
-        self._crossings = {}
         self._table = None
         self._seq_windows = {}
         self.certified = set()
@@ -273,12 +282,18 @@ class IdealSpace:
 
     def crossings(self, src, dst):
         """(canonical word, crossing degree on src) of each w in
-        `transporter(src, dst)`, in its order; memoized."""
+        `transporter(src, dst)`, in its order.
+
+        The tuple depends only on the engine's datum and strand count and
+        on (src, dst), so it is memoized on the engine under (src, dst),
+        and every space over that engine, whatever its weight or family,
+        reads the same tuple."""
+        memo = self.engine.crossing_memo
         key = (src, dst)
-        hit = self._crossings.get(key)
+        hit = memo.get(key)
         if hit is None:
             datum = self.engine.datum
-            hit = self._crossings[key] = tuple(
+            hit = memo[key] = tuple(
                 (canonical_word(w), crossing_degree(datum, w, src))
                 for w in self.transporter(src, dst))
         return hit
@@ -306,8 +321,19 @@ class IdealSpace:
             memo[key] = cols
         return cols
 
+    def certified_block(self, lam, mu) -> bool:
+        """Whether every block (lam, mu, d) lies in the span by a
+        certificate: mu is certified, or the span is the two-sided ideal
+        and lam is certified."""
+        cert = self.certified
+        return mu in cert or (self._two_sided and lam in cert)
+
     def block(self, lam, mu, d):
         """(columns, echelon basis of the ideal piece) for one block.
+
+        A `certified_block` lies in the span, so its echelon form is the
+        identity on its columns, which is what building its rows would
+        give; it builds no row.
 
         The rows are built lazily and go to `linalg.span_basis`.  With an
         integral QSpec every row is an integer vector, and rows stop as
@@ -330,8 +356,11 @@ class IdealSpace:
         if hit is not None:
             return hit
         cols = self.block_columns(lam, mu, d)
-        sb = span_basis(self._ideal_rows(lam, mu, d, set(cols)), cols,
-                        BasisMonomial.sort_key)
+        if self.certified_block(lam, mu):
+            sb = SubspaceBasis.identity(cols, BasisMonomial.sort_key)
+        else:
+            sb = span_basis(self._ideal_rows(lam, mu, d, set(cols)), cols,
+                            BasisMonomial.sort_key)
         self._blocks[key] = (cols, sb)
         return cols, sb
 
@@ -388,11 +417,14 @@ class IdealSpace:
         The list is memoized under (lam, mu, d).  It is read off the
         block's columns and echelon form, which `block` memoizes under
         the same key, so a stored list is the one a recomputation gives.
-        The free space hands out `block_columns` itself.  Either way the
-        list is shared by every caller, so callers must treat it as
-        read-only; `TruncationModule.basis` copies it."""
+        The free space hands out `block_columns` itself, and a
+        `certified_block` has the empty basis with no block built.  Either
+        way the list is shared by every caller, so callers must treat it
+        as read-only; `TruncationModule.basis` copies it."""
         if not self.chains:
             return self.block_columns(lam, mu, d)
+        if self.certified_block(lam, mu):
+            return []
         key = (lam, mu, d)
         hit = self._bases.get(key)
         if hit is None:
@@ -404,18 +436,18 @@ class IdealSpace:
     def reduce(self, E: dict) -> dict:
         """Canonical representative of E modulo the ideal.
 
-        A monomial on a `certified` sequence, left or right, is dropped
-        with no block built.  Its block lies in the ideal, so the block's
-        echelon form is the identity and its normal form is zero, which
-        is what building the block would give."""
+        A monomial of a `certified_block` is dropped with no block built.
+        Its block lies in the span, so the block's echelon form is the
+        identity and its normal form is zero, which is what building the
+        block would give."""
         if not self.chains:
             return {m: c for m, c in E.items() if c}
         eng = self.engine
-        cert = self.certified
+        certified_block = self.certified_block
         groups = {}
         for m, c in E.items():
             lam = left_seq(m)
-            if lam in cert or m.seq in cert:
+            if certified_block(lam, m.seq):
                 continue
             d = eng.monomial_degree(m)
             groups.setdefault((lam, m.seq, d), {})[m] = c

@@ -125,8 +125,11 @@ class KLR:
         # crossing degrees of tau_word e(seq) by (word, seq); see `tau_degree`
         self._tau_degrees = {}
         # sorted block columns by (lam, mu, d), filled and read only by
-        # `cyclotomic.IdealSpace.block_columns`
+        # `cyclotomic.IdealSpace.block_columns`, and the (canonical word,
+        # crossing degree) pairs of a transporter by (src, dst), filled and
+        # read only by `cyclotomic.IdealSpace.crossings`
         self.column_memo = {}
+        self.crossing_memo = {}
 
     # ---- generators -------------------------------------------------
 

@@ -5,8 +5,10 @@ phi_k extracted by two independent routes."""
 from fractions import Fraction
 from inspect import signature
 
+import pytest
+
 import old_tracked_basis as old
-from quiverhecke import bimodules
+from quiverhecke import bimodules, checks
 from quiverhecke.bimodules import (
     Bimodules,
     emb_first,
@@ -14,12 +16,14 @@ from quiverhecke.bimodules import (
     first_strand_chains,
     shifted_strand_chains,
 )
-from quiverhecke.cartan import Weight, build_cartan
+from quiverhecke.cartan import Weight, build_cartan, seqs_of
 from quiverhecke.checks import DESK, _betas_upto
+from quiverhecke.cyclotomic import IdealSpace, unit_in_ideal
 from quiverhecke.klr import BasisMonomial, min_tau_degree
 from quiverhecke.laurent import LaurentPoly
 from quiverhecke.linalg import SubspaceBasis
 from quiverhecke.qpolys import QSpec
+from quiverhecke.tensors import TruncationModule
 
 A1 = build_cartan(("0",), [[2]])
 A2 = build_cartan(("1", "2"), [[2, -1], [-1, 2]])
@@ -206,3 +210,96 @@ def test_phi_by_chase_matches_tracked_basis(monkeypatch):
     assert any(psi for _, psi, _ in got)
     monkeypatch.setattr(bimodules, "coords_in_span", old.tracked_coords)
     assert chase() == got
+
+
+# ---- dead idempotents of R^Lambda(beta) carried into K0 and K1 ---------
+
+def _bimodule_instances():
+    """(datum, weight, beta, i) of every instance of the suites that build
+    a `Bimodules`, each once."""
+    out = {}
+    for suite in ("exact", "phi", "taug"):
+        for thunk in checks.CHECKS[suite]():
+            datum, weight, beta, i = thunk.args
+            name = "{}-L{}-b{}-i{}".format(
+                "".join(datum.labels), "".join(map(str, weight.levels)),
+                "".join(map(str, beta)), i)
+            out.setdefault(name, pytest.param(*thunk.args, id=name))
+    return list(out.values())
+
+
+BIMODULE_INSTANCES = _bimodule_instances()
+
+
+def _fresh_kernels(bm):
+    """K0 and K1 of bm rebuilt on spaces that certify nothing, so every
+    block they touch is eliminated row by row."""
+    rows = seqs_of(bm.beta_hat)
+    seqs = seqs_of(bm.beta)
+    K0 = TruncationModule(IdealSpace(
+        bm.engine, bm.weight, bm.beta_hat, first_strand_chains(bm.N)),
+        rows, [s + (bm.i,) for s in seqs])
+    K1 = TruncationModule(IdealSpace(
+        bm.engine, bm.weight, bm.beta_hat, shifted_strand_chains(bm.N)),
+        rows, [(bm.i,) + s for s in seqs])
+    return K0, K1
+
+
+@pytest.mark.parametrize("datum,weight,beta,i", BIMODULE_INSTANCES)
+def test_certified_kernels_match_fresh_spaces(datum, weight, beta, i):
+    bm = Bimodules(datum, weight, beta, i)
+    dead = {nu for nu in seqs_of(bm.beta)
+            if unit_in_ideal(datum, weight, nu)}
+    assert bm.K0.space.certified == {nu + (i,) for nu in dead}
+    assert bm.K1.space.certified == {(i,) + nu for nu in dead}
+    assert not bm.K0.space.outside and not bm.K1.space.outside
+    fresh0, fresh1 = _fresh_kernels(bm)
+    lo, hi = bm.window
+    # every block on a certified right sequence is full without the
+    # certificate
+    for fresh, certified in ((fresh0, bm.K0.space.certified),
+                             (fresh1, bm.K1.space.certified)):
+        for mu in certified:
+            for lam in fresh.space.seqs:
+                for d in range(lo, hi + 1):
+                    cols, sb = fresh.space.block(lam, mu, d)
+                    assert sb.rank == len(cols), (lam, mu, d)
+    assert not fresh0.space.certified and not fresh1.space.certified
+    for d in range(lo, hi + 1):
+        assert bm.K0.basis(d) == fresh0.basis(d), d
+        assert bm.K1.basis(d) == fresh1.basis(d), d
+        # the normal forms `check_exact` takes of P's images
+        for m in bm.K1.basis(d - bm.shift_P):
+            img = bm.apply_P({m: 1})
+            assert bm.K0.nf(img) == fresh0.nf(img), m
+
+
+def test_the_desk_certifies_kernel_blocks():
+    # the comparison above is not vacuous: some desk instance has a dead
+    # idempotent whose blocks carry columns
+    cols = 0
+    for datum, weight, beta, i in (p.values for p in BIMODULE_INSTANCES):
+        bm = Bimodules(datum, weight, beta, i)
+        for K in (bm.K0, bm.K1):
+            for mu in K.space.certified:
+                cols += sum(len(K.space.block_columns(lam, mu, d))
+                            for lam in K.space.seqs
+                            for d in range(bm.window[0], bm.window[1] + 1))
+    assert cols
+
+
+def test_a_wrong_kernel_certificate_fails_the_checks(monkeypatch):
+    # certifying alive sequences that end in colour 0 zeroes blocks of K0
+    # and K1 that are not in their denominators; exact and phi must see it
+    real = bimodules.unit_in_ideal
+
+    def wrong(datum, weight, nu, qspec=None):
+        return real(datum, weight, nu, qspec) or nu[-1:] == (0,)
+
+    monkeypatch.setattr(bimodules, "unit_in_ideal", wrong)
+    failed = {}
+    for suite in ("exact", "phi"):
+        statuses = [r.status for r in checks.run_check(suite)]
+        assert set(statuses) == {"pass", "fail"}, suite
+        failed[suite] = (statuses.count("fail"), len(statuses))
+    assert failed == {"exact": (2, 18), "phi": (13, 39)}

@@ -1068,3 +1068,43 @@ def test_zero_quotient_through_a_zero_prefix_builds_no_block(monkeypatch,
     for k in range(2, len(nu) + 1):
         sub = tuple(nu[:k].count(i) for i in range(datum.rank))
         assert bool(get_ideal_space(datum, wt, sub)._blocks) == (k == 2)
+
+
+def test_spaces_of_one_engine_share_each_crossing_tuple():
+    # a crossing tuple depends on the engine and (src, dst) alone, so the
+    # full space, a space of another weight and the one-sided spaces of
+    # K0 and K1 all read the one tuple the engine keeps
+    bm = Bimodules(A2, Weight((1, 0)), (1, 1), 0)
+    full = get_ideal_space(A2, Weight((1, 0)), (2, 1))
+    other = IdealSpace(full.engine, Weight((1, 1)), (2, 1))
+    assert bm.engine is full.engine
+    seqs = seqs_of((2, 1))
+    for src in seqs:
+        for dst in seqs:
+            got = full.crossings(src, dst)
+            assert got == tuple((canonical_word(w), crossing_degree(A2, w, src))
+                                for w in full.transporter(src, dst))
+            for space in (other, bm.K0.space, bm.K1.space):
+                assert space.crossings(src, dst) is got
+
+
+def test_only_the_two_sided_ideal_reads_a_certified_left_sequence(
+        monkeypatch):
+    eng = get_engine(A2, 3)
+    wt = Weight((1, 0))
+    lam, mu = (0, 1, 0), (1, 0, 0)
+    full = IdealSpace(eng, wt, (2, 1))
+    one_sided = IdealSpace(eng, wt, (2, 1), full.chains[:-1])
+    for space in (full, one_sided):
+        space.certified.add(lam)
+        assert space.certified_block(mu, lam)
+    assert full.certified_block(lam, mu)
+    assert not one_sided.certified_block(lam, mu)
+    # a certified block builds no row: its echelon form is the identity,
+    # its basis is empty and its normal forms are zero
+    monkeypatch.setattr(IdealSpace, "_ideal_rows", None)
+    d = min(d for d in range(-6, 7) if one_sided.block_columns(mu, lam, d))
+    cols, sb = one_sided.block(mu, lam, d)
+    assert sb.rows == [{m: 1} for m in cols]
+    assert one_sided.block_basis(mu, lam, d) == []
+    assert one_sided.reduce({m: 1 for m in cols}) == {}
