@@ -99,6 +99,15 @@ class Bimodules:
     embedding, which adds i on the left: `shifted_strand_chains(n + 1)`
     is `full_ideal_chains(n)` shifted up one strand, and (i, nu) is
     recorded on K1's space.
+
+    The dot bounds of R^Lambda(beta) are carried over the same way.
+    When every bound N_k = sub.table[k][nu_k] is at least 1, x_k^N_k e(nu)
+    lies in I_beta (`nilpotency_table`), so x_k^N_k e(nu, i) =
+    iota(x_k^N_k e(nu)) lies in L, and K0's space prunes the columns on
+    (nu, i) with a_k >= N_k at positions k = 0..n-1 (`IdealSpace.block`);
+    the added strand n has no bound.  Through the left embedding
+    x_{k+1}^N_k e(i, nu) lies in K1's denominator, and K1's space prunes
+    on (i, nu) at positions 1..n.  A zero bound hands over nothing.
     """
 
     def __init__(self, datum: CartanDatum, weight: Weight, beta, i: int,
@@ -133,16 +142,24 @@ class Bimodules:
             rows, cols1)
         self.F = hat.module(rows, cols0)
         # e(nu) in the ideal of R(beta) puts the K0 columns on (nu, i) and
-        # the K1 columns on (i, nu) in their denominators (class docstring)
+        # the K1 columns on (i, nu) in their denominators, and so does a
+        # dot at its bound (class docstring)
+        table = self.sub.table
         for nu in seqs:
             if unit_in_ideal(datum, weight, nu, qspec):
                 self.K0.space.certified.add(nu + (i,))
                 self.K1.space.certified.add((i,) + nu)
+            row = [r[c] for r, c in zip(table, nu)]
+            if all(row):
+                self.K0.space.bounds[nu + (i,)] = tuple(enumerate(row))
+                self.K1.space.bounds[(i,) + nu] = tuple(
+                    enumerate(row, start=1))
         # the free R(beta) e(nu), nu ending in i, for phi_by_chase
         self.ends_in_i = TruncationModule(
             free_space(datum, self.beta, self.qspec), seqs,
             [nu for nu in seqs if nu[-1:] == (i,)])
         self._g_cache = {}
+        self._tpolys = None
 
     # ---- degree shifts ----------------------------------------------
 
@@ -319,9 +336,14 @@ class Bimodules:
 
     def phi_by_division(self, k: int):
         """phi_k as gamma^-1 times the quotient of t^k F by the monic S,
-        flattened to {(t power, monomial): coeff}."""
-        F = self._tpoly_f()
-        S = self._tpoly_s()
+        flattened to {(t power, monomial): coeff}.
+
+        F and S do not depend on k, so they are computed on the first
+        call and kept; the division copies each slot of F it changes and
+        only reads S."""
+        if self._tpolys is None:
+            self._tpolys = (self._tpoly_f(), self._tpoly_s())
+        F, S = self._tpolys
         sdeg = 2 * self.beta[self.i]
         num = {j + k: dict(slot) for j, slot in F.items()}
         quo = {}

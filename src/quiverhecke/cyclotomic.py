@@ -1,7 +1,7 @@
 """Cyclotomic quotients R^Lambda(beta) computed degree by degree.
 
 The quotient is the strand algebra modulo the two-sided ideal generated
-by x_1^{<h_{nu_1}, Lambda>} e(nu).  Four devices keep the computation
+by x_1^{<h_{nu_1}, Lambda>} e(nu).  Five devices keep the computation
 exact and small:
 
 * The two-sided ideal is spanned, in each degree, by left multiples of
@@ -46,6 +46,16 @@ exact and small:
   twice.  The same certificates reach the one-sided denominators of
   `bimodules`, which are left ideals: there only a certified right
   sequence puts a block in the span (`IdealSpace.certified_block`).
+
+* A block holds no column the nilpotency table puts in the span.  With
+  every bound N_k = nilpotency_table[k][mu_k] at least 1, a monomial
+  tau_w x^a e(mu) with some a_k >= N_k is tau_w x^(a - N_k e_k) times
+  x_k^N_k e(mu), which lies in the ideal (proof in `nilpotency_table`).
+  Such "pruned" columns are unit pivots of every block: `IdealSpace.block`
+  eliminates the rows on the kept columns only and appends one unit row
+  per pruned column, and `IdealSpace.reduce` drops pruned monomials
+  before grouping.  The one-sided spaces of `bimodules` take the same
+  bounds through the embeddings of R(beta) (`IdealSpace.dot_bounds`).
 
 * Per-key data is computed once.  Checks build the same quotient many
   times, so what depends only on a key is memoized where the key lives.
@@ -152,6 +162,38 @@ def nilpotency_table(datum, weight, beta, qspec):
 
     Position 0 is the defining relation; later positions combine the
     previous position's bounds across every label that can sit there.
+
+    The claim is that x_k^N e(mu) lies in the cyclotomic ideal I for
+    every sequence mu of beta, with N = rows[k][mu_k].  At k = 0 it is
+    the generator x_0^L e(mu) itself.  For k + 1, let mu_k = i and
+    mu_{k+1} = j, and let N and Np be the bounds of position k for i and
+    for j.  The polynomials in x_k, x_{k+1} times e(mu) form a commutative
+    subalgebra of e(mu) R e(mu), so the ideal of the polynomial ring in
+    u, v generated by polynomials whose images lie in I maps into I.
+
+    * i != j: x_k^N e(mu) lies in I, and so does x_k^Np e(s_k mu), as
+      (s_k mu)_k = j.  A dot slides through a crossing of two different
+      colours, so tau_k x_k^Np e(s_k mu) tau_k = x_{k+1}^Np tau_k^2 e(mu)
+      = x_{k+1}^Np Q_ij(x_k, x_{k+1}) e(mu), which lies in I as I is
+      two-sided.  So the image of the ideal (u^N, v^Np Q_ij(u, v)) lies
+      in I, and `min_power_in_ideal` finds the least v^s in that ideal.
+    * i == j: on e(mu) the strands k and k + 1 satisfy the nilHecke
+      relations: tau_k^2 e(mu) = 0 and tau_k f - (s_k f) tau_k =
+      d(f) e(mu), with d the Demazure operator (f - s_k f)/(x_{k+1} -
+      x_k) up to the sign convention, so that e(mu) = +-(x_{k+1} tau_k -
+      tau_k x_k) e(mu).  Put h = d(x_k^N), a symmetric polynomial in
+      x_k, x_{k+1}, which commutes with tau_k e(mu).  Then
+      tau_k x_k^N tau_k e(mu) = (x_{k+1}^N tau_k + h) tau_k e(mu) =
+      h tau_k e(mu) lies in I, hence so does
+      h e(mu) = +-(x_{k+1} h tau_k - h tau_k x_k) e(mu), and
+      x_{k+1}^N e(mu) = x_k^N e(mu) -+ (x_{k+1} - x_k) h e(mu) does too.
+      So N carries over from position k.
+
+    Taking the largest bound over the labels i that can sit at k keeps
+    the claim, as a larger power of a dot in I is in I.  A bound of 0
+    claims e(mu) itself is in I; `CycAlgebra` checks that claim by a
+    reduction (`unit_in_ideal`), and it is never used to prune a block
+    (`IdealSpace.dot_bounds`).
     """
     n = sum(beta)
     supp = [i for i, k in enumerate(beta) if k]
@@ -225,6 +267,12 @@ class IdealSpace:
     certified block is never eliminated: `reduce` drops its monomials,
     `block_basis` is [] and `block` is the identity.
 
+    `bounds` holds, per right sequence mu, the dot bounds
+    ((k, N_k), ...) with x_k^N_k e(mu) in the span (`dot_bounds`): a
+    full-family space reads them off its own `nilpotency`, the spaces of
+    K0 and K1 are handed theirs by `bimodules.Bimodules`, and a sequence
+    with none, as on the free space, prunes nothing.
+
     A space also memoizes what its quotient needs per key, each a
     function of its key alone, so a stored value is the one a
     recomputation gives: the nilpotency table (`nilpotency`), a function
@@ -250,6 +298,7 @@ class IdealSpace:
         self._seq_windows = {}
         self.certified = set()
         self.outside = set()
+        self.bounds = {}
 
     def nilpotency(self):
         """`nilpotency_table` of this space's datum, weight, beta and
@@ -321,6 +370,40 @@ class IdealSpace:
             memo[key] = cols
         return cols
 
+    def dot_bounds(self, mu):
+        """The pairs (k, N) with x_k^N e(mu) in the span, as set in
+        `bounds` or, on the full family, read off `nilpotency` and
+        memoized: (k, rows[k][mu_k]) for every position k when each of
+        those bounds is at least 1, and () otherwise.
+
+        A bound of 0 claims e(mu) itself is in the span.  That claim is
+        what `CycAlgebra` checks by reducing in the blocks of e(mu)
+        (`unit_in_ideal`), so a sequence with a zero bound prunes nothing
+        and the check stays a real reduction."""
+        hit = self.bounds.get(mu)
+        if hit is None:
+            hit = ()
+            if self._two_sided and self.n:
+                row = tuple(r[c] for r, c in zip(self.nilpotency(), mu))
+                if all(row):
+                    hit = tuple(enumerate(row))
+            self.bounds[mu] = hit
+        return hit
+
+    def pruned(self, m) -> bool:
+        """Whether the monomial m lies in the span by its dot bounds: some
+        exponent a_k reaches its bound N in `dot_bounds(m.seq)`, so that
+        m = tau_w x^(a - N e_k) * x_k^N e(mu) with the right factor in
+        the span, which is a left ideal."""
+        bounds = self.bounds.get(m.seq)
+        if bounds is None:
+            bounds = self.dot_bounds(m.seq)
+        exps = m.exps
+        for k, N in bounds:
+            if exps[k] >= N:
+                return True
+        return False
+
     def certified_block(self, lam, mu) -> bool:
         """Whether every block (lam, mu, d) lies in the span by a
         certificate: mu is certified, or the span is the two-sided ideal
@@ -350,6 +433,20 @@ class IdealSpace:
         (and, for a non-integer row, the ones after it), so its rank and
         normal forms never depend on P.  Every row that is built is still
         checked to stay inside its block.
+
+        Only the kept columns are eliminated.  The unit vectors of the
+        `pruned` columns span a subspace U of the row span S, so S is
+        U + pi(S), pi the projection onto the kept columns, and pi(S) is
+        S intersected with the kept coordinates.  The rows go to
+        `span_basis` projected by pi, which stops once their rank reaches
+        the number of kept columns, and one unit row per pruned column is
+        appended with no product and no elimination.  The result is the
+        reduced echelon form of S on all the columns: each row has its
+        least column as pivot, with entry 1, and no other row has an entry
+        there (a unit row holds no kept column, and a row of pi(S) no
+        pruned one), and that form is unique.  So the columns, the rank,
+        the pivot columns and every normal form are those of eliminating
+        every row on every column.
         """
         key = (lam, mu, d)
         hit = self._blocks.get(key)
@@ -359,8 +456,16 @@ class IdealSpace:
         if self.certified_block(lam, mu):
             sb = SubspaceBasis.identity(cols, BasisMonomial.sort_key)
         else:
-            sb = span_basis(self._ideal_rows(lam, mu, d, set(cols)), cols,
-                            BasisMonomial.sort_key)
+            rows = self._ideal_rows(lam, mu, d, set(cols))
+            kept, pruned = cols, []
+            if self.dot_bounds(mu):
+                pruned = [m for m in cols if self.pruned(m)]
+            if pruned:
+                cut = set(pruned)
+                kept = [m for m in cols if m not in cut]
+                rows = _project(rows, cut)
+            sb = span_basis(rows, kept, BasisMonomial.sort_key)
+            sb.add_units(pruned)
         self._blocks[key] = (cols, sb)
         return cols, sb
 
@@ -439,15 +544,18 @@ class IdealSpace:
         A monomial of a `certified_block` is dropped with no block built.
         Its block lies in the span, so the block's echelon form is the
         identity and its normal form is zero, which is what building the
-        block would give."""
+        block would give.  A `pruned` monomial is dropped too: its column
+        is a unit pivot of its block (`block`), so its normal form is
+        zero."""
         if not self.chains:
             return {m: c for m, c in E.items() if c}
         eng = self.engine
         certified_block = self.certified_block
+        pruned = self.pruned
         groups = {}
         for m, c in E.items():
             lam = left_seq(m)
-            if certified_block(lam, m.seq):
+            if certified_block(lam, m.seq) or pruned(m):
                 continue
             d = eng.monomial_degree(m)
             groups.setdefault((lam, m.seq, d), {})[m] = c
@@ -460,6 +568,15 @@ class IdealSpace:
 
     def contains(self, E: dict) -> bool:
         return not self.reduce(E)
+
+
+def _project(rows, cut):
+    """Each row without its entries on the columns of `cut`, skipping the
+    rows left empty."""
+    for row in rows:
+        row = {m: c for m, c in row.items() if m not in cut}
+        if row:
+            yield row
 
 
 def free_space(datum, beta, qspec=None) -> IdealSpace:

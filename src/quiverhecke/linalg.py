@@ -58,10 +58,19 @@ class SubspaceBasis:
     def identity(cls, cols, keyfunc=None) -> "SubspaceBasis":
         """The basis of the whole space on `cols`: one unit row per
         column, which is the reduced echelon form of any full-rank span."""
-        sb = cls(keyfunc)
-        sb.rows = [{c: 1} for c in cols]
-        sb.pivots = {c: r for r, c in enumerate(cols)}
-        return sb
+        return cls(keyfunc).add_units(cols)
+
+    def add_units(self, cols) -> "SubspaceBasis":
+        """Append the unit row of each column in cols, none of which any
+        row may hold, and return self.  The rows stay a reduced echelon
+        form: each unit row has its one column as pivot, and that column
+        is in no other row."""
+        pivots = self.pivots
+        rows = self.rows
+        for c in cols:
+            pivots[c] = len(rows)
+            rows.append({c: 1})
+        return self
 
     @property
     def rank(self) -> int:
