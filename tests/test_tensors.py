@@ -2,9 +2,12 @@
 coequalizers, against cases with independently known answers; and the
 free module bases against a reference enumerator."""
 
+import old_pair_numbering as numbered
 import old_tensor_dim as old
+import pytest
 
 from quiverhecke import checks
+from quiverhecke.bimodules import emb_elt_last
 from quiverhecke.cartan import Weight, build_cartan, seqs_of, weighted_comps
 from quiverhecke.checks import DESK, _betas_upto
 from quiverhecke.cyclotomic import CycAlgebra, free_space
@@ -16,6 +19,7 @@ from quiverhecke.klr import (
 )
 from quiverhecke.laurent import LaurentPoly
 from quiverhecke.perms import all_perms, canonical_word
+from quiverhecke.qpolys import QSpec
 from quiverhecke.tensors import (
     TruncationModule,
     algebra_gens,
@@ -26,6 +30,8 @@ from quiverhecke.tensors import (
 A1 = build_cartan(("0",), [[2]])
 A2 = build_cartan(("1", "2"), [[2, -1], [-1, 2]])
 B2 = build_cartan(("s", "l"), [[2, -2], [-1, 2]])
+# Q_12(u, v) = u + 2v: not the standard table, and not symmetric in u, v
+A2_U2V = QSpec(A2, {(0, 1): {(1, 0): 1, (0, 1): 2}})
 
 
 def ident(elt):
@@ -161,17 +167,29 @@ def test_relations_cut_the_plain_product():
     assert got == LaurentPoly({0: 1, 2: 1})
 
 
-def compared_with_the_reference(calls, seen):
-    """tensor_dim_poly, checked against tests/old_tensor_dim.py, which
+def is_unit(gelt):
+    """Whether the generator gelt is an idempotent e(nu)."""
+    (m, _), *rest = gelt.items()
+    return not rest and not m.word and not any(m.exps)
+
+
+def compared_with_the_reference(calls, seen, *, recompute=True):
+    """tensor_dim_poly, checked against tests/old_pair_numbering.py, which
+    numbers every pair and relates it by every generator, and, unless
+    recompute is False, against tests/old_tensor_dim.py, which also
     recomputes the module actions at every degree and keys its relations
-    by (degree, sort key, sort key); the act calls one run makes go to
-    `calls`, cleared first, and each result to `seen`.  The memoized run
-    calls act once per module, generator and monomial."""
+    by (degree, sort key, sort key).  The act calls that the new run
+    makes go to `calls`, cleared first, and each result to `seen`.  The
+    new run calls act at most once per module, generator and monomial,
+    and never by an idempotent generator."""
     def both(M, N, gens, window):
         calls.clear()
         got = tensor_dim_poly(M, N, gens, window)
         assert len(set(calls)) == len(calls)
-        assert got == old.tensor_dim_poly(M, N, gens, window)
+        assert [call for call in calls if call[-1]] == []
+        assert got == numbered.tensor_dim_poly(M, N, gens, window)
+        if recompute:
+            assert got == old.tensor_dim_poly(M, N, gens, window)
         seen.append(got)
         return got
     return both
@@ -179,12 +197,13 @@ def compared_with_the_reference(calls, seen):
 
 def counting_acts(monkeypatch):
     """The list that each TruncationModule.act call appends its
-    (module, generator, monomial) to."""
+    (module, generator, monomial, whether the generator is an
+    idempotent) to."""
     calls = []
     act = TruncationModule.act
 
     def counted(module, m, gelt):
-        calls.append((id(module), id(gelt), m))
+        calls.append((id(module), id(gelt), m, is_unit(gelt)))
         return act(module, m, gelt)
 
     monkeypatch.setattr(TruncationModule, "act", counted)
@@ -223,3 +242,66 @@ def test_suite_tensors_match_the_reference(monkeypatch):
         assert {r.status for r in checks.run_check(suite)} == {"pass"}
     # 46 tensors reach tensor_dim_poly, 29 of them nonzero
     assert (len(seen), sum(1 for got in seen if got.coeffs)) == (46, 29)
+
+
+@pytest.mark.parametrize("datum, qspec", [(B2, None), (A2, A2_U2V)],
+                         ids=["B2", "A2-u+2v"])
+def test_off_desk_tensors_match_the_reference(monkeypatch, datum, qspec):
+    # B2 has dots of two degrees and A2 a table that is neither standard
+    # nor symmetric: the F_j E_i tensors of every quotient at Lambda=(1,1)
+    # up to three strands, and the free tensors of convolution, the
+    # shifted tower among them, up to two strands and on the mixed three
+    # strand betas
+    seen = []
+    monkeypatch.setattr(checks, "tensor_dim_poly", compared_with_the_reference(
+        counting_acts(monkeypatch), seen, recompute=False))
+    colors = range(datum.rank)
+    module_of = checks._quotient_modules(datum, Weight((1, 1)), qspec)
+    for beta in _betas_upto(datum.rank, 3):
+        for i in colors:
+            for j in colors:
+                checks._fe_tensor(datum, beta, i, j, module_of)
+    for beta in _betas_upto(datum.rank, 3):
+        if sum(beta) == 3 and 0 in beta:
+            continue  # four free strands of one colour take seconds
+        cap = 6 if sum(beta) < 3 else 1
+        for i in colors:
+            for j in colors:
+                rep = checks.check_convolution(datum, beta, i, j, cap, qspec)
+                assert rep.status == "pass"
+    assert (len(seen), sum(1 for got in seen if got.coeffs)) == (54, 40)
+
+
+def test_a_column_off_the_embedding_raises():
+    # M's columns must each be emb(e(nu)) for an idempotent e(nu) of the
+    # acting algebra; the column (1, 0) of R(1,1) does not end in the
+    # added strand 1, and the numbered pairs count it without a word
+    sub, beta = (1, 0), (1, 1)
+    M = free_module(A2, beta, "right", [(0, 1), (1, 0)],
+                    lambda elt: emb_elt_last(elt, 1))
+    N = free_module(A2, beta, "left", [(0, 1)],
+                    lambda elt: emb_elt_last(elt, 1))
+    gens = algebra_gens(A2, sub)
+    assert numbered.tensor_dim(M, N, gens, 0) == 1
+    with pytest.raises(ValueError, match=r"\(1, 0\), which embeds no"):
+        tensor_dim(M, N, gens, 0)
+    with pytest.raises(ValueError, match="embeds no idempotent"):
+        tensor_dim_poly(M, N, gens, (0, 2))
+
+
+def test_a_generator_on_two_idempotents_raises():
+    # x_1 (e(0,1) + e(1,0)) acts on two summands at once, so its rows
+    # are not confined to the pairs on one idempotent
+    beta = (1, 1)
+    cols = seqs_of(beta)
+    M = free_module(A2, beta, "right", cols)
+    N = free_module(A2, beta, "left", cols)
+    dot = {BasisMonomial((), (1, 0), nu): 1 for nu in cols}
+    gens = algebra_gens(A2, beta) + [(dot, 2)]
+    assert numbered.tensor_dim(M, N, gens, 2) == 4
+    with pytest.raises(ValueError, match="not idempotent-homogeneous"):
+        tensor_dim(M, N, gens, 2)
+    # with no idempotent generators the summands are not known either
+    bare = [g for g in algebra_gens(A2, beta) if not is_unit(g[0])]
+    with pytest.raises(ValueError, match="is not a generator"):
+        tensor_dim(M, N, bare, 2)
