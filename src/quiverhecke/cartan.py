@@ -86,17 +86,23 @@ class Weight(namedtuple("Weight", "levels")):
         return self.pair_beta(datum, beta) - bb // 2
 
 
+_seqs_memo = {}
+
+
 def seqs_of(beta):
     """All color sequences with multiplicity vector beta, sorted.
 
     beta is a tuple of multiplicities per label index; sequences are
-    tuples of label indices of length sum(beta).
+    tuples of label indices of length sum(beta).  The answer is a
+    tuple, memoized per tuple(beta) and shared by every caller.
     """
+    key = tuple(beta)
+    hit = _seqs_memo.get(key)
+    if hit is not None:
+        return hit
     pool = []
-    for i, k in enumerate(beta):
+    for i, k in enumerate(key):
         pool.extend([i] * k)
-    if not pool:
-        return ((),)
     out = set()
 
     def rec(prefix, remaining):
@@ -109,7 +115,8 @@ def seqs_of(beta):
             rec(prefix + [i], rest)
 
     rec([], pool)
-    return tuple(sorted(out))
+    hit = _seqs_memo[key] = tuple(sorted(out))
+    return hit
 
 
 _comps_memo = {}

@@ -4,11 +4,14 @@ algebra.
 The grading is forgotten; over a field of characteristic zero the
 radical of the trace form of the regular representation equals the
 Jacobson radical, so the semisimple quotient is computable from the
-structure constants alone.  The number of simple modules is the number
-of blocks, found by splitting the center of the semisimple quotient
-into fields.  When every field factor is the rationals themselves the
-splitting is certified and the count is valid over any coefficient
-field containing the rationals.
+structure constants alone.  As the quotient is associative, the trace
+form tr(L_a L_b) is the sum over k of c_ab^k tr(L_k), read off the
+structure constants with no multiplication matrix formed (see
+`_trace_form`).  The number of simple modules is the number of blocks,
+found by splitting the center of the semisimple quotient into fields.
+When every field factor is the rationals themselves the splitting is
+certified and the count is valid over any coefficient field containing
+the rationals.
 
 The linear algebra is exact rational arithmetic on `SubspaceBasis`
 (ints where integral, Fractions elsewhere), with nullspaces read off
@@ -27,6 +30,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from math import isqrt, lcm
+from operator import add
 
 from .cyclotomic import CycAlgebra
 from .klr import BasisMonomial, left_seq
@@ -62,7 +66,8 @@ def _mult_table(alg: CycAlgebra):
     Every other product is formed as `KLR.multiply` forms it.  For
     b_b = tau_w x^e e(nu), one rewrite chain b_a tau_w serves every
     partner of b_a with the word w, which all share nu = w^-1 mu, and
-    x^e raises the dots of each term.  The product lies in the one block
+    x^e raises the dots of each term, whose monomial is made by
+    `tuple.__new__` as there.  The product lies in the one block
     (lam, nu, d_a + d_b), whose echelon form reduces it.
     """
     pairs = alg.basis()
@@ -70,6 +75,7 @@ def _mult_table(alg: CycAlgebra):
     index = {m: k for k, m in enumerate(basis)}
     eng = alg.engine
     space = alg.space
+    new = tuple.__new__
     # the partners b_b of each left sequence, grouped by word and nu
     partners = {}
     for b, (mb, db) in enumerate(pairs):
@@ -89,9 +95,9 @@ def _mult_table(alg: CycAlgebra):
             if not chain:
                 continue
             for b, exps, d in kept:
-                prod = {BasisMonomial(
-                    m.word, tuple(x + y for x, y in zip(m.exps, exps)),
-                    m.seq): c for m, c in chain.items()}
+                prod = {new(BasisMonomial,
+                            (m.word, tuple(map(add, m.exps, exps)), m.seq)): c
+                        for m, c in chain.items()}
                 _, sb = space.block(lam, nu, d)
                 table[(a, b)] = {index[m]: c
                                  for m, c in sb.normal_form(prod).items()}
@@ -99,16 +105,34 @@ def _mult_table(alg: CycAlgebra):
 
 
 def _trace_form(dim, table):
-    """Rows of T[a][b] = tr(L_a L_b) = sum over k, l of
-    table[a, l][k] * table[b, k][l], as sparse dicts."""
-    # L[a][(k, l)] is the (k, l) entry of left multiplication by b_a
-    L = [{(k, l): c for l in range(dim) for k, c in table[(a, l)].items()}
-         for a in range(dim)]
+    """Rows of T[a][b] = tr(L_a L_b), as sparse dicts, where L_a is left
+    multiplication by b_a, (L_a)[k][l] = table[a, l][k].
+
+    The quotient is associative, so L is a representation:
+    L_a L_b b_l = b_a (b_b b_l) = (b_a b_b) b_l, that is
+    L_a L_b = L_{b_a b_b} = sum over k of table[a, b][k] L_k.  The trace
+    is linear, so with t_k = tr(L_k) = sum over l of table[k, l][l],
+
+        tr(L_a L_b) = sum over k of table[a, b][k] * t_k,
+
+    so two passes over the table give t and then T, with work only on
+    its nonzero entries, where forming each tr(L_a L_b) from the
+    matrices costs a sparse trace for every one of the dim^2 / 2 pairs.
+    The identity holds in Q, and + and * on ints and Fractions are
+    exact, so each T[a][b] is the same rational number as tr(L_a L_b)
+    summed entry by entry: an int and a Fraction of equal value compare
+    equal, and only the Python type of an integral value may differ,
+    which `SubspaceBasis` allows.  Since tr(L_a L_b) = tr(L_b L_a), T is
+    computed for a <= b and mirrored."""
+    t = [0] * dim
+    for (k, l), row in table.items():
+        c = row.get(l)
+        if c:
+            t[k] += c
     T = [{} for _ in range(dim)]
-    for a in range(dim):
-        for b in range(a, dim):
-            Lb = L[b]
-            s = sum(c * Lb[(l, k)] for (k, l), c in L[a].items() if (l, k) in Lb)
+    for (a, b), row in table.items():
+        if row and a <= b:
+            s = sum(c * t[k] for k, c in row.items())
             if s:
                 T[a][b] = T[b][a] = s
     return T

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from old_cartan import build_cartan as old_build_cartan
-from quiverhecke.cartan import Weight, build_cartan, weighted_comps
+from quiverhecke.cartan import Weight, build_cartan, seqs_of, weighted_comps
 
 
 def test_a2_form():
@@ -197,3 +197,19 @@ def test_weighted_comps_memo_matches_the_recursion(weights):
         # a list and a tuple of the same weights share one memo entry
         assert weighted_comps(list(weights), total) is weighted_comps(
             weights, total)
+
+
+def test_seqs_of_memo_matches_the_permutations():
+    # every beta of rank at most 3 on at most 5 strands, rank 0 included
+    betas = [beta for rank in range(4)
+             for beta in itertools.product(range(6), repeat=rank)
+             if sum(beta) <= 5]
+    for beta in betas:
+        pool = [i for i, k in enumerate(beta) for _ in range(k)]
+        want = tuple(sorted(set(itertools.permutations(pool))))
+        for arg in (beta, list(beta)):
+            got = seqs_of(arg)
+            assert type(got) is tuple
+            assert got == want
+        # a list and a tuple of the same beta share one memo entry
+        assert seqs_of(list(beta)) is seqs_of(beta)

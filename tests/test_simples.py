@@ -10,11 +10,13 @@ from itertools import product
 import pytest
 
 import old_mult_table
+import old_trace_form
 import old_tracked_basis as old
 from quiverhecke import simples
 from quiverhecke.cartan import Weight, build_cartan
 from quiverhecke.cyclotomic import CycAlgebra
 from quiverhecke.linalg import SubspaceBasis
+from quiverhecke.qpolys import QSpec
 from quiverhecke.simples import (
     _charpoly,
     _factors,
@@ -185,6 +187,30 @@ def test_mult_table_matches_every_product_reduced(datum, levels, beta):
     # skips the products its certified block scans prove zero
     alg = CycAlgebra(datum, Weight(levels), beta)
     assert _mult_table(alg) == old_mult_table._mult_table(alg)
+
+
+# A2 with a table whose products leave Z, as in test_cyclotomic.py: the
+# quotients below have Fraction structure constants and trace forms
+A2_HALF = QSpec(A2, {(0, 1): {(1, 0): 1, (0, 1): Fraction(1, 2)}})
+
+
+@pytest.mark.parametrize("datum,levels,beta,qspec", [
+    *(pytest.param(*p.values, None, id=p.id) for p in _table_algebras()),
+    pytest.param(A2, (1, 1), (1, 2), A2_HALF, id="A2half-L11-b12"),
+    pytest.param(A2, (2, 1), (1, 2), A2_HALF, id="A2half-L21-b12"),
+])
+def test_trace_form_from_basis_traces_matches_pairwise(datum, levels, beta,
+                                                        qspec):
+    # the old form sums tr(L_a L_b) entry by entry over every pair; the
+    # new one reads sum_k c_ab^k tr(L_k) off the table.  Two wrong
+    # variants would pass here unseen, so neither serves as a mutant:
+    # c_ba^k in place of c_ab^k gives tr(L_b L_a), equal in any
+    # associative algebra, and tr(R_k) in place of tr(L_k) agrees on
+    # these quotients because cyclotomic quiver Hecke algebras are
+    # symmetric algebras.  Dropping the l = 0 term of tr(L_k) fails.
+    basis, table = _mult_table(CycAlgebra(datum, Weight(levels), beta, qspec))
+    dim = len(basis)
+    assert _trace_form(dim, table) == old_trace_form._trace_form(dim, table)
 
 
 def test_charpoly_and_factors():
