@@ -527,15 +527,18 @@ def check_categorification(datum, weight, nmax, qspec=None):
         if sum(beta) <= 3:
             sc = count_simples(alg)
             gram_rank = mod.weight_dim(beta)
-            if sc.split:
-                if sc.count != gram_rank:
-                    rep.fail(beta=list(beta), lhs=sc.count, rhs=gram_rank,
-                             identity="simple count vs gram rank")
-                else:
-                    rep.note(beta=list(beta), simples=sc.count, split=True)
+            if not sc.split:
+                # the simples of R^Lambda(beta) are absolutely irreducible
+                # (Khovanov-Lauda 2009, 3.2), so the center of the
+                # semisimple quotient is a product of copies of Q
+                rep.fail(beta=list(beta), simples=sc.count,
+                         center_dim=sc.center_dim,
+                         identity="centre splits over Q")
+            elif sc.count != gram_rank:
+                rep.fail(beta=list(beta), lhs=sc.count, rhs=gram_rank,
+                         identity="simple count vs gram rank")
             else:
-                rep.note(beta=list(beta), simples=sc.count, split=False,
-                         unconfirmed=True)
+                rep.note(beta=list(beta), simples=sc.count, split=True)
         base = alg.graded_dim_poly()
         if not alg.is_zero():
             # the paper's tower bound; a pass adds no witness row

@@ -30,6 +30,7 @@ from quiverhecke.klr import BasisMonomial, crossing_degree
 from quiverhecke.laurent import LaurentPoly
 from quiverhecke.perms import canonical_word
 from quiverhecke.qpolys import QSpec
+from quiverhecke.simples import SimpleCount
 
 A1 = build_cartan(("0",), [[2]])
 A2 = build_cartan(("1", "2"), [[2, -1], [-1, 2]])
@@ -151,6 +152,19 @@ def test_categorification_reports_a_broken_tower_bound(monkeypatch, fake,
     # one row per beta: (), (1,) and (2,) are all nonzero quotients
     assert [row["beta"] for row in rows] == [[0], [1], [2]]
     assert {row["identity"] for row in rows} == {identity}
+    json.dumps(rep.to_json())
+
+
+def test_categorification_fails_a_center_that_does_not_split(monkeypatch):
+    # the simples of a cyclotomic quotient are absolutely irreducible, so
+    # a center that does not split over Q is a fault, not a note
+    monkeypatch.setattr(checks_mod, "count_simples",
+                        lambda alg: SimpleCount(1, False, 4, 0, 2))
+    rep = check_categorification(A1, Weight((2,)), 2)
+    assert rep.status == "fail"
+    rows = [row for row in rep.witness if row.get("kind") == "counterexample"]
+    assert [row["beta"] for row in rows] == [[0], [1], [2]]
+    assert {row["identity"] for row in rows} == {"centre splits over Q"}
     json.dumps(rep.to_json())
 
 

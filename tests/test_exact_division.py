@@ -19,9 +19,6 @@ ALLOWED = {
     ("simples", "_charpoly"):
         "`-tr / k`: tr sums products with the entries of Mk, which start "
         "as Fraction(0)",
-    ("simples", "_factors"):
-        "`c / cs[0]`: cs holds the Fractions built from sympy's "
-        "coefficients",
 }
 
 

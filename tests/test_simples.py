@@ -9,6 +9,7 @@ from itertools import product
 
 import pytest
 
+import old_count_simples
 import old_mult_table
 import old_trace_form
 import old_tracked_basis as old
@@ -133,20 +134,23 @@ def span(vectors):
 
 @pytest.mark.parametrize("datum,levels,beta", NONZERO)
 def test_sparse_trace_form_matches_dense_reference(datum, levels, beta):
-    basis, table = _mult_table(CycAlgebra(datum, Weight(levels), beta))
+    # the reference multiplies out every product; the table holds only
+    # those of total degree 0 or with a degree-0 factor
+    alg = CycAlgebra(datum, Weight(levels), beta)
+    basis, full = old_mult_table._mult_table(alg)
     dim = len(basis)
-    dense = dense_trace_form(dim, dense_left_matrices(dim, table))
-    sparse = _trace_form(dim, table)
+    dense = dense_trace_form(dim, dense_left_matrices(dim, full))
+    sparse = _trace_form(dim, _mult_table(alg)[1])
     assert [[row.get(b, 0) for b in range(dim)] for row in sparse] == dense
 
 
 @pytest.mark.parametrize("datum,levels,beta", NONZERO)
 def test_nullspace_matches_sympy(datum, levels, beta):
     sympy = pytest.importorskip("sympy")
-    basis, table = _mult_table(CycAlgebra(datum, Weight(levels), beta))
-    dim = len(basis)
+    degrees, table = _mult_table(CycAlgebra(datum, Weight(levels), beta))
+    dim = len(degrees)
     T = _trace_form(dim, table)
-    ours = _nullspace(T, dim)
+    ours = _nullspace(T, range(dim))
     M = sympy.Matrix([[sympy.Rational(row.get(b, 0)) for b in range(dim)]
                       for row in T])
     theirs = [{k: Fraction(int(x.p), int(x.q)) for k, x in enumerate(v) if x}
@@ -184,9 +188,18 @@ def _table_algebras():
 @pytest.mark.parametrize("datum,levels,beta", _table_algebras())
 def test_mult_table_matches_every_product_reduced(datum, levels, beta):
     # the old table multiplies and reduces every basis pair; the new one
-    # skips the products its certified block scans prove zero
+    # skips the products its certified block scans prove zero, and those
+    # that neither have total degree 0 nor a factor of degree 0, and
+    # keeps only the nonzero ones: it equals the old table on every pair
+    # it forms and holds every nonzero product of those degrees
     alg = CycAlgebra(datum, Weight(levels), beta)
-    assert _mult_table(alg) == old_mult_table._mult_table(alg)
+    degrees, table = _mult_table(alg)
+    _, full = old_mult_table._mult_table(alg)
+    assert degrees == [d for _, d in alg.basis()]
+    needed = {(a, b): row for (a, b), row in full.items()
+              if row and 0 in (degrees[a], degrees[b],
+                               degrees[a] + degrees[b])}
+    assert table == needed
 
 
 # A2 with a table whose products leave Z, as in test_cyclotomic.py: the
@@ -194,11 +207,16 @@ def test_mult_table_matches_every_product_reduced(datum, levels, beta):
 A2_HALF = QSpec(A2, {(0, 1): {(1, 0): 1, (0, 1): Fraction(1, 2)}})
 
 
-@pytest.mark.parametrize("datum,levels,beta,qspec", [
+# the table quotients and two A2 quotients over A2_HALF; the table
+# quotients hold the four dense-simples algebras of the benchmark
+TABLE_CASES = [
     *(pytest.param(*p.values, None, id=p.id) for p in _table_algebras()),
     pytest.param(A2, (1, 1), (1, 2), A2_HALF, id="A2half-L11-b12"),
     pytest.param(A2, (2, 1), (1, 2), A2_HALF, id="A2half-L21-b12"),
-])
+]
+
+
+@pytest.mark.parametrize("datum,levels,beta,qspec", TABLE_CASES)
 def test_trace_form_from_basis_traces_matches_pairwise(datum, levels, beta,
                                                         qspec):
     # the old form sums tr(L_a L_b) entry by entry over every pair; the
@@ -207,10 +225,57 @@ def test_trace_form_from_basis_traces_matches_pairwise(datum, levels, beta,
     # c_ba^k in place of c_ab^k gives tr(L_b L_a), equal in any
     # associative algebra, and tr(R_k) in place of tr(L_k) agrees on
     # these quotients because cyclotomic quiver Hecke algebras are
-    # symmetric algebras.  Dropping the l = 0 term of tr(L_k) fails.
-    basis, table = _mult_table(CycAlgebra(datum, Weight(levels), beta, qspec))
+    # symmetric algebras.  Dropping the l = 0 term of tr(L_k) fails.  The
+    # reference reads the old full table, the new form the table of
+    # products of total degree 0 or with a degree-0 factor.
+    alg = CycAlgebra(datum, Weight(levels), beta, qspec)
+    basis, full = old_mult_table._mult_table(alg)
     dim = len(basis)
-    assert _trace_form(dim, table) == old_trace_form._trace_form(dim, table)
+    assert (_trace_form(dim, _mult_table(alg)[1])
+            == old_trace_form._trace_form(dim, full))
+
+
+def _graded_parts(alg, monkeypatch):
+    """count_simples(alg) with its radical vectors, center vectors and
+    center components, recorded from the calls it makes: its first two
+    `_nullspace` calls solve the trace form and the center equations."""
+    solved, split = [], []
+    nullspace, split_center_ = simples._nullspace, simples.split_center
+    monkeypatch.setattr(simples, "_nullspace", lambda rows, cols: (
+        solved.append(nullspace(rows, cols)) or solved[-1]))
+    monkeypatch.setattr(simples, "split_center", lambda vecs, qmul: (
+        split.append(split_center_(vecs, qmul)) or split[-1]))
+    sc = count_simples(alg)
+    monkeypatch.undo()
+    return sc, solved[0], solved[1], split[0]
+
+
+@pytest.mark.parametrize("datum,levels,beta,qspec", TABLE_CASES)
+def test_count_simples_matches_full_table_and_center(datum, levels, beta,
+                                                     qspec, monkeypatch):
+    # the old count forms every product its block scans allow and solves
+    # the center in every degree; the new one forms only the products of
+    # total degree 0 or with a degree-0 factor and solves the center in
+    # degree 0: the count, the radical, the center and its components
+    # are the same, vector for vector
+    alg = CycAlgebra(datum, Weight(levels), beta, qspec)
+    assert (_graded_parts(alg, monkeypatch)
+            == old_count_simples.count_simples(alg))
+
+
+@pytest.mark.parametrize("datum,levels,beta,qspec", TABLE_CASES)
+def test_full_center_lies_in_degree_zero(datum, levels, beta, qspec):
+    # what the grading proves, seen in the old computation over every
+    # degree: every radical vector is homogeneous, and every center
+    # vector of the semisimple quotient lies on its degree-0 columns
+    alg = CycAlgebra(datum, Weight(levels), beta, qspec)
+    degrees = [d for _, d in alg.basis()]
+    _, rad_vecs, center_vecs, _ = old_count_simples.count_simples(alg)
+    assert all(len({degrees[k] for k in v}) == 1 for v in rad_vecs)
+    piv = span(rad_vecs).pivot_columns()
+    keep = [k for k in range(len(degrees)) if k not in piv]
+    assert center_vecs
+    assert all(degrees[keep[a]] == 0 for v in center_vecs for a in v)
 
 
 def test_charpoly_and_factors():
@@ -225,11 +290,14 @@ def test_charpoly_and_factors():
     coeffs = _charpoly([[1, 2], [3, 4]])
     assert coeffs == [-2, -5, 1]
     assert all(type(c) is F for c in coeffs)
-    # (x - 1/2)^2 (x + 3) x: three rational roots, no sympy needed
+    # (x - 1/2)^2 (x + 3) x: three rational roots
     poly = [F(0), F(3, 4), F(-11, 4), F(2), F(1)]
     assert sorted(f[0] for f in _factors(poly)) == [F(-1, 2), 0, 3]
     # x (x^2 - 2): one rational root and one quadratic factor
     assert _factors([F(0), F(-2), F(0), F(1)]) == [[0, 1], [-2, 0, 1]]
+    # (x^2 - 2)(x^2 - 3) x: the cofactor with no rational root stays whole
+    assert (_factors([F(0), F(6), F(0), F(-5), F(0), F(1)])
+            == [[0, 1], [6, 0, -5, 0, 1]])
 
 
 def _synthetic(table):
@@ -244,35 +312,23 @@ def _synthetic(table):
     return qmul
 
 
-@pytest.fixture
-def factor_calls(monkeypatch):
-    """Arguments of every sympy.factor_list call made during the test."""
-    sympy = pytest.importorskip("sympy")
-    calls = []
-    factor_list = sympy.factor_list
-    monkeypatch.setattr(sympy, "factor_list",
-                        lambda *a: calls.append(a) or factor_list(*a))
-    return calls
-
-
-def test_split_center_rationals(factor_calls):
+def test_split_center_rationals():
     # Q x Q x Q on idempotents e0, e1, e2, seen through the basis
     # 1 = e0 + e1 + e2, e0 + e1, e0
     qmul = _synthetic({(0, 0): {0: 1}, (1, 1): {1: 1}, (2, 2): {2: 1}})
     vecs = [{0: Fraction(1), 1: Fraction(1), 2: Fraction(1)},
             {0: Fraction(1), 1: Fraction(1)}, {0: Fraction(1)}]
     assert [len(c) for c in split_center(vecs, qmul)] == [1, 1, 1]
-    assert not factor_calls
 
 
-def test_split_center_non_split_goes_through_sympy(factor_calls):
+def test_split_center_non_split_goes_through_sympy():
     # Q(sqrt 2) x Q on the basis e1, s = sqrt 2 e1, e2: two components,
-    # one of them two-dimensional, so count 2 and split False
+    # one of them two-dimensional, so count 2 and split False; the
+    # quadratic cofactor x^2 - 2 is kept whole, with no sympy
     qmul = _synthetic({(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 1): {0: 2},
                        (2, 2): {2: 1}})
     vecs = [{0: Fraction(1)}, {1: Fraction(1)}, {2: Fraction(1)}]
     assert sorted(len(c) for c in split_center(vecs, qmul)) == [1, 2]
-    assert factor_calls
 
 
 def test_cli_import_leaves_sympy_out(tmp_path):
