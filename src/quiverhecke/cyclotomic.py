@@ -4,14 +4,24 @@ The quotient is the strand algebra modulo the two-sided ideal generated
 by x_1^{<h_{nu_1}, Lambda>} e(nu).  Five devices keep the computation
 exact and small:
 
-* The two-sided ideal is spanned, in each degree, by left multiples of
-  the finitely many elements X * tau_0 ... tau_{a-1}: the coset
-  decomposition of the strand algebra over its last-(n-1)-strands
-  subalgebra turns R * X * R into sum_a R * (X * chain_a), so the row
-  count is linear in the number of basis monomials.  As X = x_1^L e(nu)
-  is a dot, the row of a basis monomial b is (b x_1^L) * tau_0 ...
-  tau_{a-1}: one basis monomial times the bare chain crossing, never
-  the expanded generator.
+* The two-sided ideal I = R X R, X = x_1^L e(nu) summed over nu, is
+  spanned, in each degree, by right multiples of the finitely many
+  mirrored chains tau_{a-1} ... tau_0 X.  The coset decomposition of the
+  strand algebra over its last-(n-1)-strands subalgebra gives
+  I = sum_a R X tau_0 ... tau_{a-1}.  The anti-involution psi of
+  Khovanov-Lauda ("A diagrammatic approach to categorification of
+  quantum groups I", 2009, 2.1) fixes e(nu), x_k and tau_k and reverses
+  products; it respects the relations for any Q table and fixes
+  x_1^L e(nu), so psi(I) = I, and applying it gives
+  I = sum_a psi(tau_0 ... tau_{a-1}) X R = sum_a tau_{a-1} ... tau_0 X R.
+  In the PBW form tau_w x^c e(mu) the dots sit on the right, so the row
+  of a basis monomial b = tau_w x^c e(mu) is P_w x^c with
+  P_w = tau_{a-1} ... tau_0 X tau_w e(mu): one rewrite per (chain, word)
+  w, whose exponents each column then raises by its own c, and none for
+  a column the nilpotency table prunes (see the bullet on pruned
+  columns).  The row count is linear in the number of basis monomials.
+  The one-sided families of `bimodules` span left ideals only, so they
+  keep the left rows (b x_p^L) * tau_word, one product per row.
 
 * Every product row has a single left color sequence and a single right
   color sequence, so each graded piece splits into independent small
@@ -80,6 +90,8 @@ sequences, and its `corner` sums the block scans.
 """
 
 from __future__ import annotations
+
+from operator import add
 
 from .cartan import Weight, seqs_of, weighted_comps
 from .klr import (
@@ -238,7 +250,9 @@ def alive_seqs(beta, table):
 def full_ideal_chains(n):
     """Generator family (x position, chain word) spanning the two-sided
     ideal R X R as the left-module sum over a of R * X * tau_0...tau_{a-1},
-    via the coset decomposition over the last-(n-1)-strands subalgebra."""
+    via the coset decomposition over the last-(n-1)-strands subalgebra,
+    and, mirrored by psi, as the right-module sum of
+    tau_{a-1}...tau_0 * X * R (`IdealSpace.block`)."""
     return tuple((0, tuple(range(a))) for a in range(n))
 
 
@@ -447,6 +461,23 @@ class IdealSpace:
         pruned one), and that form is unique.  So the columns, the rank,
         the pivot columns and every normal form are those of eliminating
         every row on every column.
+
+        On the two-sided family the rows come from `_mirrored_rows`, the
+        right multiples of psi(x_0^L e(rho) tau_0..tau_{a-1}) =
+        tau_{a-1}..tau_0 x_0^L e(rho), and on a one-sided family from
+        `_ideal_rows`, the left multiples of the chains themselves.  The
+        output is the same either way.  psi fixes e(nu), x_k and tau_k
+        and reverses products; it respects the relations for any Q table
+        and fixes x_0^L e(nu), so it maps I = R X R onto itself.  So
+        I = sum_a R X tau_0..tau_{a-1} gives I = sum_a psi(tau_0..
+        tau_{a-1}) X R, and psi(tau_0..tau_{a-1}) = tau_{a-1}..tau_0 is
+        the basis monomial of the word (a-1, ..., 0), the only reduced
+        word of its permutation.  Cut by e(lam) on the left and e(mu) on
+        the right in degree d, both families span the piece of I in the
+        block.  The mirrored rows skip the pruned columns b, whose rows
+        lie in U (`_mirrored_rows`), so with the unit rows they span the
+        same S.  Its reduced echelon form is unique, so every block,
+        basis, normal form and summary is identical.
         """
         key = (lam, mu, d)
         hit = self._blocks.get(key)
@@ -456,7 +487,8 @@ class IdealSpace:
         if self.certified_block(lam, mu):
             sb = SubspaceBasis.identity(cols, BasisMonomial.sort_key)
         else:
-            rows = self._ideal_rows(lam, mu, d, set(cols))
+            rows = (self._mirrored_rows if self._two_sided
+                    else self._ideal_rows)(lam, mu, d, set(cols))
             kept, pruned = cols, []
             if self.dot_bounds(mu):
                 pruned = [m for m in cols if self.pruned(m)]
@@ -486,6 +518,52 @@ class IdealSpace:
         L = self.weight.level(c)
         deg = L * eng.datum.form(c, c) + eng.tau_degree(word, mu)
         return left, L, chain, deg
+
+    def _mirrored_rows(self, lam, mu, d, colset):
+        """Nonzero spanning rows psi(x_0^L e(rho) tau_0..tau_{a-1}) * b of
+        the two-sided block (lam, mu, d), over the family and then the
+        columns b of e(rho) R e(mu) in the complementary degree that are
+        not `pruned`, each checked to lie on the block's columns `colset`.
+
+        The family member a on the left idempotent lam is `chain_factor`
+        (a, lam): x_0^L e(rho) tau_0..tau_{a-1} e(lam), with
+        rho = (0..a-1) . lam.  Its mirror is the head
+        tau_{a-1}..tau_0 x_0^L e(rho) of the same degree, a basis monomial
+        as (a-1, ..., 0) is the only reduced word of its permutation
+        (`block` says why the heads span the block as the chains do).
+        For b = tau_w x^c e(mu) the row head * b is P_w x^c with
+        P_w = head * tau_w e(mu), since in the PBW form tau_v x^e e(mu)
+        the dots sit on the right.  So P_w is formed once per word w, by
+        `KLR.multiply`, and each row adds c to every exponent of it.
+
+        A pruned b has some c_k >= N_k, and every term of P_w x^c has
+        exponents >= c, so the row lies in the span of the unit rows that
+        `block` appends for the pruned columns; it is not built.  The
+        products P_w live for one call, so none outlives its block."""
+        eng = self.engine
+        zero = (0,) * self.n
+        pruned = self.pruned
+        new = tuple.__new__
+        for idx, (xpos, word) in enumerate(self.chains):
+            rho, L, _, gdeg = self.chain_factor(idx, lam)
+            head = {BasisMonomial(word[::-1],
+                                  zero[:xpos] + (L,) + zero[xpos + 1:],
+                                  rho): 1}
+            products = {}
+            for b in self.block_columns(rho, mu, d - gdeg):
+                if pruned(b):
+                    continue
+                P = products.get(b.word)
+                if P is None:
+                    P = products[b.word] = eng.multiply(
+                        head, {BasisMonomial(b.word, zero, mu): 1})
+                if P:
+                    exps = b.exps
+                    row = {new(BasisMonomial,
+                               (m[0], tuple(map(add, m[1], exps)), m[2])): c
+                           for m, c in P.items()}
+                    assert row.keys() <= colset, "ideal row escaped its block"
+                    yield row
 
     def _ideal_rows(self, lam, mu, d, colset):
         """Nonzero spanning rows b * (x_p^L e(left) tau_word) of block

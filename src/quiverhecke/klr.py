@@ -309,8 +309,8 @@ class KLR:
         As in `right_mult_tau`, monomials come from `tuple.__new__` and
         accumulate in the plain loop's order.  A term of B with no dots
         leaves each product monomial as it is, x^0 being the identity,
-        so its bump is skipped: every chain tau_0 ... tau_{a-1} e(mu) of
-        an ideal row is such a term."""
+        so its bump is skipped: the right factor of every product an
+        ideal block forms is such a term, a bare crossing tau_w e(mu)."""
         out = {}
         get = out.get
         pop = out.pop

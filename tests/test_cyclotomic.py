@@ -25,6 +25,7 @@ from quiverhecke.cyclotomic import (
     unit_in_ideal,
 )
 from quiverhecke.klr import (
+    KLR,
     BasisMonomial,
     crossing_degree,
     get_engine,
@@ -537,6 +538,46 @@ def test_ideal_rows_match_the_expanded_generator_non_integral_qspec():
     A = CycAlgebra(A2, Weight((1, 1)), (2, 1), A2_HALF)
     assert assert_rows_match_expanded_generator(
         IdealSpace(A.engine, A.weight, A.beta), _quotient_degrees(A), False)
+
+
+def test_two_sided_blocks_form_one_product_per_chain_and_word(monkeypatch):
+    # affine A1 at (1, 0) on (3, 2): a block forms P_w = head * tau_w
+    # e(mu) once per family member and source word w; the left family,
+    # one product per row, formed 11,309
+    monkeypatch.setattr(cyclotomic, "_ideal_spaces", {})
+    multiply, block = KLR.multiply, IdealSpace.block
+    open_blocks = []
+    counts = []
+
+    def counted_multiply(eng, A, B):
+        if open_blocks:
+            open_blocks[-1] += 1
+        return multiply(eng, A, B)
+
+    def counted_block(space, lam, mu, d):
+        if (lam, mu, d) in space._blocks:
+            return block(space, lam, mu, d)
+        open_blocks.append(0)
+        try:
+            out = block(space, lam, mu, d)
+        finally:
+            made = open_blocks.pop()
+        pairs = 0
+        for idx in range(len(space.chains)):
+            rho, _, _, gdeg = space.chain_factor(idx, lam)
+            pairs += len({b.word for b in
+                          space.block_columns(rho, mu, d - gdeg)})
+        counts.append((made, pairs))
+        return out
+
+    monkeypatch.setattr(KLR, "multiply", counted_multiply)
+    monkeypatch.setattr(IdealSpace, "block", counted_block)
+    A = CycAlgebra(A1AFF, Weight((1, 0)), (3, 2))
+    assert A.space._two_sided
+    assert A.summary()["total_dim"] == 88
+    assert all(made <= pairs for made, pairs in counts)
+    made = sum(made for made, _ in counts)
+    assert 0 < made < 11309
 
 
 @pytest.mark.parametrize("thunk", checks.CHECKS["exact"](),

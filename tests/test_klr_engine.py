@@ -468,3 +468,44 @@ def test_memoized_left_seq_and_tau_degree_match_a_recomputation(datum,
                         assert eng.monomial_degree(m) == d
                         cases += 1
     assert cases == {A2: 1804, B2: 691, A1AFF: 1386}[datum]
+
+
+G2 = build_cartan(("a", "b"), [[2, -3], [-1, 2]])
+
+# the data on which the mirrored ideal rows of `cyclotomic.IdealSpace`
+# lean on psi: symmetric, non-simply-laced and affine, and a table that
+# is not symmetric in u, v
+PSI_CASES = [
+    pytest.param(A2, None, id="A2"),
+    pytest.param(B2, None, id="B2"),
+    pytest.param(G2, None, id="G2"),
+    pytest.param(A1AFF, None, id="A1aff"),
+    pytest.param(A2, A2_U2V, id="A2-Q12=u+2v"),
+]
+
+
+@pytest.mark.parametrize("datum,qspec", PSI_CASES)
+def test_psi_reverses_products_of_composable_basis_pairs(datum, qspec):
+    # psi(a b) = psi(b) psi(a) on basis monomials a, b with a's right
+    # sequence the left sequence of b, on four strands of content (2, 2),
+    # where braid moves between equal colours carry a correction
+    n = 4
+    eng = get_engine(datum, n, qspec)
+    rng = random.Random(2901)
+    all_seqs = seqs_of((2, 2))
+    perms = all_perms(n)
+
+    def draw(seq):
+        return BasisMonomial(canonical_word(rng.choice(perms)),
+                             tuple(rng.randrange(2) for _ in range(n)), seq)
+
+    nonzero = 0
+    for _ in range(56):
+        b = draw(rng.choice(all_seqs))
+        a = draw(left_seq(b))
+        ab = eng.multiply({a: 1}, {b: 1})
+        assert psi(eng, ab) == eng.multiply(psi(eng, {b: 1}),
+                                            psi(eng, {a: 1}))
+        assert psi(eng, psi(eng, {a: 1})) == {a: 1}
+        nonzero += bool(ab)
+    assert nonzero

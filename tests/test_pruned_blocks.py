@@ -3,6 +3,7 @@ the bounds themselves, every block's echelon data, quotient summaries,
 the one-sided spaces of `bimodules`, and a lowered bound caught."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -23,9 +24,14 @@ G2 = build_cartan(("a", "b"), [[2, -3], [-1, 2]])
 A22 = build_cartan(("a", "b"), [[2, -4], [-1, 2]])  # A_2^(2)
 # Q_12(u, v) = u + 2v: not the standard table, and not symmetric in u, v
 A2_U2V = QSpec(A2, {(0, 1): {(1, 0): 1, (0, 1): 2}})
+# Q_12(u, v) = u + v/2: a non-integral table, on a quotient that the
+# differential tests below build besides ALGEBRAS
+A2_HALF = QSpec(A2, {(0, 1): {(1, 0): 1, (0, 1): Fraction(1, 2)}})
+NON_INTEGRAL = (A2, Weight((1, 1)), (2, 1), A2_HALF)
 
-# the desk quotients, B2 at (1, 1) on (2, 2), and the four dense-simples
-# algebras of the benchmark
+# the desk quotients, B2 at (1, 1) on (2, 2), the four dense-simples
+# algebras of the benchmark, and two affine A1 quotients on which most
+# rows of the left family lie on pruned columns
 ALGEBRAS = [
     (A1, Weight((2,)), (2,)),
     (A1, Weight((3,)), (2,)),
@@ -41,6 +47,8 @@ ALGEBRAS = [
     (A1, Weight((6,)), (2,)),
     (A1AFF, Weight((2, 0)), (2, 1)),
     (A1, Weight((3,)), (3,)),
+    (A1AFF, Weight((1, 1)), (2, 2)),
+    (A1AFF, Weight((1, 0)), (3, 2)),
 ]
 
 
@@ -79,12 +87,14 @@ def test_every_positive_dot_bound_reduces_to_zero_unpruned():
     assert count == 1374
 
 
-@pytest.mark.parametrize("datum,wt,beta", ALGEBRAS)
-def test_pruned_blocks_equal_unpruned_blocks(monkeypatch, datum, wt, beta):
-    # every block a quotient builds on a registry of its own, rebuilt on
-    # spaces that certify nothing, so no certificate stands in for rows
+def assert_blocks_equal_unpruned(monkeypatch, datum, wt, beta, qspec=None):
+    """Every block the quotient builds, on a registry of its own, rebuilt
+    on spaces that certify nothing, so no certificate stands in for rows:
+    the new space takes its rows from the mirrored family and prunes, the
+    `UnprunedSpace` takes them from the left family and prunes nothing.
+    Returns the new space."""
     monkeypatch.setattr(cyclotomic, "_ideal_spaces", {})
-    A = CycAlgebra(datum, wt, beta)
+    A = CycAlgebra(datum, wt, beta, qspec)
     A.summary()
     new = IdealSpace(A.engine, wt, beta)
     old = unpruned_copy(new)
@@ -102,6 +112,21 @@ def test_pruned_blocks_equal_unpruned_blocks(monkeypatch, datum, wt, beta):
         pruned += sum(map(new.pruned, cols))
     # A1 at level 2 on (3,) is zero, certified in blocks of no dots
     assert pruned or A.is_zero()
+    return new
+
+
+@pytest.mark.parametrize("datum,wt,beta", ALGEBRAS)
+def test_pruned_blocks_equal_unpruned_blocks(monkeypatch, datum, wt, beta):
+    assert_blocks_equal_unpruned(monkeypatch, datum, wt, beta)
+
+
+def test_pruned_blocks_equal_unpruned_blocks_non_integral_qspec(monkeypatch):
+    new = assert_blocks_equal_unpruned(monkeypatch, *NON_INTEGRAL)
+    # the mirrored rows hold Fractions, so `span_basis` eliminates them
+    # exactly over Q rather than screening them mod P
+    assert any(type(c) is not int for key in new._blocks
+               for row in new._mirrored_rows(*key, set(new._blocks[key][0]))
+               for c in row.values())
 
 
 def _unprune(monkeypatch):
@@ -112,19 +137,29 @@ def _unprune(monkeypatch):
     monkeypatch.setattr(bimodules, "IdealSpace", UnprunedSpace)
 
 
-@pytest.mark.parametrize("datum,wt,beta", ALGEBRAS)
-def test_summaries_and_block_dims_equal_unpruned(monkeypatch, datum, wt, beta):
+def assert_summary_and_block_dims_equal_unpruned(monkeypatch, datum, wt, beta,
+                                                qspec=None):
     monkeypatch.setattr(cyclotomic, "_ideal_spaces", {})
-    A = CycAlgebra(datum, wt, beta)
+    A = CycAlgebra(datum, wt, beta, qspec)
     want = A.summary()
     dims = {(lam, mu): A.block_dims(lam, mu)
             for lam in A.alive for mu in A.alive}
     _unprune(monkeypatch)
-    B = CycAlgebra(datum, wt, beta)
+    B = CycAlgebra(datum, wt, beta, qspec)
     assert type(B.space) is UnprunedSpace
     assert B.summary() == want
     assert {(lam, mu): B.block_dims(lam, mu)
             for lam in B.alive for mu in B.alive} == dims
+
+
+@pytest.mark.parametrize("datum,wt,beta", ALGEBRAS)
+def test_summaries_and_block_dims_equal_unpruned(monkeypatch, datum, wt, beta):
+    assert_summary_and_block_dims_equal_unpruned(monkeypatch, datum, wt, beta)
+
+
+def test_summaries_and_block_dims_equal_unpruned_non_integral_qspec(
+        monkeypatch):
+    assert_summary_and_block_dims_equal_unpruned(monkeypatch, *NON_INTEGRAL)
 
 
 def _bimodule_cases():
