@@ -33,7 +33,8 @@ SCHEMA_VERSION = 2
 # Bump on every change that can alter a stored summary; a change that
 # computes the same summaries another way, with an argument that they are
 # equal, keeps it.  Revision 2 builds ideal rows over the integers and
-# certifies full blocks modulo a prime.
+# takes each block's reduced echelon form over Q, which is unique, so no
+# choice of rows or of eliminator changes it.
 ENGINE_REVISION = 2
 
 _ENV_VAR = "QUIVERHECKE_CACHE_DIR"

@@ -432,21 +432,14 @@ class IdealSpace:
         identity on its columns, which is what building its rows would
         give; it builds no row.
 
-        The rows are built lazily and go to `linalg.span_basis`.  With an
-        integral QSpec every row is an integer vector, and rows stop as
-        soon as their rank modulo the prime P = 2^61 - 1 reaches the
-        number of columns, leaving both the chain and the column loop;
-        the basis is then the identity.  This is exact: a minor of the
-        integer rows that is nonzero mod P is nonzero over Z, so the rank
-        over Q is at least the rank mod P, and a block of full rank over
-        Q has the identity as its reduced echelon form whatever rows
-        produced it.  So the rank, the pivot columns and every normal
-        form (zero) are those all the rows would have left.  A block that
-        stays short of full rank mod P, or meets a row with a non-integer
-        entry, is eliminated exactly over Q from the rows already built
-        (and, for a non-integer row, the ones after it), so its rank and
-        normal forms never depend on P.  Every row that is built is still
-        checked to stay inside its block.
+        The rows are built lazily and go to `linalg.span_basis`, which
+        eliminates them exactly over Q and stops building them as soon as
+        their rank reaches the number of columns, leaving both the chain
+        and the column loop.  A block of full rank has the identity as
+        its reduced echelon form whatever rows produced it, so the rank,
+        the pivot columns and every normal form (zero) are those all the
+        rows would have left.  Every row that is built is checked to stay
+        inside its block, by a raise that `python -O` keeps.
 
         Only the kept columns are eliminated.  The unit vectors of the
         `pruned` columns span a subspace U of the row span S, so S is
@@ -562,7 +555,8 @@ class IdealSpace:
                     row = {new(BasisMonomial,
                                (m[0], tuple(map(add, m[1], exps)), m[2])): c
                            for m, c in P.items()}
-                    assert row.keys() <= colset, "ideal row escaped its block"
+                    if not row.keys() <= colset:
+                        raise AssertionError("ideal row escaped its block")
                     yield row
 
     def _ideal_rows(self, lam, mu, d, colset):
@@ -590,7 +584,8 @@ class IdealSpace:
                 row = eng.multiply(
                     {BasisMonomial(b.word, raised, left): 1}, tail)
                 if row:
-                    assert row.keys() <= colset, "ideal row escaped its block"
+                    if not row.keys() <= colset:
+                        raise AssertionError("ideal row escaped its block")
                     yield row
 
     def block_basis(self, lam, mu, d):

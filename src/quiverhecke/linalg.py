@@ -9,11 +9,8 @@ canonical, independent of insertion order.  `coords_in_span` solves
 for coordinates over a list of generators with the same echelon form,
 by giving each generator a tag column of its own.
 
-`RankModP` keeps a row echelon form modulo the prime P = 2^61 - 1 of
-sparse integer vectors over a fixed, ordered list of columns.  It only
-ever certifies: `span_basis` uses it to prove that integer rows span
-their whole space (rank mod P equal to the column count bounds the rank
-over Q from below), and hands every other span to `SubspaceBasis`.
+`span_basis` eliminates a lazily built family of rows in one
+`SubspaceBasis`, and pulls no row once the family spans its whole space.
 
 `laurent_rank` computes the rank of a matrix of integer Laurent
 polynomials over the fraction field, by fraction-free elimination with
@@ -23,12 +20,8 @@ exact polynomial division.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 
-__all__ = ["P", "RankModP", "SubspaceBasis", "coords_in_span", "laurent_rank",
-           "span_basis"]
-
-P = 2**61 - 1
+__all__ = ["SubspaceBasis", "coords_in_span", "laurent_rank", "span_basis"]
 
 
 class SubspaceBasis:
@@ -188,78 +181,24 @@ def coords_in_span(gens, targets, keyfunc=None):
     return out
 
 
-class RankModP:
-    """Row echelon form modulo P of sparse integer vectors over `cols`.
-
-    Columns are ranked by their position in `cols`, and each stored row
-    has its least column as its pivot, with pivot entry 1 left implicit.
-    Rows are not back-substituted: the rank is all this form is for."""
-
-    def __init__(self, cols):
-        self.index = {c: k for k, c in enumerate(cols)}
-        self.rows = {}
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def add(self, vec) -> bool:
-        """Insert an integer vector; returns True when the rank grew."""
-        index = self.index
-        rows = self.rows
-        res = {}
-        for c, v in vec.items():
-            v %= P
-            if v:
-                res[index[c]] = v
-        get = res.get
-        pop = res.pop
-        while res:
-            k = min(res)
-            v = pop(k)
-            row = rows.get(k)
-            if row is None:
-                inv = pow(v, -1, P)
-                rows[k] = {c: x * inv % P for c, x in res.items()}
-                return True
-            # Each stored row has only columns above its pivot k, so the
-            # least column of res keeps growing.
-            for c, x in row.items():
-                y = (get(c, 0) - v * x) % P
-                if y:
-                    res[c] = y
-                else:
-                    pop(c, None)
-        return False
-
-
 def span_basis(rows, cols, keyfunc=None) -> SubspaceBasis:
     """Reduced echelon basis of the span of `rows` inside the space on
     `cols`, pulling rows from the iterable only while they can matter.
 
-    Integer rows go to a `RankModP` first.  Once their rank mod P reaches
-    len(cols), no further row is pulled and the identity basis is
-    returned: a nonzero minor mod P is a nonzero integer, so the rank
-    over Q is full too.  Otherwise (the rows run out short of full rank
-    mod P, or a row has a non-int entry) the rows already pulled, then
-    the rest, go through `SubspaceBasis`, which stops once the exact
-    rank is full; nothing but full rank is ever read off P.
+    The rows go one by one to a `SubspaceBasis`, and none is pulled once
+    its rank is len(cols).  The answer is that of eliminating every row:
+    the reduced echelon form of a span under a fixed column order is
+    unique.  A full-rank span is the whole space, whose form has the unit
+    row of each column as the row of its pivot, as `SubspaceBasis.
+    identity` has; only the list order of the rows follows the order the
+    pivots were found in.  So a full-rank certificate, such as a rank
+    modulo a prime, could only ever return that same identity.
     """
+    sb = SubspaceBasis(keyfunc)
     full = len(cols)
     if not full:
-        return SubspaceBasis(keyfunc)
-    rows = iter(rows)
-    built = []
-    screen = RankModP(cols)
+        return sb
     for row in rows:
-        built.append(row)
-        if any(type(v) is not int for v in row.values()):
-            break
-        screen.add(row)
-        if screen.rank == full:
-            return SubspaceBasis.identity(cols, keyfunc)
-    sb = SubspaceBasis(keyfunc)
-    for row in chain(built, rows):
         sb.add(row)
         if sb.rank == full:
             break

@@ -1,5 +1,5 @@
-"""Sparse echelon bases over the rationals, rank certificates modulo a
-prime, and Laurent-entry ranks."""
+"""Sparse echelon bases over the rationals, spans that stop pulling rows
+at full rank, and Laurent-entry ranks."""
 
 import random
 from fractions import Fraction
@@ -8,8 +8,6 @@ import old_fraction_basis as frac
 import old_tracked_basis as old
 from quiverhecke.laurent import LaurentPoly
 from quiverhecke.linalg import (
-    P,
-    RankModP,
     SubspaceBasis,
     coords_in_span,
     laurent_rank,
@@ -223,17 +221,6 @@ def test_identity_basis_is_the_full_echelon_form():
     assert ident.add({"b": 7}) is False
 
 
-def test_rank_mod_p_pivots_follow_column_order():
-    screen = RankModP(["c", "b", "a"])
-    assert screen.add({"a": 1, "b": 2})
-    assert not screen.add({"a": 3, "b": 6})
-    assert screen.add({"c": -1, "a": P + 1})
-    assert screen.rank == 2
-    # each row's pivot is its least column in the given order
-    assert set(screen.rows) == {0, 1}
-    assert not screen.add({"a": P})
-
-
 def counting(rows):
     """The rows, and a list that records how many were pulled."""
     pulled = []
@@ -246,18 +233,22 @@ def counting(rows):
     return gen(), pulled
 
 
-def test_span_basis_stops_pulling_rows_at_full_rank_mod_p():
+def test_span_basis_stops_pulling_rows_at_full_rank():
     rows, pulled = counting([{"a": 2, "b": 1}, {"b": 3}, {"a": 1}, {"b": 1}])
     sb = span_basis(rows, ["a", "b"])
     assert len(pulled) == 2
     assert sb.rank == 2
     assert sb.normal_form({"a": 5, "b": 1}) == {}
+    # the rows are those of the identity basis, row by pivot
+    ident = SubspaceBasis.identity(["a", "b"])
+    assert ({c: sb.rows[r] for c, r in sb.pivots.items()}
+            == {c: ident.rows[r] for c, r in ident.pivots.items()})
 
 
-def test_span_basis_falls_back_to_exact_rank():
-    # dependent mod P, independent over Q: rank 2 through the fallback
-    rows, pulled = counting([{"a": P, "b": 1}, {"b": 1}])
-    assert RankModP(["a", "b"]).add({"a": P}) is False
+def test_span_basis_rank_is_exact_over_q():
+    # rows that are dependent modulo the prime 2^61 - 1 but independent
+    # over Q have rank 2
+    rows, pulled = counting([{"a": 2**61 - 1, "b": 1}, {"b": 1}])
     sb = span_basis(rows, ["a", "b"])
     assert len(pulled) == 2
     assert sb.rank == 2
@@ -281,7 +272,7 @@ def test_span_basis_non_integral_row_goes_exact():
     rows, pulled = counting(
         [{"a": 1}, {"a": Fraction(1, 2)}, {"b": 1}, {"a": 9}])
     sb = span_basis(rows, ["a", "b"])
-    # the exact path still stops once the rank is full
+    # the pass stops once the rank is full
     assert len(pulled) == 3
     assert sb.rank == 2
     rows, pulled = counting([{"a": Fraction(3, 2), "b": 1}])

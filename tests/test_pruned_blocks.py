@@ -122,8 +122,8 @@ def test_pruned_blocks_equal_unpruned_blocks(monkeypatch, datum, wt, beta):
 
 def test_pruned_blocks_equal_unpruned_blocks_non_integral_qspec(monkeypatch):
     new = assert_blocks_equal_unpruned(monkeypatch, *NON_INTEGRAL)
-    # the mirrored rows hold Fractions, so `span_basis` eliminates them
-    # exactly over Q rather than screening them mod P
+    # the mirrored rows hold Fractions, so the comparison above covers
+    # blocks eliminated from non-integral rows
     assert any(type(c) is not int for key in new._blocks
                for row in new._mirrored_rows(*key, set(new._blocks[key][0]))
                for c in row.values())
